@@ -18,6 +18,11 @@
 //!   `step`) and the kernel/legacy throughput ratio measured in this very
 //!   run, so the speedup claim never compares against stale numbers.
 //!
+//! The pooled executor runs `--workers` threads, defaulting to the host's
+//! available parallelism; larger requests are clamped to it, since extra
+//! workers on a smaller host only measure oversubscription. The report
+//! records `host_parallelism` and the `workers` actually used.
+//!
 //! Timings use `std::time::Instant`, which is legal here: the CLI is a
 //! host crate outside simlint L3's simulation-crate scope, and nothing
 //! measured feeds back into simulated time.
@@ -67,6 +72,11 @@ fn scaled(n: usize, tick: SimDuration) -> Result<SystemConfig, ArgError> {
     Ok(sys)
 }
 
+/// Threads the host can run at once (1 when the platform cannot say).
+fn host_parallelism() -> usize {
+    std::thread::available_parallelism().map_or(1, |n| n.get())
+}
+
 struct Point {
     n: usize,
     qps_serial: f64,
@@ -78,7 +88,9 @@ struct Point {
 pub fn execute(args: &Args) -> Result<String, ArgError> {
     let points_raw = args.string("points", DEFAULT_POINTS)?;
     let ms = args.u64("ms", 10)?.max(1);
-    let workers = args.u64("workers", 4)?.max(1) as usize;
+    let host = host_parallelism();
+    let requested = args.u64("workers", host as u64)?.max(1) as usize;
+    let workers = requested.min(host);
     let trials = args.u64("trials", 3)?.max(1);
     let out_path = args.string("out", "results/BENCH_kernel.json")?;
     args.finish()?;
@@ -103,6 +115,11 @@ pub fn execute(args: &Args) -> Result<String, ArgError> {
     let mut log = format!(
         "bench: {ms} ms runs, points [{points_raw}], {workers} workers, best of {trials}\n"
     );
+    if requested > workers {
+        log.push_str(&format!(
+            "  --workers {requested} clamped to the host parallelism of {host}\n"
+        ));
+    }
     let mut rows = Vec::with_capacity(points.len());
     let mut legacy: Option<(f64, f64)> = None;
 
@@ -179,7 +196,8 @@ pub fn execute(args: &Args) -> Result<String, ArgError> {
 
     let mut json = format!(
         "{{\n  \"schema\": \"hcapp.bench-kernel\",\n  \"version\": 1,\n  \
-         \"ms\": {ms},\n  \"workers\": {workers},\n  \"trials\": {trials}"
+         \"ms\": {ms},\n  \"host_parallelism\": {host},\n  \"workers\": {workers},\n  \
+         \"trials\": {trials}"
     );
     for row in &rows {
         json.push_str(&format!(
@@ -246,6 +264,27 @@ mod tests {
         ] {
             assert!(body.contains(key), "missing {key} in {body}");
         }
+        let _ = std::fs::remove_file(&path);
+    }
+
+    #[test]
+    fn workers_are_clamped_to_the_host() {
+        let path = std::env::temp_dir().join("hcapp_bench_kernel_workers_test.json");
+        let _ = std::fs::remove_file(&path);
+        let host = host_parallelism();
+        let out = run_cli(&format!(
+            "--points 3 --ms 1 --trials 1 --workers {} --out {}",
+            host + 3,
+            path.display()
+        ))
+        .unwrap();
+        assert!(out.contains("clamped to the host parallelism"), "{out}");
+        let body = std::fs::read_to_string(&path).unwrap();
+        assert!(
+            body.contains(&format!("\"host_parallelism\": {host},")),
+            "{body}"
+        );
+        assert!(body.contains(&format!("\"workers\": {host},")), "{body}");
         let _ = std::fs::remove_file(&path);
     }
 

@@ -89,7 +89,8 @@ COMMANDS:
             baseline at 3 domains (schema hcapp.bench-kernel)
             --points LIST (3,16,64,256)   domain counts to sweep
             --ms N (10)      simulated milliseconds per run
-            --workers N (4)  --trials N (3)   pool size / best-of-N
+            --workers N (host cores, larger N clamped)   pooled pool size
+            --trials N (3)   best-of-N
             --out PATH (results/BENCH_kernel.json)
     fuzz    deterministic config-space fuzzer: differential legs (serial vs
             pooled vs permuted vs batched vs kill-and-resume vs cache) plus

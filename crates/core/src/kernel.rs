@@ -17,8 +17,13 @@
 //! [`StepperPath`] selects which tick loop the serial executor drives:
 //! the allocation-free kernel path (production) or the pre-kernel
 //! reference path (the scaling bench's baseline and the equivalence
-//! property's oracle). The two are byte-identical by contract — see
-//! `DESIGN.md` §6j for the proof obligations.
+//! property's oracle). On the kernel path each chiplet steps through
+//! `step_into`, which shares operating points across units at one voltage
+//! and replays the previous tick's sums while its inputs repeat
+//! bit-for-bit (`hcapp_sim_core::frame::TickMemo`); that memo lives inside
+//! the chiplet, not in the lanes or the arena, and is never checkpointed.
+//! The two paths are byte-identical by contract — see `DESIGN.md` §6j for
+//! the proof obligations.
 
 use crate::coordinator::{QuantumCtl, QuantumSpec};
 use crate::health::DomainHealth;
@@ -34,7 +39,8 @@ use crate::software::DomainProgress;
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum StepperPath {
     /// The allocation-free struct-of-arrays kernel (default): memoized
-    /// operating points, borrow-based `step_into` dispatch.
+    /// operating points, steady-tick replay, borrow-based `step_into`
+    /// dispatch.
     #[default]
     Kernel,
     /// The pre-kernel reference path: per-quantum dispatch with the

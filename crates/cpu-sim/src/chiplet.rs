@@ -8,6 +8,7 @@
 //! fractions those controllers need next cycle.
 
 use hcapp_power_model::ComponentPowerModel;
+use hcapp_sim_core::frame::{StepFrame, TickMemo, TickSums, UnitPoint};
 use hcapp_sim_core::rng::DeterministicRng;
 use hcapp_sim_core::time::SimDuration;
 use hcapp_sim_core::units::{Volt, Watt};
@@ -30,6 +31,9 @@ pub struct CpuChiplet {
     /// Total chiplet power from the last step.
     last_power: Watt,
     breakdown: PowerBreakdown,
+    /// The previous kernel tick, replayed while the inputs repeat (a
+    /// cache: not checkpointed, dropped by `load_state`).
+    memo: TickMemo,
 }
 
 impl CpuChiplet {
@@ -78,6 +82,7 @@ impl CpuChiplet {
         let program = workload.instantiate(seed, stream_base);
         CpuChiplet {
             last_ipc: vec![0.0; cfg.cores],
+            memo: TickMemo::new(cfg.cores),
             cfg,
             cores,
             uncore,
@@ -155,18 +160,26 @@ impl CpuChiplet {
     ///
     /// Bit-identical to [`CpuChiplet::step`] (pinned by
     /// `step_into_matches_step` below and the golden-digest corpus), but
-    /// engineered for the hot loop: the voltage-only model evaluations
-    /// (frequency, leakage) are computed once per *distinct consecutive*
-    /// core voltage and shared across cores holding that voltage — under
-    /// uniform local-controller ratios that is one evaluation per tick
-    /// instead of three per core ([`Core::step`] evaluates the frequency
-    /// curve twice and the leakage curve twice per call).
+    /// engineered for the hot loop:
     ///
-    /// [`StepFrame`]: hcapp_sim_core::frame::StepFrame
+    /// * **Steady-tick replay.** When the core voltages, the phase sample
+    ///   and `dt` repeat the previous tick bit-for-bit and no core is due
+    ///   to resample its jitter, every core would compute exactly last
+    ///   tick's outputs, so the tick replays the [`TickMemo`]'d sums (and
+    ///   `last_ipc` already holds last tick's IPCs). Only the jitter
+    ///   clocks, the program cursor, the breakdown and the power output
+    ///   advance.
+    /// * **Shared operating points.** Otherwise the per-voltage inputs
+    ///   (a [`UnitPoint`]: frequency, leakage, `f / f_nominal`, progress
+    ///   rate) are computed once per *distinct consecutive* core voltage
+    ///   and shared across cores holding that voltage — under uniform
+    ///   local-controller ratios that is one evaluation per tick instead
+    ///   of one per core ([`Core::step`] also evaluates the frequency
+    ///   curve twice and the leakage curve twice per call).
     ///
     /// # Panics
     /// Panics if `frame.voltages.len() != units()`.
-    pub fn step_into(&mut self, frame: &mut hcapp_sim_core::frame::StepFrame<'_>) {
+    pub fn step_into(&mut self, frame: &mut StepFrame<'_>) {
         assert_eq!(
             frame.voltages.len(),
             self.cores.len(),
@@ -174,43 +187,59 @@ impl CpuChiplet {
         );
         let dt = frame.dt;
         let sample = self.program.sample();
+        let phase = [sample.activity, sample.mem_intensity];
+        if let Some(sums) = self.memo.probe(frame.voltages, phase, dt) {
+            if !self.cores.iter().any(Core::jitter_due) {
+                self.cores.iter_mut().for_each(Core::replay_tick);
+                self.finish_tick(frame, sums);
+                return;
+            }
+        }
         let mut total_core_power = Watt::ZERO;
         let mut total_dynamic = Watt::ZERO;
         let mut total_rate = 0.0;
         let mut v_sum = 0.0;
         let dt_ns = dt.as_nanos() as f64;
         // One-entry operating-point memo, keyed on the voltage's bit
-        // pattern: frequency_at and leakage.power are pure, so reuse is
-        // value-identical to recomputation.
+        // pattern: the point is a pure function of the voltage and the
+        // tick's sample, so reuse is value-identical to recomputation.
         let mut memo_v = f64::NAN.to_bits();
-        let mut memo_f = hcapp_sim_core::units::Hertz::ZERO;
-        let mut memo_leak = Watt::ZERO;
+        let mut op = UnitPoint::default();
         for (i, core) in self.cores.iter_mut().enumerate() {
             let v = frame.voltages[i].clamp(self.cfg.v_min, self.cfg.v_max);
             v_sum += v.value();
             if v.value().to_bits() != memo_v {
-                let (f, leak) = core.model().operating_point(v);
+                op = core.operating_point(v, sample);
                 memo_v = v.value().to_bits();
-                memo_f = f;
-                memo_leak = leak;
             }
-            let out = core.step_at(v, memo_f, memo_leak, sample, dt);
+            let out = core.step_at(v, &op, sample, dt);
             total_core_power += out.power;
-            total_dynamic += out.power - memo_leak;
+            total_dynamic += out.power - op.leak;
             total_rate += out.work_ns / dt_ns;
             self.last_ipc[i] = out.ipc_fraction;
         }
-        let avg_rate = total_rate / self.cores.len() as f64;
-        self.program.advance(avg_rate * dt_ns);
-
         let mean_v = Volt::new(v_sum / self.cores.len() as f64);
         let uncore_activity = sample.mem_intensity * sample.activity;
-        let uncore_power = self.uncore.power(mean_v, uncore_activity);
+        let sums = TickSums {
+            avg_rate: total_rate / self.cores.len() as f64,
+            unit_dynamic: total_dynamic,
+            unit_power: total_core_power,
+            uncore: self.uncore.power(mean_v, uncore_activity),
+        };
+        self.memo.fill(sums);
+        self.finish_tick(frame, sums);
+    }
 
-        let leakage = total_core_power - total_dynamic;
-        self.breakdown.record(total_dynamic, leakage, uncore_power, dt);
-
-        self.last_power = total_core_power + uncore_power;
+    /// The per-tick tail shared by evaluated and replayed ticks: advance
+    /// the program, record the breakdown, publish the chiplet power.
+    #[inline]
+    fn finish_tick(&mut self, frame: &mut StepFrame<'_>, sums: TickSums) {
+        let dt = frame.dt;
+        self.program.advance(sums.avg_rate * dt.as_nanos() as f64);
+        let leakage = sums.unit_power - sums.unit_dynamic;
+        self.breakdown
+            .record(sums.unit_dynamic, leakage, sums.uncore, dt);
+        self.last_power = sums.unit_power + sums.uncore;
         *frame.power_acc += self.last_power.value();
     }
 
@@ -253,6 +282,9 @@ impl hcapp_sim_core::state::Snapshot for CpuChiplet {
     }
 
     fn load_state(&mut self, r: &mut hcapp_sim_core::state::StateReader<'_>) -> Option<()> {
+        // The memo describes the pre-restore tick; even a failed partial
+        // load must not replay it.
+        self.memo.forget();
         for core in &mut self.cores {
             core.load_state(r)?;
         }
@@ -291,39 +323,131 @@ mod tests {
         assert_eq!(chiplet(Benchmark::Swaptions).units(), 8);
     }
 
+    /// Per-tick core voltages for the kernel-equivalence tests: 100-tick
+    /// ramps whose voltage changes every tick (periodically spread per
+    /// core, defeating the operating-point memo) alternate with held
+    /// stretches of 10–700 ticks, uniform or spread per core, so the
+    /// steady-tick replay runs across jitter resamples (every 500 ticks)
+    /// and workload phase boundaries.
+    fn equivalence_schedule(ticks: usize, n: usize) -> Vec<Vec<Volt>> {
+        const HOLDS: [usize; 6] = [10, 700, 37, 501, 120, 640];
+        let mut lanes = Vec::with_capacity(ticks);
+        for k in 0.. {
+            for t in 0..100u64 {
+                lanes.push(
+                    (0..n)
+                        .map(|i| {
+                            let spread = if t % 7 == 0 { 0.01 * i as f64 } else { 0.0 };
+                            Volt::new(0.85 + 0.2 * (t as f64 / 100.0) + spread)
+                        })
+                        .collect(),
+                );
+            }
+            let spread = if k % 2 == 1 { 0.01 } else { 0.0 };
+            let held: Vec<Volt> = (0..n)
+                .map(|i| Volt::new(0.85 + 0.03 * (k % 7) as f64 + spread * i as f64))
+                .collect();
+            lanes.extend(std::iter::repeat_n(held, HOLDS[k % HOLDS.len()]));
+            if lanes.len() >= ticks {
+                break;
+            }
+        }
+        lanes.truncate(ticks);
+        lanes
+    }
+
+    /// Carry `c` into a fresh chiplet through a checkpoint round trip.
+    fn restored(c: &CpuChiplet, b: Benchmark) -> CpuChiplet {
+        use hcapp_sim_core::state::{Snapshot, StateReader, StateWriter};
+        let mut w = StateWriter::new();
+        c.save_state(&mut w);
+        let text = w.finish();
+        let mut fresh = chiplet(b);
+        fresh
+            .load_state(&mut StateReader::new(&text))
+            .expect("checkpoint round trip");
+        fresh
+    }
+
+    fn assert_lockstep(
+        t: usize,
+        reference: &mut CpuChiplet,
+        kernel: &mut CpuChiplet,
+        volts: &[Volt],
+    ) {
+        use hcapp_sim_core::frame::StepFrame;
+        let dt = SimDuration::from_nanos(100);
+        let p_ref = reference.step(volts, dt).value();
+        let mut acc = 0.0;
+        kernel.step_into(&mut StepFrame::new(volts, dt, &mut acc));
+        assert_eq!(p_ref.to_bits(), acc.to_bits(), "tick {t}: power diverged");
+        assert_eq!(
+            reference.ipc_fractions(),
+            kernel.ipc_fractions(),
+            "tick {t}: IPC diverged"
+        );
+        assert_eq!(
+            reference.work_done().to_bits(),
+            kernel.work_done().to_bits(),
+            "tick {t}: cursor diverged"
+        );
+    }
+
     #[test]
     fn step_into_matches_step() {
         // The kernel entry point must be bit-identical to the reference
         // path — same power, same IPC, same workload cursor, same
-        // breakdown — including under per-core voltage spreads that defeat
-        // the operating-point memo.
-        use hcapp_sim_core::frame::StepFrame;
+        // breakdown — under per-core voltage spreads that defeat the
+        // operating-point memo, and through held stretches that take the
+        // steady-tick replay, including a checkpoint restore mid-hold.
         let mut reference = chiplet(Benchmark::Ferret);
         let mut kernel = chiplet(Benchmark::Ferret);
-        let dt = SimDuration::from_nanos(100);
-        let n = reference.units();
-        for t in 0..20_000u64 {
-            let volts: Vec<Volt> = (0..n)
-                .map(|i| {
-                    // Mostly uniform, periodically spread per core.
-                    let spread = if t % 7 == 0 { 0.01 * i as f64 } else { 0.0 };
-                    Volt::new(0.85 + 0.2 * ((t % 100) as f64 / 100.0) + spread)
-                })
-                .collect();
-            let p_ref = reference.step(&volts, dt).value();
-            let mut acc = 0.0;
-            kernel.step_into(&mut StepFrame::new(&volts, dt, &mut acc));
-            assert_eq!(p_ref.to_bits(), acc.to_bits(), "tick {t}: power diverged");
-            assert_eq!(reference.ipc_fractions(), kernel.ipc_fractions());
+        let lanes = equivalence_schedule(20_000, reference.units());
+        let restore_at = (5_000..lanes.len())
+            .find(|&t| lanes[t - 1] == lanes[t] && lanes[t] == lanes[t + 1])
+            .expect("schedule holds past tick 5000");
+        for (t, volts) in lanes.iter().enumerate() {
+            if t == restore_at {
+                kernel = restored(&kernel, Benchmark::Ferret);
+            }
+            assert_lockstep(t, &mut reference, &mut kernel, volts);
         }
-        assert_eq!(
-            reference.work_done().to_bits(),
-            kernel.work_done().to_bits()
-        );
         assert_eq!(
             reference.breakdown().total_joules().to_bits(),
             kernel.breakdown().total_joules().to_bits()
         );
+    }
+
+    #[test]
+    fn load_state_drops_the_replay_memo() {
+        // Rewind both paths across a jitter resample inside one long hold:
+        // the kernel's memo then holds post-resample sums under a key the
+        // rewound tick repeats, so replaying it would diverge.
+        use hcapp_sim_core::state::{Snapshot, StateReader, StateWriter};
+        let mut reference = chiplet(Benchmark::Ferret);
+        let mut kernel = chiplet(Benchmark::Ferret);
+        let volts = vec![Volt::new(0.95); reference.units()];
+        let save = |c: &CpuChiplet| {
+            let mut w = StateWriter::new();
+            c.save_state(&mut w);
+            w.finish()
+        };
+        for t in 0..300 {
+            assert_lockstep(t, &mut reference, &mut kernel, &volts);
+        }
+        let (ref_ckpt, kernel_ckpt) = (save(&reference), save(&kernel));
+        for t in 300..900 {
+            assert_lockstep(t, &mut reference, &mut kernel, &volts);
+        }
+        reference
+            .load_state(&mut StateReader::new(&ref_ckpt))
+            .unwrap();
+        kernel
+            .load_state(&mut StateReader::new(&kernel_ckpt))
+            .unwrap();
+        for t in 300..900 {
+            assert_lockstep(t, &mut reference, &mut kernel, &volts);
+        }
     }
 
     #[test]

@@ -6,6 +6,7 @@
 //! measured IPC fraction that drives the CAPP-style local controller.
 
 use hcapp_power_model::ComponentPowerModel;
+use hcapp_sim_core::frame::UnitPoint;
 use hcapp_sim_core::rng::DeterministicRng;
 use hcapp_sim_core::time::SimDuration;
 use hcapp_sim_core::units::{Volt, Watt};
@@ -109,18 +110,34 @@ impl Core {
         }
     }
 
-    /// Advance one tick with a precomputed operating point for `v`.
+    /// The voltage-dependent inputs of a tick at `v` running `sample`,
+    /// for [`Core::step_at`]. Every core of a chiplet shares the same
+    /// model and nominal frequency, so the chiplet computes this once per
+    /// distinct voltage and shares it across the cores at that voltage.
+    #[inline]
+    pub fn operating_point(&self, v: Volt, sample: PhaseSample) -> UnitPoint {
+        let (f, leak) = self.model.operating_point(v);
+        let f_ratio = f.value() / self.f_nominal;
+        UnitPoint {
+            f,
+            f_ratio,
+            leak,
+            // `progress_rate` reads only the memory intensity, which
+            // jitter leaves unchanged.
+            rate: progress_rate(sample, f_ratio),
+        }
+    }
+
+    /// Advance one tick at `v` with `op = self.operating_point(v, sample)`
+    /// precomputed.
     ///
-    /// The quantum-stepper kernel computes `(f, leak) =
-    /// model.operating_point(v)` once per distinct voltage and shares it
-    /// across every core at that voltage; this must stay bit-identical to
-    /// [`Core::step`] (pinned by the `step_into_matches_step` tests), so
-    /// any change to `step` has to be mirrored here.
+    /// This must stay bit-identical to [`Core::step`] (pinned by the
+    /// `step_into_matches_step` tests), so any change to `step` has to be
+    /// mirrored here.
     pub fn step_at(
         &mut self,
         v: Volt,
-        f: hcapp_sim_core::units::Hertz,
-        leak: Watt,
+        op: &UnitPoint,
         sample: PhaseSample,
         dt: SimDuration,
     ) -> CoreStep {
@@ -129,20 +146,35 @@ impl Core {
         }
         self.jitter_countdown -= 1;
 
-        let f_ratio = f.value() / self.f_nominal;
         let activity = (sample.activity * self.jitter).clamp(0.0, 1.0);
         let jittered = PhaseSample {
             activity,
             mem_intensity: sample.mem_intensity,
         };
-        let power = self.model.power_at(v, f, leak, activity);
-        let work_ns = progress_rate(jittered, f_ratio) * dt.as_nanos() as f64
-            * if activity > 0.0 { 1.0 } else { 0.0 };
+        let power = self.model.power_at(v, op.f, op.leak, activity);
+        let work_ns = op.rate * dt.as_nanos() as f64 * if activity > 0.0 { 1.0 } else { 0.0 };
         CoreStep {
             power,
             work_ns,
-            ipc_fraction: ipc_fraction(jittered, f_ratio),
+            ipc_fraction: ipc_fraction(jittered, op.f_ratio),
         }
+    }
+
+    /// Would the next step resample the activity jitter? While this is
+    /// `false` the core's outputs depend only on `(v, sample, dt)`.
+    #[inline]
+    pub fn jitter_due(&self) -> bool {
+        self.jitter_countdown == 0
+    }
+
+    /// Account one tick without evaluating the model: the chiplet replays
+    /// an identical previous tick's outputs (see `CpuChiplet::step_into`).
+    /// Only valid while [`Core::jitter_due`] is `false`; the jitter clock
+    /// then advances exactly as [`Core::step`] would advance it.
+    #[inline]
+    pub fn replay_tick(&mut self) {
+        debug_assert!(!self.jitter_due(), "replayed a jitter resample tick");
+        self.jitter_countdown -= 1;
     }
 
     /// The core's power model (for reporting).

@@ -7,6 +7,7 @@
 //! lets the GPU-CAPP dynamic local controller steal their voltage headroom.
 
 use hcapp_power_model::ComponentPowerModel;
+use hcapp_sim_core::frame::UnitPoint;
 use hcapp_sim_core::rng::DeterministicRng;
 use hcapp_sim_core::time::SimDuration;
 use hcapp_sim_core::units::{Volt, Watt};
@@ -102,19 +103,35 @@ impl StreamingMultiprocessor {
         }
     }
 
-    /// Advance one tick with a precomputed operating point for `v`.
+    /// The voltage-dependent inputs of a tick at `v` running `sample`,
+    /// for [`StreamingMultiprocessor::step_at`]. Every SM of a chiplet
+    /// shares the same model and nominal frequency, so the chiplet
+    /// computes this once per distinct voltage and shares it across the
+    /// SMs at that voltage.
+    #[inline]
+    pub fn operating_point(&self, v: Volt, sample: PhaseSample) -> UnitPoint {
+        let (f, leak) = self.model.operating_point(v);
+        let f_ratio = f.value() / self.f_nominal;
+        UnitPoint {
+            f,
+            f_ratio,
+            leak,
+            // `progress_rate` reads only the memory intensity, which the
+            // warp model leaves unchanged.
+            rate: progress_rate(sample, f_ratio),
+        }
+    }
+
+    /// Advance one tick at `v` with `op = self.operating_point(v, sample)`
+    /// precomputed.
     ///
-    /// The quantum-stepper kernel computes `(f, leak) =
-    /// model.operating_point(v)` once per distinct voltage and shares it
-    /// across SMs at that voltage; must stay bit-identical to
-    /// [`StreamingMultiprocessor::step`] (pinned by the
-    /// `step_into_matches_step` test), so changes to `step` have to be
-    /// mirrored here.
+    /// Must stay bit-identical to [`StreamingMultiprocessor::step`]
+    /// (pinned by the `step_into_matches_step` test), so changes to
+    /// `step` have to be mirrored here.
     pub fn step_at(
         &mut self,
         v: Volt,
-        f: hcapp_sim_core::units::Hertz,
-        leak: Watt,
+        op: &UnitPoint,
         sample: PhaseSample,
         dt: SimDuration,
     ) -> SmStep {
@@ -123,25 +140,38 @@ impl StreamingMultiprocessor {
         }
         self.jitter_countdown -= 1;
 
-        let f_ratio = f.value() / self.f_nominal;
         let activity = (sample.activity * self.jitter).clamp(0.0, 1.0);
         let utilization = self.warp.utilization_from_activity(activity);
-        let effective = PhaseSample {
-            activity: utilization,
-            mem_intensity: sample.mem_intensity,
-        };
-        let power = self.model.power_at(v, f, leak, utilization);
+        let power = self.model.power_at(v, op.f, op.leak, utilization);
         let work_ns = if utilization > 0.0 {
-            progress_rate(effective, f_ratio) * dt.as_nanos() as f64 * utilization
+            op.rate * dt.as_nanos() as f64 * utilization
         } else {
             0.0
         };
-        let ipc_fraction = utilization / (1.0 + sample.mem_intensity * f_ratio);
+        let ipc_fraction = utilization / (1.0 + sample.mem_intensity * op.f_ratio);
         SmStep {
             power,
             work_ns,
             ipc_fraction,
         }
+    }
+
+    /// Would the next step resample the activity jitter? While this is
+    /// `false` the SM's outputs depend only on `(v, sample, dt)`.
+    #[inline]
+    pub fn jitter_due(&self) -> bool {
+        self.jitter_countdown == 0
+    }
+
+    /// Account one tick without evaluating the model: the chiplet replays
+    /// an identical previous tick's outputs (see `GpuChiplet::step_into`).
+    /// Only valid while [`StreamingMultiprocessor::jitter_due`] is `false`;
+    /// the jitter clock then advances exactly as
+    /// [`StreamingMultiprocessor::step`] would advance it.
+    #[inline]
+    pub fn replay_tick(&mut self) {
+        debug_assert!(!self.jitter_due(), "replayed a jitter resample tick");
+        self.jitter_countdown -= 1;
     }
 
     /// The SM's power model (for reporting).

@@ -18,9 +18,12 @@
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct WarpModel {
     /// Maximum resident warps per SM.
-    pub max_warps: f64,
+    max_warps: f64,
     /// Warps needed to reach 50% issue utilization.
-    pub half_occupancy: f64,
+    half_occupancy: f64,
+    /// `utilization(max_warps)`, the normalizer of
+    /// [`WarpModel::utilization_from_activity`] (constant per model).
+    peak: f64,
 }
 
 impl WarpModel {
@@ -31,10 +34,14 @@ impl WarpModel {
     pub fn new(max_warps: u32, half_occupancy: f64) -> Self {
         assert!(max_warps > 0, "need at least one warp slot");
         assert!(half_occupancy > 0.0, "non-positive half-occupancy");
-        WarpModel {
-            max_warps: max_warps as f64,
+        let max_warps = max_warps as f64;
+        let mut model = WarpModel {
+            max_warps,
             half_occupancy,
-        }
+            peak: 0.0,
+        };
+        model.peak = model.utilization(max_warps);
+        model
     }
 
     /// Issue utilization for `warps` resident warps.
@@ -49,11 +56,10 @@ impl WarpModel {
     /// peak utilization = 1.0 (the calibration point for SM power).
     #[inline]
     pub fn utilization_from_activity(&self, activity: f64) -> f64 {
-        let peak = self.utilization(self.max_warps);
-        if peak <= 0.0 {
+        if self.peak <= 0.0 {
             return 0.0;
         }
-        self.utilization(activity.clamp(0.0, 1.0) * self.max_warps) / peak
+        self.utilization(activity.clamp(0.0, 1.0) * self.max_warps) / self.peak
     }
 }
 
@@ -88,6 +94,19 @@ mod tests {
         // Concave: half the warps give more than half the (normalized)
         // utilization.
         assert!(m.utilization_from_activity(0.5) > 0.5);
+    }
+
+    #[test]
+    fn hoisted_peak_matches_recomputation() {
+        let m = WarpModel::new(48, 8.0);
+        for i in 0..=100 {
+            let a = i as f64 / 100.0;
+            let recomputed = m.utilization(a * 48.0) / m.utilization(48.0);
+            assert_eq!(
+                m.utilization_from_activity(a).to_bits(),
+                recomputed.to_bits()
+            );
+        }
     }
 
     #[test]
