@@ -4,19 +4,21 @@
 //!
 //! * default — a seeded campaign (`--seed`, `--cases`): generate cases,
 //!   run every differential + metamorphic oracle leg, shrink any failure,
-//!   print the byte-stable campaign log. Nonzero exit on any failure.
+//!   print the byte-stable campaign log. Nonzero exit on any failure, with
+//!   each shrunk repro written to
+//!   `results/fuzz/finding-<seed>-<i>.fuzzcase` for `--replay`.
 //! * `--smoke` — the fixed-seed CI corpus (seed `0xC0FFEE`, 24 cases,
 //!   capped at 32): `scripts/check.sh` runs it twice and byte-compares the
 //!   logs, so determinism itself is gated, not just correctness.
 //! * `--plant pooled|cache` — the self-test: plant a known defect, verify
 //!   the oracle catches it, shrink it to a minimal repro, write that as an
-//!   `hcapp.fuzzcase` file and verify `--replay` of the written bytes
-//!   reproduces the catch.
+//!   `hcapp.fuzzcase` file (`--out`, valid only here) and verify
+//!   `--replay` of the written bytes reproduces the catch.
 //! * `--replay PATH` — rerun a committed `hcapp.fuzzcase` exactly; exit
 //!   nonzero (listing the failing legs) if it still fails.
 
 use std::fs;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 
 use hcapp_fuzz::case::FuzzCase;
 use hcapp_fuzz::{check_case, rng, run_campaign, shrink, CampaignConfig, Plant};
@@ -53,6 +55,9 @@ pub fn execute(args: &Args) -> Result<String, ArgError> {
     let out = args.opt_string("out")?;
     args.finish()?;
 
+    if let (Some(path), None) = (&out, &plant) {
+        return Err(bad("out", path.clone(), "--out only together with --plant"));
+    }
     if let Some(path) = replay {
         return replay_case(&path);
     }
@@ -64,17 +69,31 @@ pub fn execute(args: &Args) -> Result<String, ArgError> {
         cases: if smoke { cases.min(SMOKE_CAP).max(1) } else { cases.max(1) },
         plant: Plant::None,
     };
-    let report = run_campaign(&cfg);
+    campaign(&cfg, Path::new("results/fuzz"))
+}
+
+/// Run a campaign. On failure, write each shrunk repro to
+/// `dir/finding-<seed>-<i>.fuzzcase` and list the paths in the error.
+fn campaign(cfg: &CampaignConfig, dir: &Path) -> Result<String, ArgError> {
+    let report = run_campaign(cfg);
     if report.clean() {
-        Ok(report.log)
-    } else {
-        Err(fail(format!(
-            "{}fuzz FAILED: {} of {} cases diverged",
-            report.log,
-            report.findings.len(),
-            report.cases
-        )))
+        return Ok(report.log);
     }
+    let mut msg = format!(
+        "{}fuzz FAILED: {} of {} cases diverged\n",
+        report.log,
+        report.findings.len(),
+        report.cases
+    );
+    fs::create_dir_all(dir)
+        .map_err(|e| fail(format!("{msg}fuzz: cannot create {}: {e}", dir.display())))?;
+    for (i, f) in report.findings.iter().enumerate() {
+        let path = dir.join(format!("finding-{:#x}-{i:03}.fuzzcase", cfg.seed));
+        fs::write(&path, f.shrunk.encode())
+            .map_err(|e| fail(format!("{msg}fuzz: cannot write {}: {e}", path.display())))?;
+        msg.push_str(&format!("  repro {i}: {}\n", path.display()));
+    }
+    Err(fail(msg))
 }
 
 /// `--replay PATH`: decode a committed fuzzcase and rerun the full oracle
@@ -199,6 +218,32 @@ mod tests {
         assert!(err.contains("fuzzcase FAILS"), "{err}");
         assert!(err.contains("pooled"), "{err}");
         let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn failing_campaign_writes_replayable_repros() {
+        let dir = scratch("campaign");
+        let cfg = CampaignConfig {
+            seed: 5,
+            cases: 1,
+            plant: Plant::PooledBitflip,
+        };
+        let err = campaign(&cfg, &dir).unwrap_err().to_string();
+        let repro = dir.join("finding-0x5-000.fuzzcase");
+        assert!(err.contains("fuzz FAILED: 1 of 1"), "{err}");
+        assert!(err.contains(&repro.display().to_string()), "{err}");
+        let replayed = run_cli(&format!("--replay {}", repro.display()))
+            .unwrap_err()
+            .to_string();
+        assert!(replayed.contains("fuzzcase FAILS"), "{replayed}");
+        assert!(replayed.contains("pooled"), "{replayed}");
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn out_without_plant_is_a_flag_error() {
+        let e = run_cli("--smoke --cases 1 --out x.fuzzcase").unwrap_err();
+        assert!(matches!(&e, ArgError::BadValue { flag, .. } if flag == "out"), "{e}");
     }
 
     #[test]

@@ -55,8 +55,8 @@ COMMANDS:
             (run flags) --out PATH (results/trace.jsonl)
             --events N (65536)    tracer ring capacity
             --check PATH          validate an existing trace instead
-    record  record a benchmark's phase trace (JSONL; --legacy for CSV)
-            --bench NAME --work-ms N (50) --seed N --out PATH --legacy
+    record  record a benchmark's phase trace (JSONL)
+            --bench NAME --work-ms N (50) --seed N --out PATH
     analyze control-loop analytics: settling/overshoot/steady-state error,
             over-budget episodes, throttle residency (schema hcapp.report)
             (run flags) --retarget MS:W[,MS:W...]     live run (default mode)
@@ -85,8 +85,8 @@ COMMANDS:
             --worker [--stop-at Q]  single resumable link (scripts/soak.sh
                                   SIGKILLs these to soak real process death)
     bench   quantum-stepper scaling bench: quanta/sec per package size under
-            the serial, pooled and batched executors, plus the legacy-stepper
-            baseline at 3 domains (schema hcapp.bench-kernel)
+            the serial, pooled and batched executors (schema
+            hcapp.bench-kernel)
             --points LIST (3,16,64,256)   domain counts to sweep
             --ms N (10)      simulated milliseconds per run
             --workers N (host cores, larger N clamped)   pooled pool size

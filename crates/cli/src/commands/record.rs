@@ -1,10 +1,8 @@
 //! `hcapp record` — materialize a benchmark's phase trace to disk.
 //!
-//! The default output is self-describing JSONL (schema
-//! `hcapp.phase-trace`); `--legacy` keeps the original bare CSV. Either
-//! form replays bit-exactly through `hcapp run --cpu-trace` /
-//! `--gpu-trace`, and both are the interchange formats for user-measured
-//! traces.
+//! The output is self-describing JSONL (schema `hcapp.phase-trace`),
+//! which replays bit-exactly through `hcapp run --cpu-trace` /
+//! `--gpu-trace`. Those flags also read user-measured traces as CSV.
 
 use hcapp_sim_core::time::SimDuration;
 use hcapp_workloads::benchmarks::Benchmark;
@@ -18,9 +16,7 @@ pub fn execute(args: &Args) -> Result<String, ArgError> {
     let bench_name = args.string("bench", "ferret")?;
     let work_ms = args.u64("work-ms", 50)?.max(1);
     let seed = args.u64("seed", 11)?;
-    let legacy = args.switch("legacy")?;
-    let ext = if legacy { "csv" } else { "jsonl" };
-    let out = args.string("out", &format!("results/{bench_name}.trace.{ext}"))?;
+    let out = args.string("out", &format!("results/{bench_name}.trace.jsonl"))?;
     args.finish()?;
 
     let bench = Benchmark::by_name(&bench_name).ok_or_else(|| ArgError::BadValue {
@@ -30,23 +26,18 @@ pub fn execute(args: &Args) -> Result<String, ArgError> {
     })?;
     let total_ns = SimDuration::from_millis(work_ms).as_nanos() as f64;
     let trace = PhaseTrace::record(bench.spec(), seed, 0, total_ns);
-    let body = if legacy {
-        trace.to_csv()
-    } else {
-        shared::phase_trace_to_jsonl(&trace)
-    };
+    let body = shared::phase_trace_to_jsonl(&trace);
     shared::write_output(&out, &body).map_err(|e| ArgError::BadValue {
         flag: "out".into(),
         value: format!("{out}: {e}"),
         expected: "a writable path",
     })?;
     Ok(format!(
-        "recorded {} phases ({:.1} ms of nominal work) from {} to {} ({})\n",
+        "recorded {} phases ({:.1} ms of nominal work) from {} to {} (JSONL)\n",
         trace.phases().len(),
         trace.total_work_ns() * 1e-6,
         bench.name(),
         out,
-        if legacy { "legacy CSV" } else { "JSONL" },
     ))
 }
 
@@ -68,22 +59,6 @@ mod tests {
         assert!(msg.contains("JSONL"));
         let text = std::fs::read_to_string(&path).unwrap();
         let trace = shared::phase_trace_from_jsonl("bfs", &text).unwrap();
-        assert!(trace.total_work_ns() >= 5_000_000.0);
-        let _ = std::fs::remove_file(&path);
-    }
-
-    #[test]
-    fn legacy_flag_keeps_the_csv_format() {
-        let path = std::env::temp_dir().join("hcapp_record_test.csv");
-        let _ = std::fs::remove_file(&path);
-        let msg = record(&format!(
-            "--bench bfs --work-ms 5 --legacy --out {}",
-            path.display()
-        ))
-        .unwrap();
-        assert!(msg.contains("legacy CSV"));
-        let csv = std::fs::read_to_string(&path).unwrap();
-        let trace = PhaseTrace::from_csv("bfs", &csv).unwrap();
         assert!(trace.total_work_ns() >= 5_000_000.0);
         let _ = std::fs::remove_file(&path);
     }

@@ -113,4 +113,28 @@ mod tests {
         assert!(body.starts_with("time_us,power_w"));
         let _ = std::fs::remove_file(&path);
     }
+
+    #[test]
+    fn csv_cpu_trace_replays_and_malformed_csv_is_a_flag_error() {
+        use hcapp_workloads::benchmarks::Benchmark;
+        use hcapp_workloads::trace::PhaseTrace;
+
+        let bench = Benchmark::by_name("bfs").unwrap();
+        let csv = PhaseTrace::record(bench.spec(), 3, 0, 2_000_000.0).to_csv();
+        let good = std::env::temp_dir().join("hcapp_cli_cpu_trace_test.csv");
+        std::fs::write(&good, csv).unwrap();
+        let replayed = run_cli(&format!("--combo Hi-Hi --ms 1 --cpu-trace {}", good.display()));
+        let _ = std::fs::remove_file(&good);
+        let replayed = replayed.unwrap();
+        assert!(replayed.contains("CPU work"), "{replayed}");
+        assert_ne!(replayed, run_cli("--combo Hi-Hi --ms 1").unwrap());
+
+        let bad = std::env::temp_dir().join("hcapp_cli_cpu_trace_bad.csv");
+        std::fs::write(&bad, "activity,mem_intensity,work_ns\n0.5,oops,10\n").unwrap();
+        let err = run_cli(&format!("--combo Hi-Hi --ms 1 --cpu-trace {}", bad.display()));
+        let _ = std::fs::remove_file(&bad);
+        let err = err.unwrap_err();
+        assert!(matches!(&err, ArgError::BadValue { flag, .. } if flag == "cpu-trace"), "{err}");
+        assert!(err.to_string().contains(&bad.display().to_string()), "{err}");
+    }
 }

@@ -155,9 +155,9 @@ pub fn build(args: &Args) -> Result<(SystemConfig, RunConfig, PowerLimit), ArgEr
     } else {
         SystemConfig::paper_system(combo, seed)
     };
-    // Recorded-trace overrides for the compute sides. Both interchange
-    // formats replay bit-exactly: the JSONL form `hcapp record` writes by
-    // default (first byte `{`) and the legacy CSV.
+    // Recorded-trace overrides for the compute sides: the JSONL form
+    // `hcapp record` writes (first byte `{`, replays bit-exactly) or a
+    // user-measured CSV (`activity,mem_intensity,work_ns`).
     let load_trace = |flag: &str, path: &str| -> Result<std::sync::Arc<PhaseTrace>, ArgError> {
         let text = std::fs::read_to_string(path).map_err(|e| bad(
             flag,

@@ -26,7 +26,7 @@ use hcapp_telemetry::{Profiler, SharedTracer, TraceEvent};
 
 use crate::controller::global::GlobalController;
 use crate::health::{DegradedConfig, EmergencyThrottle, HealthState, SensorWatchdog};
-use crate::kernel::{BatchArena, DomainLanes, StepperPath};
+use crate::kernel::{BatchArena, DomainLanes};
 use crate::outcome::{ResilienceCounters, RunOutcome};
 use crate::scheme::ControlScheme;
 use crate::software::{
@@ -136,12 +136,6 @@ pub struct RunConfig {
     /// determinism tests). `1` forces per-quantum dispatch, which the
     /// scaling bench uses as its comparison point.
     pub batch_quanta: usize,
-    /// Which tick loop the serial executor drives (default
-    /// [`StepperPath::Kernel`]). [`StepperPath::Legacy`] selects the
-    /// pre-kernel reference path — byte-identical results, pre-kernel
-    /// cost model — and is honored by the serial executor only; the
-    /// pooled executor always runs the kernel path.
-    pub stepper: StepperPath,
 }
 
 impl RunConfig {
@@ -167,16 +161,7 @@ impl RunConfig {
             faults: None,
             degraded: DegradedConfig::default(),
             batch_quanta: BATCH_QUANTA,
-            stepper: StepperPath::default(),
         }
-    }
-
-    /// Select the serial executor's stepper path (builder style). The
-    /// legacy path reproduces the pre-kernel per-tick cost model with
-    /// byte-identical results — the scaling bench's in-run baseline.
-    pub fn with_stepper(mut self, stepper: StepperPath) -> Self {
-        self.stepper = stepper;
-        self
     }
 
     /// Override the executor batch bound (builder style). `1` forces
@@ -366,11 +351,6 @@ pub(crate) fn decode_domain_state(d: &mut Domain, payload: &str) -> Option<()> {
 /// In-process executor over the owned domain list.
 pub(crate) struct SerialExecutor {
     pub(crate) domains: Vec<Domain>,
-    /// Drive the pre-kernel reference path ([`StepperPath::Legacy`]):
-    /// per-quantum dispatch with the original per-dispatch allocation
-    /// pattern and unmemoized chiplet stepping. Byte-identical results;
-    /// used by the scaling bench as its in-run baseline.
-    pub(crate) legacy: bool,
 }
 
 impl DomainExecutor for SerialExecutor {
@@ -397,38 +377,6 @@ impl DomainExecutor for SerialExecutor {
         heartbeats: &mut [bool],
         mut events: Option<&mut Vec<TraceEvent>>,
     ) {
-        if self.legacy {
-            // The pre-kernel reference shim: per-quantum dispatch with the
-            // allocation pattern the executors had before the arena
-            // refactor — fresh per-domain power buffers and cloned command
-            // slices every dispatch (mirroring the pooled worker's old
-            // inner loop) — and `run_quantum_legacy`'s unmemoized chiplet
-            // stepping. Merging each domain's zero-seeded buffer into the
-            // shared accumulator in domain order reproduces the kernel
-            // path's per-slot addition order, so results stay
-            // byte-identical (`0.0 + p` is bitwise `p`).
-            for q in quanta {
-                let v = v_sched[q.offset..q.offset + q.n].to_vec();
-                let cmds = ctls.to_vec();
-                for (i, d) in self.domains.iter_mut().enumerate() {
-                    let mut powers = vec![0.0f64; q.n];
-                    heartbeats[i] = d.run_quantum_legacy(
-                        q.t0,
-                        &v,
-                        q.update_local,
-                        &cmds[i],
-                        tick,
-                        &mut powers,
-                        events.as_deref_mut(),
-                    );
-                    for (slot, p) in power_acc[q.offset..q.offset + q.n].iter_mut().zip(&powers)
-                    {
-                        *slot += p;
-                    }
-                }
-            }
-            return;
-        }
         // Quantum-major, domain-minor: the same tick order the original
         // per-quantum loop executed, which appends events in domain order
         // within each quantum.
@@ -524,8 +472,7 @@ impl Simulation {
             sensor,
             policy,
         } = self;
-        let legacy = run.stepper == StepperPath::Legacy;
-        let executor = SerialExecutor { domains, legacy };
+        let executor = SerialExecutor { domains };
         run_loop(sys, run, global_ctl, vr, sensor, policy, executor)
     }
 }

@@ -14,40 +14,15 @@
 //! codec (`save_loop`/`load_loop`) still serializes them field by field in
 //! the pre-kernel order, so on-disk checkpoints are unchanged.
 //!
-//! [`StepperPath`] selects which tick loop the serial executor drives:
-//! the allocation-free kernel path (production) or the pre-kernel
-//! reference path (the scaling bench's baseline and the equivalence
-//! property's oracle). On the kernel path each chiplet steps through
-//! `step_into`, which shares operating points across units at one voltage
-//! and replays the previous tick's sums while its inputs repeat
-//! bit-for-bit (`hcapp_sim_core::frame::TickMemo`); that memo lives inside
-//! the chiplet, not in the lanes or the arena, and is never checkpointed.
-//! The two paths are byte-identical by contract — see `DESIGN.md` §6j for
-//! the proof obligations.
+//! Each chiplet steps through `step_into`, which shares operating points
+//! across units at one voltage and replays the previous tick's sums while
+//! its inputs repeat bit-for-bit (`hcapp_sim_core::frame::TickMemo`); that
+//! memo lives inside the chiplet, not in the lanes or the arena, and is
+//! never checkpointed. See `DESIGN.md` §6j for the proof obligations.
 
 use crate::coordinator::{QuantumCtl, QuantumSpec};
 use crate::health::DomainHealth;
 use crate::software::DomainProgress;
-
-/// Which tick loop the serial executor drives domains with.
-///
-/// Both paths produce byte-identical outcomes, traces and checkpoints
-/// (pinned by the golden-digest corpus and the stepper-equivalence
-/// property); the legacy path exists so a single run can measure the
-/// kernel's speedup against the pre-kernel cost model, not as a fallback.
-/// The pooled executor always runs the kernel path.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum StepperPath {
-    /// The allocation-free struct-of-arrays kernel (default): memoized
-    /// operating points, steady-tick replay, borrow-based `step_into`
-    /// dispatch.
-    #[default]
-    Kernel,
-    /// The pre-kernel reference path: per-quantum dispatch with the
-    /// original per-dispatch allocation pattern and unmemoized per-chiplet
-    /// `step` methods. Serial executor only.
-    Legacy,
-}
 
 /// Per-domain state lanes, indexed by domain position — the
 /// struct-of-arrays half of the kernel layout. Every lane has exactly

@@ -69,7 +69,6 @@ pub use controller::local::{
 pub use controller::thermal_guard::{ThermalConfig, ThermalGuard};
 pub use coordinator::{QuantumCtl, RunConfig, Simulation};
 pub use health::{DegradedConfig, HealthState};
-pub use kernel::StepperPath;
 pub use limits::PowerLimit;
 pub use outcome::{ResilienceCounters, RunOutcome};
 pub use pid::{PidController, PidGains};

@@ -41,7 +41,7 @@ use hcapp_sim_core::state::{Snapshot, StateReader, StateWriter};
 use hcapp_telemetry::jsonl;
 use hcapp_telemetry::tracer::{RingTracer, SharedTracer};
 
-use crate::coordinator::{run_loop, DomainExecutor, LoopDriver, RunConfig, Simulation};
+use crate::coordinator::{DomainExecutor, LoopDriver, RunConfig, Simulation};
 use crate::outcome::RunOutcome;
 use crate::parallel::{with_pooled_executor, ReplyPermuter};
 use crate::coordinator::SerialExecutor;
@@ -263,8 +263,7 @@ fn run_once(
         ring: ring.as_deref(),
     };
     if opts.workers == 0 {
-        let legacy = run.stepper == crate::kernel::StepperPath::Legacy;
-        let executor = SerialExecutor { domains, legacy };
+        let executor = SerialExecutor { domains };
         let driver = LoopDriver::new(sys, run, global_ctl, vr, sensor, policy, executor);
         drive(driver, candidate, &ctx)
     } else {
@@ -491,21 +490,8 @@ pub fn outcome_digest(out: &RunOutcome) -> String {
     h.finish().to_hex()
 }
 
-/// Reference oracle: the same configuration run uninterrupted (serial,
-/// untraced path goes through the plain coordinator; a traced oracle
-/// collects into a ring and exports, matching the stitched sink bytes).
+/// Reference oracle: the same configuration run uninterrupted on the
+/// serial executor.
 pub fn run_uninterrupted(sys: SystemConfig, run: RunConfig) -> RunOutcome {
-    let sim = Simulation::new(sys, run);
-    let Simulation {
-        sys,
-        run,
-        domains,
-        global_ctl,
-        vr,
-        sensor,
-        policy,
-    } = sim;
-    let legacy = run.stepper == crate::kernel::StepperPath::Legacy;
-    let executor = SerialExecutor { domains, legacy };
-    run_loop(sys, run, global_ctl, vr, sensor, policy, executor)
+    Simulation::new(sys, run).run()
 }

@@ -325,28 +325,11 @@ impl ChipletSim {
         }
     }
 
-    /// Advance one tick with per-unit voltages; returns chiplet power.
-    pub fn step(&mut self, unit_voltages: &[Volt], dt: SimDuration) -> Watt {
-        match self {
-            ChipletSim::Cpu(c) => c.step(unit_voltages, dt),
-            ChipletSim::Gpu(g) => g.step(unit_voltages, dt),
-            ChipletSim::Sha(s) => s.step(unit_voltages[0], dt),
-            ChipletSim::Memory(m, traffic) => {
-                // The traffic pattern advances in wall-clock time (memory
-                // demand does not speed up with the compute voltage).
-                traffic.advance(dt.as_nanos() as f64);
-                m.set_traffic(traffic.sample().activity);
-                m.step(dt)
-            }
-        }
-    }
-
     /// Advance one tick through a borrowed [`StepFrame`] — the
     /// quantum-stepper kernel's dispatch point. Adds this chiplet's power
-    /// to `frame.power_acc`; bit-identical to [`ChipletSim::step`] (each
-    /// chiplet's `step_into` is pinned against its `step` by a
-    /// `step_into_matches_step` unit test, and the whole path by the
-    /// golden-digest corpus).
+    /// to `frame.power_acc`. Each chiplet's `step_into` is pinned against
+    /// its unmemoized `step` by a `step_into_matches_step` unit test, and
+    /// the whole path by the golden-digest corpus.
     ///
     /// [`StepFrame`]: hcapp_sim_core::frame::StepFrame
     pub fn step_into(&mut self, frame: &mut hcapp_sim_core::frame::StepFrame<'_>) {
@@ -355,8 +338,9 @@ impl ChipletSim {
             ChipletSim::Gpu(g) => g.step_into(frame),
             ChipletSim::Sha(s) => s.step_into(frame),
             ChipletSim::Memory(m, traffic) => {
-                // Same ordering as `step`: traffic advances in wall-clock
-                // time, then the stack integrates the sampled activity.
+                // The traffic pattern advances in wall-clock time (memory
+                // demand does not speed up with the compute voltage), then
+                // the stack integrates the sampled activity.
                 traffic.advance(frame.dt.as_nanos() as f64);
                 m.set_traffic(traffic.sample().activity);
                 *frame.power_acc += m.step(frame.dt).value();
@@ -580,10 +564,9 @@ impl Domain {
                     *uv = Volt::new(v_dom.value() * r);
                 }
             }
-            // The kernel path: the chiplet adds its tick power into a fresh
-            // accumulator (`0.0 + p` is bitwise `p` for the non-negative
-            // powers the models produce), so the slot update below is
-            // byte-identical to the legacy `power_acc[i] += p.value()`.
+            // The chiplet adds its tick power into a fresh accumulator, so
+            // `last_power` holds this tick's power alone (`0.0 + p` is
+            // bitwise `p` for the non-negative powers the models produce).
             let mut p = 0.0f64;
             let mut frame =
                 hcapp_sim_core::frame::StepFrame::new(&self.unit_voltages, tick, &mut p);
@@ -594,52 +577,7 @@ impl Domain {
         ctl.ctl_fault.is_none()
     }
 
-    /// [`Domain::run_quantum`] on the pre-kernel reference path: identical
-    /// boundary control flow, but every tick dispatches through
-    /// [`ChipletSim::step`] (the unmemoized per-chiplet `step` methods).
-    /// The scaling bench's legacy shim and the stepper-equivalence property
-    /// drive this to prove the kernel byte-identical; it is not used by
-    /// production runs.
-    #[allow(clippy::too_many_arguments)]
-    pub fn run_quantum_legacy(
-        &mut self,
-        t0: hcapp_sim_core::time::SimTime,
-        v_global: &[f64],
-        update_local: bool,
-        ctl: &QuantumCtl,
-        tick: SimDuration,
-        power_acc: &mut [f64],
-        events: Option<&mut Vec<TraceEvent>>,
-    ) -> bool {
-        debug_assert_eq!(v_global.len(), power_acc.len());
-        let thermal_derate = self.quantum_boundary(t0, v_global.len(), update_local, ctl, tick, events);
-        for i in 0..v_global.len() {
-            let vg = self.link.receive(v_global, i, ctl.link_fault);
-            let mut delivered = self.network.deliver(0, Volt::new(vg), self.last_power);
-            if let Some(injector) = self.ripple.as_mut() {
-                delivered = injector.perturb(delivered, t0 + tick * i as u64);
-            }
-            self.last_delivered = delivered;
-            let v_dom = Volt::new(
-                self.ctl.domain_voltage(delivered).value() * thermal_derate * ctl.throttle,
-            );
-            let ratios = self.local.ratios();
-            if ratios.len() == 1 {
-                let v = Volt::new(v_dom.value() * ratios[0]);
-                self.unit_voltages.fill(v);
-            } else {
-                for (uv, &r) in self.unit_voltages.iter_mut().zip(ratios) {
-                    *uv = Volt::new(v_dom.value() * r);
-                }
-            }
-            let p = self.sim.step(&self.unit_voltages, tick);
-            self.last_power = p;
-            power_acc[i] += p.value();
-        }
-        ctl.ctl_fault.is_none()
-    }
-
-    /// The quantum-boundary control work shared by both stepper paths:
+    /// The quantum-boundary control work that precedes the tick loop:
     /// priority write, optional level-3 update (with its telemetry
     /// observations), and the thermal-guard integration. Returns the
     /// thermal derate factor for the quantum's tick loop.

@@ -13,7 +13,7 @@
 //! | L1 | `unit-safety`    | no raw f64 arithmetic on voltage/power/time values outside `sim-core/src/units.rs` and the power-model internals |
 //! | L2 | `no-panic`       | no `unwrap`/`panic!`/message-less `expect` in non-test library code |
 //! | L3 | `determinism`    | no `Instant::now`/`SystemTime`/`thread_rng`/`HashMap` in simulation crates |
-//! | L4 | `dep-layering`   | paper-shaped crate DAG, `criterion` only in `crates/bench`, zero registry deps |
+//! | L4 | `dep-layering`   | paper-shaped crate DAG, zero registry deps |
 //! | L5 | `doc-coverage`   | every pub item in `crates/core/src/controller/` cites a paper section/equation |
 //!
 //! Suppression: `// simlint: allow(L2)` (or the rule name) on the offending

@@ -1,17 +1,14 @@
 //! L4 — dependency layering and hermeticity, checked against the
 //! `Cargo.toml` files themselves.
 //!
-//! Three properties are enforced:
+//! Two properties are enforced:
 //!
 //! 1. **Hermeticity**: no crate on the default build path may name a
 //!    registry dependency — every dependency must resolve through `path`
 //!    (directly or via a `path`-backed `[workspace.dependencies]` entry).
 //!    The offline container has no registry, so a single versioned dep
 //!    breaks `cargo build` for the whole workspace.
-//! 2. **`criterion` only in `crates/bench`**: the bench crate is excluded
-//!    from the workspace precisely so its registry dep cannot leak into the
-//!    default resolve; nobody else gets one.
-//! 3. **Layering**: the crate DAG follows the paper's structure — level 0
+//! 2. **Layering**: the crate DAG follows the paper's structure — level 0
 //!    `sim-core`; level 1 models (`power-model`, `pdn`, `workloads`);
 //!    level 2 components (`cpu-sim`, `gpu-sim`, `accel-sim`, `metrics`);
 //!    level 3 observability and adversaries (`telemetry`, which the
@@ -20,7 +17,7 @@
 //!    half a step above, since it consumes `telemetry`'s event stream —
 //!    `analyze`, the trace analytics engine); level 4 the HCAPP
 //!    controller (`core`); level 5 hosts (`cli`, `experiments`); level 6
-//!    `bench` and the root harness. A crate may only depend on *strictly
+//!    the root harness. A crate may only depend on *strictly
 //!    lower* levels (dev-dependencies exempt, so test utilities like
 //!    `simlint` itself can go anywhere). Ranks are spaced by 10 so
 //!    intra-level sublayers (analyze at 35) fit without renumbering.
@@ -100,7 +97,7 @@ pub fn level_of(package: &str) -> Option<u8> {
         // stack) but is itself hosted by cli/experiments.
         "hcapp-fuzz" => 45,
         "hcapp-cli" | "hcapp-experiments" => 50,
-        "hcapp-bench" | "hcapp-repro" => 60,
+        "hcapp-repro" => 60,
         _ => return None,
     })
 }
@@ -315,25 +312,14 @@ pub fn l4_dep_layering(manifests: &[Manifest], findings: &mut Vec<Finding>) {
     }
 
     for m in manifests {
-        let is_bench = m.package_name == "hcapp-bench";
         for d in &m.deps {
-            // 2. criterion containment.
-            if d.name == "criterion" && !is_bench {
-                findings.push(finding(
-                    Rule::DepLayering,
-                    m,
-                    d,
-                    "criterion is only permitted in crates/bench",
-                ));
-                continue;
-            }
             // 1. Hermeticity.
             let resolves_offline = match d.kind {
                 DepKind::Path => true,
                 DepKind::Workspace => workspace_path_deps.contains(&d.name.as_str()),
                 DepKind::Registry => false,
             };
-            if !resolves_offline && !(is_bench && d.name == "criterion") {
+            if !resolves_offline {
                 findings.push(finding(
                     Rule::DepLayering,
                     m,
@@ -341,7 +327,7 @@ pub fn l4_dep_layering(manifests: &[Manifest], findings: &mut Vec<Finding>) {
                     "registry dependency; workspace must build offline",
                 ));
             }
-            // 3. Layering (normal/build deps between hcapp crates only).
+            // 2. Layering (normal/build deps between hcapp crates only).
             if d.section != DepSection::Dev {
                 if let (Some(me), Some(dep_level)) =
                     (level_of(&m.package_name), level_of(&d.name))
@@ -408,17 +394,6 @@ mod tests {
         l4_dep_layering(&[root(), m], &mut out);
         assert_eq!(out.len(), 1);
         assert!(out[0].excerpt.contains("criterion"));
-    }
-
-    #[test]
-    fn bench_may_use_criterion() {
-        let m = Manifest::parse(
-            "[package]\nname = \"hcapp-bench\"\n[dev-dependencies]\ncriterion = \"0.5\"\n",
-            "crates/bench/Cargo.toml".into(),
-        );
-        let mut out = Vec::new();
-        l4_dep_layering(&[root(), m], &mut out);
-        assert!(out.is_empty(), "{out:?}");
     }
 
     #[test]

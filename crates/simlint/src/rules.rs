@@ -6,8 +6,8 @@ use crate::source::SourceFile;
 use crate::{Finding, Rule};
 
 /// Crates holding simulation/library code subject to L1–L3. `cli`,
-/// `experiments`, `bench`, `simlint` and the proptest shim are hosts/tools,
-/// not simulation code.
+/// `experiments`, `simlint` and the proptest shim are hosts/tools, not
+/// simulation code.
 pub const LIB_CRATES: &[&str] = &[
     "analyze",
     "cache",

@@ -6,8 +6,7 @@
 #      results/BENCH_parallel_thresholds.json.
 #   2. hcapp bench: the quantum-stepper kernel's quanta/sec sweep over
 #      package sizes {3,16,64,256} under the serial/pooled/batched
-#      executors, plus the legacy-stepper baseline and kernel-vs-legacy
-#      ratio -> results/BENCH_kernel.json, gated by
+#      executors -> results/BENCH_kernel.json, gated by
 #      results/BENCH_thresholds.json. (scripts/check.sh runs the faster
 #      {3,64}-point variant of the same gate.)
 # Knobs (all optional):
@@ -18,31 +17,37 @@
 #                        bench_parallel: 4)
 #   HCAPP_BENCH_TRIALS   best-of-N trials                 (default 3)
 #   HCAPP_BENCH_POINTS   kernel-bench domain counts       (default 3,16,64,256;
-#                        a non-default list writes BENCH_kernel_smoke.json so
-#                        the committed full-sweep artifact is not clobbered)
+#                        a non-default list is smoke mode: both benches
+#                        write to a scratch directory that is gated and
+#                        then deleted, so committed artifacts are untouched)
 set -eu
 cd "$(dirname "$0")/.."
 
-cargo build --release -q -p hcapp-experiments --bin bench_parallel
-./target/release/bench_parallel
+points="${HCAPP_BENCH_POINTS:-3,16,64,256}"
+out_dir=results
+if [ "$points" != "3,16,64,256" ]; then
+    out_dir=$(mktemp -d)
+    trap 'rm -rf "$out_dir"' EXIT
+fi
+parallel_out="$out_dir/BENCH_parallel.json"
+kernel_out="$out_dir/BENCH_kernel.json"
 
-test -s results/BENCH_parallel.json || {
-    echo "bench_smoke: results/BENCH_parallel.json was not written" >&2
+cargo build --release -q -p hcapp-experiments --bin bench_parallel
+HCAPP_OUT="$out_dir" ./target/release/bench_parallel
+
+test -s "$parallel_out" || {
+    echo "bench_smoke: $parallel_out was not written" >&2
     exit 1
 }
 
 # Perf regression gates: the committed thresholds are deliberately loose
 # (smoke timings are noisy) — they catch order-of-magnitude regressions
-# like batching, the warm cache or the stepper kernel silently stopping
-# to engage, not percent-level drift. Re-baseline via the two thresholds
-# files in results/.
+# like batching or the warm cache silently stopping to engage, not
+# percent-level drift. Re-baseline via the two thresholds files in
+# results/.
 cargo run --release -q -p hcapp-cli -- analyze \
     --assert results/BENCH_parallel_thresholds.json \
-    --report results/BENCH_parallel.json
-
-points="${HCAPP_BENCH_POINTS:-3,16,64,256}"
-kernel_out=results/BENCH_kernel.json
-[ "$points" = "3,16,64,256" ] || kernel_out=results/BENCH_kernel_smoke.json
+    --report "$parallel_out"
 
 cargo run --release -q -p hcapp-cli -- bench \
     --points "$points" \
@@ -58,5 +63,3 @@ test -s "$kernel_out" || {
 
 cargo run --release -q -p hcapp-cli -- analyze \
     --assert results/BENCH_thresholds.json --report "$kernel_out"
-
-[ "$kernel_out" = results/BENCH_kernel.json ] || rm -f "$kernel_out"

@@ -6,8 +6,9 @@
 # Every campaign is a pure function of its seed, so a failure here is
 # immediately reproducible with
 #     hcapp fuzz --seed <seed> --cases <cases>
-# and any caught divergence is shrunk to an hcapp.fuzzcase by the
-# campaign itself (see `hcapp fuzz --replay`). Knobs (all optional):
+# and the campaign itself shrinks any caught divergence and writes it to
+# results/fuzz/finding-<seed>-<i>.fuzzcase (see `hcapp fuzz --replay`).
+# Knobs (all optional):
 #   HCAPP_FUZZ_ROUNDS   campaign seeds to sweep            (default 4)
 #   HCAPP_FUZZ_CASES    cases per campaign                 (default 128)
 #   HCAPP_FUZZ_SEED0    first campaign seed                (default 1)
