@@ -70,10 +70,15 @@ impl ShaAccelerator {
         let drained = self.workload.drain(gbits);
         // If the backlog ran out mid-tick, pro-rate the power.
         let busy_frac = if gbits > 0.0 { drained / gbits } else { 0.0 };
-        self.last_power = Watt::new(
-            busy_power * busy_frac + busy_power * self.cfg.idle_fraction * (1.0 - busy_frac),
-        );
+        self.last_power = Watt::new(self.drawn_power(busy_power, busy_frac));
         self.last_power
+    }
+
+    /// Power drawn in a tick that hashed for `busy_frac` of its length and
+    /// idled for the rest.
+    #[inline]
+    fn drawn_power(&self, busy_power: f64, busy_frac: f64) -> f64 {
+        busy_power * busy_frac + busy_power * self.cfg.idle_fraction * (1.0 - busy_frac)
     }
 
     /// Advance one tick through a borrowed [`StepFrame`] — the
@@ -106,10 +111,62 @@ impl ShaAccelerator {
         let gbits = tp_gbps * frame.dt.as_secs_f64();
         let drained = self.workload.drain(gbits);
         let busy_frac = if gbits > 0.0 { drained / gbits } else { 0.0 };
-        self.last_power = Watt::new(
-            busy_power * busy_frac + busy_power * self.cfg.idle_fraction * (1.0 - busy_frac),
-        );
+        self.last_power = Watt::new(self.drawn_power(busy_power, busy_frac));
         *frame.power_acc += self.last_power.value();
+    }
+
+    /// Replay a steady span: up to `power_acc.len()` consecutive ticks at
+    /// the lane voltage `voltages[0]`, adding each tick's power into its
+    /// slot. Returns how many ticks it replayed (0 when the span's
+    /// preconditions fail and the caller steps the tick through
+    /// [`ShaAccelerator::step_into`]).
+    ///
+    /// The span starts only when the operating-point memo holds the
+    /// clamped voltage and the tick's power would repeat the last tick's
+    /// power bit-for-bit, so a span never changes the accelerator's power.
+    /// That holds in two states. Idle, the power depends on the voltage
+    /// alone. Fully busy, a backlog holding at least a tick's worth of
+    /// work drains it in one step, so `drained / gbits` is exactly 1.0.
+    /// The span stops before the first tick that would refill a looping
+    /// backlog or run a one-shot backlog dry. Pinned by
+    /// `replay_span_matches_step_into` below.
+    pub fn replay_span(
+        &mut self,
+        voltages: &[Volt],
+        dt: SimDuration,
+        power_acc: &mut [f64],
+    ) -> usize {
+        let (Some(v), Some((bits, busy_power, tp_gbps))) = (voltages.first(), self.memo) else {
+            return 0;
+        };
+        if v.clamp(self.cfg.v_min, self.cfg.v_max).value().to_bits() != bits {
+            return 0;
+        }
+        let last = self.last_power.value().to_bits();
+        if self.workload.is_idle() {
+            let p = busy_power * self.cfg.idle_fraction;
+            if p.to_bits() != last {
+                return 0;
+            }
+            power_acc.iter_mut().for_each(|slot| *slot += p);
+            return power_acc.len();
+        }
+        let gbits = tp_gbps * dt.as_secs_f64();
+        let p = self.drawn_power(busy_power, 1.0);
+        let repeats = gbits > 0.0 && p.to_bits() == last;
+        if !repeats {
+            return 0;
+        }
+        let mut ticks = 0;
+        for slot in power_acc.iter_mut() {
+            if self.workload.remaining_gbits() < gbits {
+                break;
+            }
+            self.workload.drain(gbits);
+            *slot += p;
+            ticks += 1;
+        }
+        ticks
     }
 
     /// Power drawn last tick.
@@ -146,6 +203,7 @@ impl hcapp_sim_core::state::Snapshot for ShaAccelerator {
 mod tests {
     use super::*;
     use hcapp_sim_core::assert_close;
+    use hcapp_workloads::sha::ShaWorkload;
 
     fn accel() -> ShaAccelerator {
         ShaAccelerator::new(ShaConfig::default())
@@ -170,6 +228,85 @@ mod tests {
             reference.work_done().to_bits(),
             kernel.work_done().to_bits()
         );
+    }
+
+    #[test]
+    fn replay_span_matches_step_into() {
+        // Twin accelerators, as in the CPU and GPU chiplets' tests:
+        // `stepped` takes every tick through `step_into`; `spanned` hands
+        // each held stretch of the lane voltage to `replay_span` and steps
+        // only the ticks a span refuses. A small looping backlog refills
+        // every few dozen ticks, and a one-shot backlog runs dry mid-run,
+        // so spans stop at refills and at the drain, then go on idle.
+        use hcapp_sim_core::frame::StepFrame;
+        use hcapp_sim_core::state::{Snapshot, StateWriter};
+        const HOLDS: [usize; 5] = [5, 400, 37, 1_000, 120];
+        let save = |a: &ShaAccelerator| {
+            let mut w = StateWriter::new();
+            a.save_state(&mut w);
+            w.finish()
+        };
+        let dt = SimDuration::from_nanos(100);
+        let cfg = ShaConfig::default();
+        let per_tick = cfg.throughput_gbps(Volt::new(0.7)) * dt.as_secs_f64();
+        let mut lanes = Vec::new();
+        for k in 0..40 {
+            let v = Volt::new(0.45 + 0.07 * (k % 6) as f64);
+            lanes.extend(std::iter::repeat_n([v], HOLDS[k % HOLDS.len()]));
+        }
+        let workloads = [
+            (ShaWorkload::looping(37.5 * per_tick), false),
+            (ShaWorkload::fixed(2_000.5 * per_tick), true),
+        ];
+        for (workload, ends_idle) in workloads {
+            let mut stepped = ShaAccelerator::with_workload(cfg.clone(), workload.clone());
+            let mut spanned = ShaAccelerator::with_workload(cfg.clone(), workload);
+            let mut want = vec![0.0; lanes.len()];
+            let mut got = vec![0.0; lanes.len()];
+            let (mut t, mut cut_short, mut idle_spans, mut replayed) = (0, 0, 0, 0);
+            while t < lanes.len() {
+                let volts = &lanes[t];
+                let held = t > 0 && lanes[t - 1] == *volts;
+                let stretch = if held {
+                    lanes[t..].iter().take_while(|v| *v == volts).count()
+                } else {
+                    1
+                };
+                let was_idle = spanned.is_idle();
+                let mut ticks = spanned.replay_span(volts, dt, &mut got[t..t + stretch]);
+                if ticks == 0 {
+                    spanned.step_into(&mut StepFrame::new(volts, dt, &mut got[t]));
+                    ticks = 1;
+                } else {
+                    assert!(held, "tick {t}: span accepted a voltage the memo never saw");
+                    replayed += ticks;
+                    cut_short += usize::from(ticks < stretch);
+                    idle_spans += usize::from(was_idle);
+                }
+                for (v, slot) in lanes[t..t + ticks].iter().zip(&mut want[t..t + ticks]) {
+                    stepped.step_into(&mut StepFrame::new(v, dt, slot));
+                }
+                for u in t..t + ticks {
+                    assert_eq!(
+                        want[u].to_bits(),
+                        got[u].to_bits(),
+                        "tick {u}: power diverged"
+                    );
+                }
+                assert_eq!(save(&stepped), save(&spanned), "after tick {}", t + ticks);
+                t += ticks;
+            }
+            assert!(replayed > lanes.len() / 2, "only {replayed} ticks replayed");
+            assert_eq!(spanned.is_idle(), ends_idle);
+            if ends_idle {
+                assert!(idle_spans > 0, "no span while idle");
+            } else {
+                assert!(
+                    cut_short > 100,
+                    "only {cut_short} spans stopped at a refill"
+                );
+            }
+        }
     }
 
     #[test]

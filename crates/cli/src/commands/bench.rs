@@ -1,16 +1,18 @@
 //! `hcapp bench` — the quantum-stepper kernel's scaling throughput bench.
 //!
-//! Measures control quanta per second for a sweep of package sizes under
-//! three executor shapes and writes a flat JSON report gateable by
+//! Measures control quanta per second for a sweep of package sizes in
+//! three configurations and writes a flat JSON report gateable by
 //! `hcapp analyze --assert`:
 //!
 //! * `qps_serial_N` — the serial executor on the kernel path, HCAPP
 //!   scheme (1 µs quanta) at the default 100 ns tick.
 //! * `qps_pooled_N` — the pooled executor, same configuration.
-//! * `qps_batched_N` — the serial executor on the fixed-voltage baseline
-//!   with `batch_quanta = 32` on a coarse 10 µs tick, the regime where
-//!   multi-quantum batching engages (dynamic schemes re-plan every
-//!   quantum, so batching cannot).
+//! * `qps_fixed_coarse_N` — the serial executor on the fixed-voltage
+//!   baseline with `batch_quanta = 32` on a coarse 10 µs tick, the regime
+//!   where multi-quantum batching engages (dynamic schemes re-plan every
+//!   quantum, so batching cannot). A different scheme at a 100x coarser
+//!   tick, so it is *not* comparable with the two columns above; it
+//!   tracks batched dispatch on its own.
 //!
 //! The pooled executor runs `--workers` threads, defaulting to the host's
 //! available parallelism; larger requests are clamped to it, since extra
@@ -74,7 +76,7 @@ struct Point {
     n: usize,
     qps_serial: f64,
     qps_pooled: f64,
-    qps_batched: f64,
+    qps_fixed_coarse: f64,
 }
 
 /// Execute `hcapp bench`.
@@ -141,8 +143,8 @@ pub fn execute(args: &Args) -> Result<String, ArgError> {
             Simulation::new(sys.clone(), run.clone()).run_parallel(workers);
         });
 
-        // Batched: fixed baseline (static scheme, so multi-quantum batching
-        // engages) on a coarse tick where dispatch cost is visible.
+        // Fixed-coarse: fixed baseline (static scheme, so multi-quantum
+        // batching engages) on a coarse tick where dispatch cost is visible.
         let bsys = scaled(n, coarse)?;
         let mut brun = RunConfig::new(duration, ControlScheme::fixed_baseline(), target)
             .with_batch_quanta(32);
@@ -151,7 +153,7 @@ pub fn execute(args: &Args) -> Result<String, ArgError> {
         // sampling stride from it).
         brun.trace_interval = coarse;
         let bquanta = total_quanta(&bsys, &brun) as f64;
-        let batched_s = secs_min(trials, || {
+        let fixed_coarse_s = secs_min(trials, || {
             Simulation::new(bsys.clone(), brun.clone()).run();
         });
 
@@ -159,11 +161,11 @@ pub fn execute(args: &Args) -> Result<String, ArgError> {
             n,
             qps_serial: quanta / serial_s.max(1e-9),
             qps_pooled: quanta / pooled_s.max(1e-9),
-            qps_batched: bquanta / batched_s.max(1e-9),
+            qps_fixed_coarse: bquanta / fixed_coarse_s.max(1e-9),
         };
         log.push_str(&format!(
-            "  n={:<4} serial {:>10.0} q/s   pooled {:>10.0} q/s   batched {:>10.0} q/s\n",
-            row.n, row.qps_serial, row.qps_pooled, row.qps_batched
+            "  n={:<4} serial {:>10.0} q/s   pooled {:>10.0} q/s   fixed-coarse {:>10.0} q/s\n",
+            row.n, row.qps_serial, row.qps_pooled, row.qps_fixed_coarse
         ));
 
         rows.push(row);
@@ -177,8 +179,8 @@ pub fn execute(args: &Args) -> Result<String, ArgError> {
     for row in &rows {
         json.push_str(&format!(
             ",\n  \"qps_serial_{0}\": {1:.1},\n  \"qps_pooled_{0}\": {2:.1},\n  \
-             \"qps_batched_{0}\": {3:.1}",
-            row.n, row.qps_serial, row.qps_pooled, row.qps_batched
+             \"qps_fixed_coarse_{0}\": {3:.1}",
+            row.n, row.qps_serial, row.qps_pooled, row.qps_fixed_coarse
         ));
     }
     json.push_str("\n}\n");
@@ -214,7 +216,7 @@ mod tests {
     }
 
     #[test]
-    fn smoke_point_writes_report_with_every_executor() {
+    fn smoke_point_writes_report_with_every_row() {
         let path = std::env::temp_dir().join("hcapp_bench_kernel_test.json");
         let _ = std::fs::remove_file(&path);
         let out = run_cli(&format!(
@@ -228,7 +230,7 @@ mod tests {
             "hcapp.bench-kernel",
             "qps_serial_3",
             "qps_pooled_3",
-            "qps_batched_3",
+            "qps_fixed_coarse_3",
         ] {
             assert!(body.contains(key), "missing {key} in {body}");
         }

@@ -85,8 +85,8 @@ COMMANDS:
             --worker [--stop-at Q]  single resumable link (scripts/soak.sh
                                   SIGKILLs these to soak real process death)
     bench   quantum-stepper scaling bench: quanta/sec per package size under
-            the serial, pooled and batched executors (schema
-            hcapp.bench-kernel)
+            the serial and pooled executors, plus the fixed-voltage baseline
+            batched on a coarse 10 us tick (schema hcapp.bench-kernel)
             --points LIST (3,16,64,256)   domain counts to sweep
             --ms N (10)      simulated milliseconds per run
             --workers N (host cores, larger N clamped)   pooled pool size

@@ -18,7 +18,10 @@
 //! across units at one voltage and replays the previous tick's sums while
 //! its inputs repeat bit-for-bit (`hcapp_sim_core::frame::TickMemo`); that
 //! memo lives inside the chiplet, not in the lanes or the arena, and is
-//! never checkpointed. See `DESIGN.md` §6j for the proof obligations.
+//! never checkpointed. Through a flat stretch of the VR schedule a domain
+//! skips even the per-tick call: `Domain::run_quantum` proves the
+//! stretch steady and hands it to the chiplet's `replay_span` in one
+//! call. See `DESIGN.md` §6j for the proof obligations of both.
 
 use crate::coordinator::{QuantumCtl, QuantumSpec};
 use crate::health::DomainHealth;

@@ -348,6 +348,26 @@ impl ChipletSim {
         }
     }
 
+    /// Replay a steady span of ticks at the constant unit voltages
+    /// `voltages`, adding each tick's power into its slot of `power_acc`;
+    /// returns how many ticks it replayed (0 when the chiplet cannot prove
+    /// the span, and the caller falls back to [`ChipletSim::step_into`]).
+    /// A span never changes the chiplet's power. The memory stack has no
+    /// span and always returns 0.
+    pub fn replay_span(
+        &mut self,
+        voltages: &[Volt],
+        dt: SimDuration,
+        power_acc: &mut [f64],
+    ) -> usize {
+        match self {
+            ChipletSim::Cpu(c) => c.replay_span(voltages, dt, power_acc),
+            ChipletSim::Gpu(g) => g.replay_span(voltages, dt, power_acc),
+            ChipletSim::Sha(s) => s.replay_span(voltages, dt, power_acc),
+            ChipletSim::Memory(..) => 0,
+        }
+    }
+
     /// Per-unit IPC fractions from the last step (empty-slice semantics for
     /// the accelerator: pass-through controllers ignore it).
     pub fn ipc_fractions(&self) -> &[f64] {
@@ -394,7 +414,8 @@ pub struct Domain {
     pub ripple: Option<RippleInjector>,
     /// Optional thermal guard (§3.3 extension).
     pub thermal: Option<ThermalGuard>,
-    /// Workhorse buffer of per-unit voltages (reused every tick).
+    /// Per-unit voltages of the last stepped tick; a steady span replays
+    /// them (written by tick 0 of every quantum before any read).
     unit_voltages: Vec<Volt>,
     /// Chiplet power from the previous tick (IR-drop input).
     pub last_power: Watt,
@@ -494,7 +515,7 @@ impl Domain {
             ctl,
             local,
             sim,
-            network: SupplyNetwork::new(1, cfg.network_delay_ticks, cfg.network_resistance),
+            network: SupplyNetwork::new(cfg.network_delay_ticks, cfg.network_resistance),
             link: BroadcastLink::new(),
             nominal_rate,
             ripple: cfg
@@ -515,6 +536,11 @@ impl Domain {
     /// fractions of the previous quantum, matching the paper's control
     /// ordering). Per-tick chiplet powers are *added into* `power_acc`
     /// (which the coordinators pre-zero or share across domains).
+    ///
+    /// Ticks step in steady spans where [`Domain::steady_span`] and the
+    /// chiplet can prove them (one `replay_span` call for a flat stretch
+    /// of `v_global`), and one at a time otherwise; both give the same
+    /// bits.
     ///
     /// `ctl` carries the priority write, the degradation throttle and any
     /// active faults: a `DomainStuck` fault makes the priority register
@@ -543,9 +569,26 @@ impl Domain {
     ) -> bool {
         debug_assert_eq!(v_global.len(), power_acc.len());
         let thermal_derate = self.quantum_boundary(t0, v_global.len(), update_local, ctl, tick, events);
-        for i in 0..v_global.len() {
+        // Ripple and link faults perturb individual ticks; without them a
+        // tick whose inputs repeat the previous tick's may join a span.
+        let spans_allowed = self.ripple.is_none() && ctl.link_fault.is_none();
+        // The IR-drop input of the previous tick.
+        let mut prev_ir_power = self.last_power;
+        let mut i = 0;
+        while i < v_global.len() {
+            if spans_allowed {
+                let span = self.steady_span(v_global, i, prev_ir_power);
+                if let Some(slots) = power_acc.get_mut(i..i + span).filter(|s| !s.is_empty()) {
+                    let ticks = self.sim.replay_span(&self.unit_voltages, tick, slots);
+                    if ticks > 0 {
+                        prev_ir_power = self.last_power;
+                        i += ticks;
+                        continue;
+                    }
+                }
+            }
             let vg = self.link.receive(v_global, i, ctl.link_fault);
-            let mut delivered = self.network.deliver(0, Volt::new(vg), self.last_power);
+            let mut delivered = self.network.deliver(Volt::new(vg), self.last_power);
             if let Some(injector) = self.ripple.as_mut() {
                 delivered = injector.perturb(delivered, t0 + tick * i as u64);
             }
@@ -555,12 +598,10 @@ impl Domain {
             let v_dom = Volt::new(
                 self.ctl.domain_voltage(delivered).value() * thermal_derate * ctl.throttle,
             );
-            let ratios = self.local.ratios();
-            if ratios.len() == 1 {
-                let v = Volt::new(v_dom.value() * ratios[0]);
-                self.unit_voltages.fill(v);
+            if let [r] = self.local.ratios() {
+                self.unit_voltages.fill(Volt::new(v_dom.value() * r));
             } else {
-                for (uv, &r) in self.unit_voltages.iter_mut().zip(ratios) {
+                for (uv, &r) in self.unit_voltages.iter_mut().zip(self.local.ratios()) {
                     *uv = Volt::new(v_dom.value() * r);
                 }
             }
@@ -571,10 +612,46 @@ impl Domain {
             let mut frame =
                 hcapp_sim_core::frame::StepFrame::new(&self.unit_voltages, tick, &mut p);
             self.sim.step_into(&mut frame);
+            prev_ir_power = self.last_power;
             self.last_power = Watt::new(p);
-            power_acc[i] += p;
+            if let Some(slot) = power_acc.get_mut(i) {
+                *slot += p;
+            }
+            i += 1;
         }
         ctl.ctl_fault.is_none()
+    }
+
+    /// How many ticks from tick `i` on provably hand the chiplet the unit
+    /// voltages it got at tick `i - 1`, which `unit_voltages` still holds
+    /// (DESIGN §6j, steady spans). `prev_ir_power` is the IR-drop input of
+    /// tick `i - 1`. The caller has ruled out ripple and link faults, so
+    /// tick `j` receives `v_global[j]`; the ratios, the thermal derate and
+    /// the throttle are fixed for the quantum. What is left to prove:
+    ///
+    /// * `i >= 1`, so `unit_voltages` belongs to this quantum;
+    /// * the supply branch is settled at `v_global[i - 1]`, so delivering
+    ///   it again reproduces the last raw delivered voltage;
+    /// * with IR drop, the last two tick powers are bit-equal, so the drop
+    ///   repeats too; a span never changes the chiplet's power, so this
+    ///   keeps holding through the span.
+    ///
+    /// The span then runs while `v_global` repeats `v_global[i - 1]`
+    /// bit-for-bit. Returns 0 when any obligation fails.
+    fn steady_span(&self, v_global: &[f64], i: usize, prev_ir_power: Watt) -> usize {
+        let (Some(prev), Some(rest)) = (
+            i.checked_sub(1).and_then(|p| v_global.get(p)),
+            v_global.get(i..),
+        ) else {
+            return 0;
+        };
+        let ir_repeats = !self.network.has_ir_drop()
+            || self.last_power.value().to_bits() == prev_ir_power.value().to_bits();
+        if !ir_repeats || !self.network.settled_at(Volt::new(*prev)) {
+            return 0;
+        }
+        let bits = prev.to_bits();
+        rest.iter().take_while(|v| v.to_bits() == bits).count()
     }
 
     /// The quantum-boundary control work that precedes the tick loop:
@@ -683,8 +760,8 @@ impl hcapp_sim_core::state::Snapshot for ChipletSim {
 impl hcapp_sim_core::state::Snapshot for Domain {
     /// Everything `run_quantum` mutates, in declaration order. Deliberately
     /// *not* saved: `index`/`kind`/`nominal_rate` (configuration) and
-    /// `unit_voltages` (a scratch buffer fully overwritten every tick
-    /// before it is read).
+    /// `unit_voltages` (scratch that tick 0 of every quantum overwrites
+    /// before anything reads it; spans start at tick 1 at the earliest).
     fn save_state(&self, w: &mut hcapp_sim_core::state::StateWriter) {
         self.ctl.save_state(w);
         self.local.save_state(w);

@@ -165,8 +165,9 @@ impl CpuChiplet {
     /// * **Steady-tick replay.** When the core voltages, the phase sample
     ///   and `dt` repeat the previous tick bit-for-bit and no core is due
     ///   to resample its jitter, every core would compute exactly last
-    ///   tick's outputs, so the tick replays the [`TickMemo`]'d sums (and
-    ///   `last_ipc` already holds last tick's IPCs). Only the jitter
+    ///   tick's outputs, so the tick is a one-tick
+    ///   [`CpuChiplet::replay_span`]: it replays the [`TickMemo`]'d sums
+    ///   (and `last_ipc` already holds last tick's IPCs). Only the jitter
     ///   clocks, the program cursor, the breakdown and the power output
     ///   advance.
     /// * **Shared operating points.** Otherwise the per-voltage inputs
@@ -186,15 +187,12 @@ impl CpuChiplet {
             "need one voltage per core"
         );
         let dt = frame.dt;
-        let sample = self.program.sample();
-        let phase = [sample.activity, sample.mem_intensity];
-        if let Some(sums) = self.memo.probe(frame.voltages, phase, dt) {
-            if !self.cores.iter().any(Core::jitter_due) {
-                self.cores.iter_mut().for_each(Core::replay_tick);
-                self.finish_tick(frame, sums);
-                return;
-            }
+        if self.replay_span(frame.voltages, dt, std::slice::from_mut(frame.power_acc)) == 1 {
+            return;
         }
+        let sample = self.program.sample();
+        self.memo
+            .key(frame.voltages, [sample.activity, sample.mem_intensity], dt);
         let mut total_core_power = Watt::ZERO;
         let mut total_dynamic = Watt::ZERO;
         let mut total_rate = 0.0;
@@ -241,6 +239,65 @@ impl CpuChiplet {
             .record(sums.unit_dynamic, leakage, sums.uncore, dt);
         self.last_power = sums.unit_power + sums.uncore;
         *frame.power_acc += self.last_power.value();
+    }
+
+    /// Replay a steady span: up to `power_acc.len()` consecutive ticks at
+    /// the unit voltages `voltages` (constant over the span), adding each
+    /// tick's chiplet power into its slot. Returns how many ticks it
+    /// replayed, from 0 (the span's preconditions fail, the caller steps
+    /// the tick through [`CpuChiplet::step_into`]) to `power_acc.len()`.
+    ///
+    /// A replayed tick is bit-identical to a `step_into` tick that takes
+    /// the steady-tick replay: the span starts only on a full [`TickMemo`]
+    /// key match, stops before the phase sample changes and before any
+    /// core's jitter resample, and so repeats the memo'd sums (and the
+    /// chiplet power, which the span never changes) tick after tick. Per
+    /// tick only the program cursor, the breakdown and the power slot
+    /// advance; the jitter clocks advance once for the whole span.
+    /// Pinned by `replay_span_matches_step_into` below.
+    pub fn replay_span(
+        &mut self,
+        voltages: &[Volt],
+        dt: SimDuration,
+        power_acc: &mut [f64],
+    ) -> usize {
+        let sample = self.program.sample();
+        let phase = [sample.activity, sample.mem_intensity];
+        let Some(sums) = self.memo.peek(voltages, phase, dt) else {
+            return 0;
+        };
+        let budget = self
+            .cores
+            .iter()
+            .map(Core::replayable_ticks)
+            .min()
+            .unwrap_or(0);
+        let phase_bits = phase.map(f64::to_bits);
+        let work_ns = sums.avg_rate * dt.as_nanos() as f64;
+        let leakage = sums.unit_power - sums.unit_dynamic;
+        let power = sums.unit_power + sums.uncore;
+        let mut ticks = 0;
+        for slot in power_acc
+            .iter_mut()
+            .take(usize::try_from(budget).unwrap_or(usize::MAX))
+        {
+            let s = self.program.sample();
+            if [s.activity.to_bits(), s.mem_intensity.to_bits()] != phase_bits {
+                break;
+            }
+            self.program.advance(work_ns);
+            self.breakdown
+                .record(sums.unit_dynamic, leakage, sums.uncore, dt);
+            *slot += power.value();
+            ticks += 1;
+        }
+        if ticks > 0 {
+            self.last_power = power;
+            for core in &mut self.cores {
+                core.replay_ticks(ticks);
+            }
+        }
+        ticks as usize
     }
 
     /// Per-core measured IPC fractions from the last step (local-controller
@@ -416,6 +473,73 @@ mod tests {
             reference.breakdown().total_joules().to_bits(),
             kernel.breakdown().total_joules().to_bits()
         );
+    }
+
+    #[test]
+    fn replay_span_matches_step_into() {
+        // Twin chiplets: `stepped` takes every tick through `step_into`;
+        // `spanned` hands each held stretch of the schedule to
+        // `replay_span` and steps only the ticks a span refuses, as
+        // `Domain::run_quantum` does. The held stretches (10–700 ticks)
+        // cross jitter resamples (every 500 ticks) and workload phase
+        // boundaries, so spans stop short. At every span end the power
+        // slots, the IPCs and the checkpoint text must match bit for bit.
+        use hcapp_sim_core::frame::StepFrame;
+        use hcapp_sim_core::state::{Snapshot, StateWriter};
+        let save = |c: &CpuChiplet| {
+            let mut w = StateWriter::new();
+            c.save_state(&mut w);
+            w.finish()
+        };
+        let dt = SimDuration::from_nanos(100);
+        let mut stepped = chiplet(Benchmark::Ferret);
+        let mut spanned = chiplet(Benchmark::Ferret);
+        let lanes = equivalence_schedule(20_000, stepped.units());
+        let mut want = vec![0.0; lanes.len()];
+        let mut got = vec![0.0; lanes.len()];
+        let (mut t, mut spans, mut cut_short, mut replayed) = (0, 0, 0, 0);
+        while t < lanes.len() {
+            let volts = &lanes[t];
+            let held = t > 0 && lanes[t - 1] == *volts;
+            let stretch = if held {
+                lanes[t..].iter().take_while(|v| *v == volts).count()
+            } else {
+                1
+            };
+            let mut ticks = spanned.replay_span(volts, dt, &mut got[t..t + stretch]);
+            if ticks == 0 {
+                spanned.step_into(&mut StepFrame::new(volts, dt, &mut got[t]));
+                ticks = 1;
+            } else {
+                assert!(held, "tick {t}: span accepted voltages the memo never saw");
+                spans += 1;
+                replayed += ticks;
+                cut_short += usize::from(ticks < stretch);
+            }
+            for (v, slot) in lanes[t..t + ticks].iter().zip(&mut want[t..t + ticks]) {
+                stepped.step_into(&mut StepFrame::new(v, dt, slot));
+            }
+            for u in t..t + ticks {
+                assert_eq!(
+                    want[u].to_bits(),
+                    got[u].to_bits(),
+                    "tick {u}: power diverged"
+                );
+            }
+            assert_eq!(stepped.ipc_fractions(), spanned.ipc_fractions(), "tick {t}");
+            if ticks > 1 {
+                assert_eq!(
+                    save(&stepped),
+                    save(&spanned),
+                    "span ending at tick {}",
+                    t + ticks
+                );
+            }
+            t += ticks;
+        }
+        assert_eq!(save(&stepped), save(&spanned));
+        assert!(replayed > lanes.len() / 2, "only {replayed} ticks replayed");
+        assert!(cut_short > 10, "{cut_short} of {spans} spans stopped short");
     }
 
     #[test]

@@ -160,21 +160,26 @@ impl Core {
         }
     }
 
-    /// Would the next step resample the activity jitter? While this is
-    /// `false` the core's outputs depend only on `(v, sample, dt)`.
+    /// Ticks this unit can replay before its next jitter resample (0
+    /// when the next step resamples it). Until then the unit's outputs
+    /// depend only on `(v, sample, dt)`.
     #[inline]
-    pub fn jitter_due(&self) -> bool {
-        self.jitter_countdown == 0
+    pub fn replayable_ticks(&self) -> u64 {
+        self.jitter_countdown
     }
 
-    /// Account one tick without evaluating the model: the chiplet replays
-    /// an identical previous tick's outputs (see `CpuChiplet::step_into`).
-    /// Only valid while [`Core::jitter_due`] is `false`; the jitter clock
-    /// then advances exactly as [`Core::step`] would advance it.
+    /// Account `ticks` ticks without evaluating the model: the chiplet
+    /// replays an identical previous tick's outputs (see
+    /// `CpuChiplet::step_into` and `CpuChiplet::replay_span`). Only valid for
+    /// `ticks <= self.replayable_ticks()`; the jitter clock then advances
+    /// exactly as `ticks` calls of [`Core::step`] would advance it.
     #[inline]
-    pub fn replay_tick(&mut self) {
-        debug_assert!(!self.jitter_due(), "replayed a jitter resample tick");
-        self.jitter_countdown -= 1;
+    pub fn replay_ticks(&mut self, ticks: u64) {
+        debug_assert!(
+            ticks <= self.jitter_countdown,
+            "replayed a jitter resample tick"
+        );
+        self.jitter_countdown -= ticks;
     }
 
     /// The core's power model (for reporting).

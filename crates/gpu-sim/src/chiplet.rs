@@ -149,8 +149,8 @@ impl GpuChiplet {
     /// `step_into_matches_step` below and the golden-digest corpus), with
     /// the same two hot-loop savings as the CPU chiplet: a steady tick
     /// (SM voltages, phase sample and `dt` bit-identical to the previous
-    /// tick, no SM due to resample its jitter) replays the [`TickMemo`]'d
-    /// sums, and otherwise the per-voltage inputs (a `UnitPoint`) are
+    /// tick, no SM due to resample its jitter) is a one-tick
+    /// [`GpuChiplet::replay_span`] of the [`TickMemo`]'d sums, and otherwise the per-voltage inputs (a `UnitPoint`) are
     /// computed once per distinct consecutive SM voltage.
     ///
     /// # Panics
@@ -162,17 +162,12 @@ impl GpuChiplet {
             "need one voltage per SM"
         );
         let dt = frame.dt;
-        let sample = self.program.sample();
-        let phase = [sample.activity, sample.mem_intensity];
-        if let Some(sums) = self.memo.probe(frame.voltages, phase, dt) {
-            if !self.sms.iter().any(StreamingMultiprocessor::jitter_due) {
-                self.sms
-                    .iter_mut()
-                    .for_each(StreamingMultiprocessor::replay_tick);
-                self.finish_tick(frame, sums);
-                return;
-            }
+        if self.replay_span(frame.voltages, dt, std::slice::from_mut(frame.power_acc)) == 1 {
+            return;
         }
+        let sample = self.program.sample();
+        self.memo
+            .key(frame.voltages, [sample.activity, sample.mem_intensity], dt);
         let mut total_sm_power = Watt::ZERO;
         let mut total_dynamic = Watt::ZERO;
         let mut total_rate = 0.0;
@@ -216,6 +211,59 @@ impl GpuChiplet {
             .record(sums.unit_dynamic, leakage, sums.uncore, dt);
         self.last_power = sums.unit_power + sums.uncore;
         *frame.power_acc += self.last_power.value();
+    }
+
+    /// Replay a steady span: up to `power_acc.len()` consecutive ticks at
+    /// the SM voltages `voltages` (constant over the span), adding each
+    /// tick's chiplet power into its slot. Returns how many ticks it
+    /// replayed (0 when the span's preconditions fail). Same contract as
+    /// `CpuChiplet::replay_span`: a full [`TickMemo`] key match to start,
+    /// a stop before any phase change or SM jitter resample, the memo'd
+    /// sums replayed per tick and the jitter clocks advanced once. Pinned
+    /// by `replay_span_matches_step_into` below.
+    pub fn replay_span(
+        &mut self,
+        voltages: &[Volt],
+        dt: SimDuration,
+        power_acc: &mut [f64],
+    ) -> usize {
+        let sample = self.program.sample();
+        let phase = [sample.activity, sample.mem_intensity];
+        let Some(sums) = self.memo.peek(voltages, phase, dt) else {
+            return 0;
+        };
+        let budget = self
+            .sms
+            .iter()
+            .map(StreamingMultiprocessor::replayable_ticks)
+            .min()
+            .unwrap_or(0);
+        let phase_bits = phase.map(f64::to_bits);
+        let work_ns = sums.avg_rate * dt.as_nanos() as f64;
+        let leakage = sums.unit_power - sums.unit_dynamic;
+        let power = sums.unit_power + sums.uncore;
+        let mut ticks = 0;
+        for slot in power_acc
+            .iter_mut()
+            .take(usize::try_from(budget).unwrap_or(usize::MAX))
+        {
+            let s = self.program.sample();
+            if [s.activity.to_bits(), s.mem_intensity.to_bits()] != phase_bits {
+                break;
+            }
+            self.program.advance(work_ns);
+            self.breakdown
+                .record(sums.unit_dynamic, leakage, sums.uncore, dt);
+            *slot += power.value();
+            ticks += 1;
+        }
+        if ticks > 0 {
+            self.last_power = power;
+            for sm in &mut self.sms {
+                sm.replay_ticks(ticks);
+            }
+        }
+        ticks as usize
     }
 
     /// Per-SM measured IPC fractions from the last step.
@@ -389,6 +437,73 @@ mod tests {
             reference.breakdown().total_joules().to_bits(),
             kernel.breakdown().total_joules().to_bits()
         );
+    }
+
+    #[test]
+    fn replay_span_matches_step_into() {
+        // Twin chiplets: `stepped` takes every tick through `step_into`;
+        // `spanned` hands each held stretch of the schedule to
+        // `replay_span` and steps only the ticks a span refuses, as
+        // `Domain::run_quantum` does. The held stretches (10–700 ticks)
+        // cross jitter resamples (every 500 ticks) and workload phase
+        // boundaries, so spans stop short. At every span end the power
+        // slots, the IPCs and the checkpoint text must match bit for bit.
+        use hcapp_sim_core::frame::StepFrame;
+        use hcapp_sim_core::state::{Snapshot, StateWriter};
+        let save = |c: &GpuChiplet| {
+            let mut w = StateWriter::new();
+            c.save_state(&mut w);
+            w.finish()
+        };
+        let dt = SimDuration::from_nanos(100);
+        let mut stepped = chiplet(Benchmark::Backprop);
+        let mut spanned = chiplet(Benchmark::Backprop);
+        let lanes = equivalence_schedule(20_000, stepped.units());
+        let mut want = vec![0.0; lanes.len()];
+        let mut got = vec![0.0; lanes.len()];
+        let (mut t, mut spans, mut cut_short, mut replayed) = (0, 0, 0, 0);
+        while t < lanes.len() {
+            let volts = &lanes[t];
+            let held = t > 0 && lanes[t - 1] == *volts;
+            let stretch = if held {
+                lanes[t..].iter().take_while(|v| *v == volts).count()
+            } else {
+                1
+            };
+            let mut ticks = spanned.replay_span(volts, dt, &mut got[t..t + stretch]);
+            if ticks == 0 {
+                spanned.step_into(&mut StepFrame::new(volts, dt, &mut got[t]));
+                ticks = 1;
+            } else {
+                assert!(held, "tick {t}: span accepted voltages the memo never saw");
+                spans += 1;
+                replayed += ticks;
+                cut_short += usize::from(ticks < stretch);
+            }
+            for (v, slot) in lanes[t..t + ticks].iter().zip(&mut want[t..t + ticks]) {
+                stepped.step_into(&mut StepFrame::new(v, dt, slot));
+            }
+            for u in t..t + ticks {
+                assert_eq!(
+                    want[u].to_bits(),
+                    got[u].to_bits(),
+                    "tick {u}: power diverged"
+                );
+            }
+            assert_eq!(stepped.ipc_fractions(), spanned.ipc_fractions(), "tick {t}");
+            if ticks > 1 {
+                assert_eq!(
+                    save(&stepped),
+                    save(&spanned),
+                    "span ending at tick {}",
+                    t + ticks
+                );
+            }
+            t += ticks;
+        }
+        assert_eq!(save(&stepped), save(&spanned));
+        assert!(replayed > lanes.len() / 2, "only {replayed} ticks replayed");
+        assert!(cut_short > 10, "{cut_short} of {spans} spans stopped short");
     }
 
     #[test]

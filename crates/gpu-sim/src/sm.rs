@@ -156,22 +156,27 @@ impl StreamingMultiprocessor {
         }
     }
 
-    /// Would the next step resample the activity jitter? While this is
-    /// `false` the SM's outputs depend only on `(v, sample, dt)`.
+    /// Ticks this unit can replay before its next jitter resample (0
+    /// when the next step resamples it). Until then the unit's outputs
+    /// depend only on `(v, sample, dt)`.
     #[inline]
-    pub fn jitter_due(&self) -> bool {
-        self.jitter_countdown == 0
+    pub fn replayable_ticks(&self) -> u64 {
+        self.jitter_countdown
     }
 
-    /// Account one tick without evaluating the model: the chiplet replays
-    /// an identical previous tick's outputs (see `GpuChiplet::step_into`).
-    /// Only valid while [`StreamingMultiprocessor::jitter_due`] is `false`;
-    /// the jitter clock then advances exactly as
+    /// Account `ticks` ticks without evaluating the model: the chiplet
+    /// replays an identical previous tick's outputs (see
+    /// `GpuChiplet::step_into` and `GpuChiplet::replay_span`). Only valid
+    /// for `ticks <= self.replayable_ticks()`; the jitter clock then
+    /// advances exactly as `ticks` calls of
     /// [`StreamingMultiprocessor::step`] would advance it.
     #[inline]
-    pub fn replay_tick(&mut self) {
-        debug_assert!(!self.jitter_due(), "replayed a jitter resample tick");
-        self.jitter_countdown -= 1;
+    pub fn replay_ticks(&mut self, ticks: u64) {
+        debug_assert!(
+            ticks <= self.jitter_countdown,
+            "replayed a jitter resample tick"
+        );
+        self.jitter_countdown -= ticks;
     }
 
     /// The SM's power model (for reporting).

@@ -16,6 +16,15 @@
 //! required to be bit-identical to its `step` counterpart, replay included
 //! — the per-crate `step_into_matches_step` tests and the golden-digest
 //! corpus (`tests/golden_digests.txt`) pin that contract.
+//!
+//! When the domain proves that a whole stretch of ticks will hand the
+//! chiplet the same unit voltages, it calls the chiplet's `replay_span`
+//! once for the stretch instead of `step_into` per tick. The chiplet then
+//! checks the memo key once through [`TickMemo::peek`], which never
+//! changes the memo, so a refused span leaves it for the per-tick path
+//! exactly as it was. A steady `step_into` tick is a one-tick span. The
+//! per-crate `replay_span_matches_step_into` tests pin spans against
+//! per-tick stepping (DESIGN §6j, steady spans).
 
 use crate::time::SimDuration;
 use crate::units::{Hertz, Volt, Watt};
@@ -106,48 +115,45 @@ impl TickMemo {
         }
     }
 
-    /// Key a new tick. Returns the remembered sums when `(voltages,
-    /// phase, dt)` repeats the stored key bit-for-bit; otherwise stores
-    /// the new key with no sums and returns `None`, and the caller
-    /// evaluates the tick and hands its sums to [`TickMemo::fill`].
+    /// The remembered sums when `(voltages, phase, dt)` repeats the stored
+    /// key bit-for-bit, else `None`. A lookup never changes the memo; only
+    /// [`TickMemo::key`], [`TickMemo::fill`] and [`TickMemo::forget`] do,
+    /// so a refused steady span leaves it exactly as it was.
     #[inline]
-    pub fn probe(
-        &mut self,
-        voltages: &[Volt],
-        phase: [f64; 2],
-        dt: SimDuration,
-    ) -> Option<TickSums> {
-        let phase_bits = phase.map(f64::to_bits);
-        if let Some(sums) = self.sums {
-            if self.dt == dt
-                && self.phase_bits == phase_bits
-                && self.volt_bits.len() == voltages.len()
-                && self
-                    .volt_bits
-                    .iter()
-                    .zip(voltages)
-                    .all(|(&bits, v)| bits == v.value().to_bits())
-            {
-                return Some(sums);
-            }
-        }
+    pub fn peek(&self, voltages: &[Volt], phase: [f64; 2], dt: SimDuration) -> Option<TickSums> {
+        let sums = self.sums?;
+        let hit = self.dt == dt
+            && self.phase_bits == phase.map(f64::to_bits)
+            && self.volt_bits.len() == voltages.len()
+            && self
+                .volt_bits
+                .iter()
+                .zip(voltages)
+                .all(|(&bits, v)| bits == v.value().to_bits());
+        hit.then_some(sums)
+    }
+
+    /// Key the tick about to be evaluated: store `(voltages, phase, dt)`
+    /// with no sums, so lookups miss until the caller hands the evaluated
+    /// tick's sums to [`TickMemo::fill`].
+    #[inline]
+    pub fn key(&mut self, voltages: &[Volt], phase: [f64; 2], dt: SimDuration) {
         self.sums = None;
         self.volt_bits.clear();
         self.volt_bits
             .extend(voltages.iter().map(|v| v.value().to_bits()));
-        self.phase_bits = phase_bits;
+        self.phase_bits = phase.map(f64::to_bits);
         self.dt = dt;
-        None
     }
 
-    /// Remember `sums` as the outcome of the most recently probed key;
-    /// call it only for the tick that was just probed.
+    /// Remember `sums` as the outcome of the most recently keyed tick;
+    /// call it only for the tick that was just keyed.
     #[inline]
     pub fn fill(&mut self, sums: TickSums) {
         self.sums = Some(sums);
     }
 
-    /// Drop the remembered sums (the next probe misses).
+    /// Drop the remembered sums (every lookup misses until the next fill).
     #[inline]
     pub fn forget(&mut self) {
         self.sums = None;
@@ -182,9 +188,11 @@ mod tests {
         let volts = [Volt::new(0.9), Volt::new(0.95)];
         let phase = [0.7, 0.2];
         let mut memo = TickMemo::new(2);
-        assert_eq!(memo.probe(&volts, phase, dt), None, "empty memo hit");
+        assert_eq!(memo.peek(&volts, phase, dt), None, "empty memo hit");
+        memo.key(&volts, phase, dt);
+        assert_eq!(memo.peek(&volts, phase, dt), None, "unfilled key hit");
         memo.fill(sums(3.0));
-        assert_eq!(memo.probe(&volts, phase, dt), Some(sums(3.0)));
+        assert_eq!(memo.peek(&volts, phase, dt), Some(sums(3.0)));
 
         let nudged = [
             Volt::new(0.9),
@@ -197,21 +205,49 @@ mod tests {
             (&volts[..1], phase, dt, "arity change"),
         ];
         for (v, ph, d, what) in misses {
-            memo.probe(&volts, phase, dt);
+            memo.key(&volts, phase, dt);
             memo.fill(sums(3.0));
-            assert_eq!(memo.probe(v, ph, d), None, "{what}");
-            // The miss re-keyed the memo without sums: a repeat still
-            // misses until the caller fills in the evaluated tick.
-            assert_eq!(memo.probe(v, ph, d), None, "{what}: unfilled repeat");
+            assert_eq!(memo.peek(v, ph, d), None, "{what}");
+            // Keying the new tick drops the old sums: it still misses
+            // until the caller fills in the evaluated tick.
+            memo.key(v, ph, d);
+            assert_eq!(memo.peek(v, ph, d), None, "{what}: unfilled key");
             memo.fill(sums(4.0));
-            assert_eq!(memo.probe(v, ph, d), Some(sums(4.0)), "{what}: refilled");
+            assert_eq!(memo.peek(v, ph, d), Some(sums(4.0)), "{what}: refilled");
         }
 
         memo.forget();
         assert_eq!(
-            memo.probe(&volts[..1], phase, dt),
+            memo.peek(&volts[..1], phase, dt),
             None,
             "forgotten memo hit"
         );
+    }
+
+    #[test]
+    fn peek_never_rekeys() {
+        let dt = SimDuration::from_nanos(100);
+        let volts = [Volt::new(0.9), Volt::new(0.95)];
+        let phase = [0.7, 0.2];
+        let mut memo = TickMemo::new(2);
+        assert_eq!(memo.peek(&volts, phase, dt), None, "empty memo hit");
+        memo.key(&volts, phase, dt);
+        memo.fill(sums(3.0));
+        assert_eq!(memo.peek(&volts, phase, dt), Some(sums(3.0)));
+
+        // Misses of every kind leave the stored key and sums in place: the
+        // original key still hits afterwards.
+        let misses: [(&[Volt], [f64; 2], SimDuration); 4] = [
+            (&[Volt::new(0.9), Volt::new(0.96)], phase, dt),
+            (&volts, [0.7, 0.3], dt),
+            (&volts, phase, SimDuration::from_nanos(50)),
+            (&volts[..1], phase, dt),
+        ];
+        for (v, ph, d) in misses {
+            assert_eq!(memo.peek(v, ph, d), None);
+            assert_eq!(memo.peek(&volts, phase, dt), Some(sums(3.0)));
+        }
+        memo.forget();
+        assert_eq!(memo.peek(&volts, phase, dt), None, "forgotten memo hit");
     }
 }

@@ -68,20 +68,27 @@ impl SlidingWindowAvg {
     #[inline]
     pub fn push(&mut self, sample: f64) {
         let cap = self.buf.len();
-        if self.filled == cap {
-            self.sum -= self.buf[self.head];
-        } else {
-            self.filled += 1;
+        // `head < cap` always holds (`new`, the wrap below and `load_state`
+        // keep it), so the slot exists.
+        if let Some(slot) = self.buf.get_mut(self.head) {
+            if self.filled == cap {
+                self.sum -= *slot;
+            } else {
+                self.filled += 1;
+            }
+            *slot = sample;
         }
-        self.buf[self.head] = sample;
         self.sum += sample;
-        self.head = (self.head + 1) % cap;
+        self.head += 1;
+        if self.head == cap {
+            self.head = 0;
+        }
 
         // A running +=/-= sum accumulates rounding error over hundreds of
         // millions of pushes; recompute exactly once per ~64 window turnovers.
         self.since_resync += 1;
         if self.since_resync >= cap.saturating_mul(64).max(1 << 16) {
-            self.sum = self.buf[..self.filled].iter().sum();
+            self.sum = self.buf.iter().take(self.filled).sum();
             self.since_resync = 0;
         }
     }
