@@ -6,7 +6,6 @@
 
 use hcapp::coordinator::Simulation;
 use hcapp::scheme::ControlScheme;
-use hcapp_metrics::violation::classify;
 use hcapp_sim_core::report::Table;
 
 use crate::args::{ArgError, Args};
@@ -42,12 +41,10 @@ pub fn execute(args: &Args) -> Result<String, ArgError> {
         ),
         &["metric", a.name(), b.name()],
     );
-    let ra = outs[0].max_ratio(&limit).unwrap_or(0.0);
-    let rb = outs[1].max_ratio(&limit).unwrap_or(0.0);
     t.add_row(vec![
         "max power / limit".into(),
-        format!("{ra:.3} [{}]", classify(ra).marker()),
-        format!("{rb:.3} [{}]", classify(rb).marker()),
+        shared::max_ratio_cell(&outs[0], &limit, run.duration),
+        shared::max_ratio_cell(&outs[1], &limit, run.duration),
     ]);
     t.add_row(vec![
         "PPE".into(),
@@ -93,5 +90,24 @@ mod tests {
         let toks: Vec<String> = "--ms 1".split_whitespace().map(|t| t.to_string()).collect();
         let out = execute(&Args::parse(&toks).unwrap()).unwrap();
         assert!(out.contains("HCAPP vs RAPL-like"));
+    }
+
+    #[test]
+    fn a_window_longer_than_the_run_is_not_reported_as_ok() {
+        let toks: Vec<String> = "--ms 1 --window-us 5000"
+            .split_whitespace()
+            .map(|t| t.to_string())
+            .collect();
+        let out = execute(&Args::parse(&toks).unwrap()).unwrap();
+        let row = out
+            .lines()
+            .find(|l| l.contains("max power / limit"))
+            .unwrap();
+        assert_eq!(
+            row.matches("n/a (window longer than run)").count(),
+            2,
+            "{row}"
+        );
+        assert!(!row.contains("[ok]"), "{row}");
     }
 }

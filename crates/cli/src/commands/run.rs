@@ -1,7 +1,6 @@
 //! `hcapp run` — simulate one configuration and report the §5 metrics.
 
 use hcapp::coordinator::Simulation;
-use hcapp_metrics::violation::classify;
 use hcapp_sim_core::report::{write_series_csv, Table};
 
 use crate::args::{ArgError, Args};
@@ -55,10 +54,9 @@ pub fn execute(args: &Args) -> Result<String, ArgError> {
         "PPE (Eq. 4)".into(),
         format!("{:.1}%", out.ppe(limit.budget) * 100.0),
     ]);
-    let ratio = out.max_ratio(&limit).unwrap_or(0.0);
     t.add_row(vec![
         format!("max power / limit ({})", limit.window),
-        format!("{ratio:.3} [{}]", classify(ratio).marker()),
+        shared::max_ratio_cell(&out, &limit, duration),
     ]);
     t.add_row(vec![
         "mean global voltage".into(),
@@ -96,6 +94,28 @@ mod tests {
     fn parallel_executor_via_flag() {
         let out = run_cli("--combo Mid-Mid --ms 2 --parallel 3").unwrap();
         assert!(out.contains("avg power"));
+    }
+
+    #[test]
+    fn a_window_longer_than_the_run_is_not_reported_as_ok() {
+        let row = |flags: &str| {
+            let out = run_cli(flags).unwrap();
+            out.lines()
+                .find(|l| l.contains("max power / limit"))
+                .unwrap()
+                .to_string()
+        };
+        // 1000 s of 100 ns ticks: a tracker sized to that window would ask
+        // for 80 GB up front; one sized to the 1 ms run needs 80 kB.
+        for window_us in [5_000, 1_000_000_000] {
+            let longer = row(&format!("--combo Hi-Hi --ms 1 --window-us {window_us}"));
+            assert!(longer.contains("n/a (window longer than run)"), "{longer}");
+            assert!(!longer.contains("[ok]"), "{longer}");
+        }
+        // A window exactly as long as the run fills on the last tick.
+        let exact = row("--combo Hi-Hi --ms 1 --window-us 1000");
+        assert!(!exact.contains("n/a"), "{exact}");
+        assert!(exact.contains('['), "{exact}");
     }
 
     #[test]

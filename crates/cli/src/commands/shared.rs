@@ -5,9 +5,11 @@
 use hcapp::controller::thermal_guard::ThermalConfig;
 use hcapp::coordinator::{RunConfig, SoftwareConfig};
 use hcapp::limits::PowerLimit;
+use hcapp::outcome::RunOutcome;
 use hcapp::scheme::ControlScheme;
 use hcapp::software::ComponentKind;
 use hcapp::system::SystemConfig;
+use hcapp_metrics::violation::classify;
 use hcapp_pdn::RippleSpec;
 use hcapp_sim_core::time::{SimDuration, SimTime};
 use hcapp_sim_core::units::Watt;
@@ -93,13 +95,29 @@ pub fn combo(args: &Args) -> Result<Combo, ArgError> {
 pub fn limit(args: &Args) -> Result<PowerLimit, ArgError> {
     let budget = args.f64("budget", 100.0)?;
     let window_us = args.u64("window-us", 20)?;
-    if budget <= 0.0 {
-        return Err(bad("budget", budget.to_string(), "a positive wattage"));
+    if !(budget > 0.0 && budget.is_finite()) {
+        return Err(bad(
+            "budget",
+            budget.to_string(),
+            "a finite positive wattage",
+        ));
     }
     Ok(PowerLimit::new(
         Watt::new(budget),
         SimDuration::from_micros(window_us.max(1)),
     ))
+}
+
+/// The `max power / limit` cell of a run's report: the worst windowed
+/// average over the limit's budget with its violation class, or `n/a` when
+/// the limit window is longer than the run. Such a window never fills, and
+/// the outcome then records 0 W for it, which is no evidence of compliance.
+pub fn max_ratio_cell(out: &RunOutcome, limit: &PowerLimit, duration: SimDuration) -> String {
+    if limit.window > duration {
+        return "n/a (window longer than run)".to_string();
+    }
+    let ratio = out.max_ratio(limit).unwrap_or(0.0);
+    format!("{ratio:.3} [{}]", classify(ratio).marker())
 }
 
 /// Decode the degraded-mode tuning flags (`--stale-after`,
@@ -245,11 +263,11 @@ pub fn build(args: &Args) -> Result<(SystemConfig, RunConfig, PowerLimit), ArgEr
                 .trim()
                 .parse()
                 .map_err(|_| bad("retarget", part.to_string(), "a numeric wattage"))?;
-            if !(at_ms >= 0.0) || !(watts > 0.0) {
+            if !(at_ms >= 0.0) || !(watts > 0.0 && watts.is_finite()) {
                 return Err(bad(
                     "retarget",
                     part.to_string(),
-                    "a non-negative time and positive wattage",
+                    "a non-negative time and finite positive wattage",
                 ));
             }
             let at = SimTime::from_nanos((at_ms * 1e6) as u64);
@@ -382,6 +400,25 @@ mod tests {
         assert_eq!(l.budget.value(), 120.0);
         assert_eq!(l.window, SimDuration::from_millis(1));
         assert!(limit(&parse("--budget -5")).is_err());
+    }
+
+    #[test]
+    fn non_finite_wattages_are_flag_errors() {
+        for flags in [
+            "--combo Hi-Hi --budget nan",
+            "--combo Hi-Hi --budget inf",
+            "--combo Hi-Hi --retarget 0.5:inf",
+        ] {
+            match build(&parse(flags)) {
+                Err(ArgError::BadValue { expected, .. }) => {
+                    assert!(
+                        expected.contains("finite positive wattage"),
+                        "{flags}: {expected}"
+                    )
+                }
+                other => panic!("{flags}: expected a flag error, got {other:?}"),
+            }
+        }
     }
 
     #[test]

@@ -582,7 +582,7 @@ impl<E: DomainExecutor> LoopDriver<E> {
         let trackers: Vec<WindowedMaxTracker> = run
             .track_windows
             .iter()
-            .map(|w| WindowedMaxTracker::new(w.ticks(tick) as usize))
+            .map(|w| WindowedMaxTracker::with_run_len(w.ticks(tick) as usize, total_ticks))
             .collect();
 
         let trace = run.record_trace.then(|| {
@@ -667,7 +667,7 @@ impl<E: DomainExecutor> LoopDriver<E> {
         } else {
             run.batch_quanta.max(1)
         };
-        let arena = BatchArena::new(quantum_ticks, max_batch);
+        let arena = BatchArena::new(quantum_ticks, max_batch, total_ticks);
 
         LoopDriver {
             sys,

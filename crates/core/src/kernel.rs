@@ -2,7 +2,10 @@
 //!
 //! The run loop's hot path is a struct-of-arrays machine: every per-domain
 //! signal lives in its own contiguous lane, and every batch-scoped scratch
-//! buffer lives in an arena sized once at construction. This module names
+//! buffer lives in an arena sized once at construction — to the largest
+//! batch the run can actually dispatch, `min(quantum × batch bound, run
+//! length)` ticks, so a 0.5 ms run under the 10 ms Software-like quantum
+//! allocates 5 000 tick slots, not 100 000. This module names
 //! that layout — [`DomainLanes`] for the lanes, [`BatchArena`] for the
 //! scratch — so the coordinator's field list says what is *per-domain
 //! state* (checkpointed, stepped by tight index loops) versus *batch
@@ -86,13 +89,53 @@ pub(crate) struct BatchArena {
 }
 
 impl BatchArena {
-    /// An arena sized for batches of up to `max_batch` quanta of
-    /// `quantum_ticks` ticks each.
-    pub(crate) fn new(quantum_ticks: usize, max_batch: usize) -> Self {
+    /// An arena for batches of up to `max_batch` quanta of `quantum_ticks`
+    /// ticks each in a run of `total_ticks` ticks. A batch never reaches
+    /// past the end of the run, so the tick buffers hold
+    /// `min(quantum_ticks × max_batch, total_ticks)` slots and the spec
+    /// list at most as many quanta as the run has.
+    pub(crate) fn new(quantum_ticks: usize, max_batch: usize, total_ticks: usize) -> Self {
+        let ticks = quantum_ticks.saturating_mul(max_batch).min(total_ticks);
+        let quanta = max_batch.min(total_ticks.div_ceil(quantum_ticks.max(1)));
         BatchArena {
-            v_sched: vec![0.0f64; quantum_ticks * max_batch],
-            power_acc: vec![0.0f64; quantum_ticks * max_batch],
-            batch: Vec::with_capacity(max_batch),
+            v_sched: vec![0.0f64; ticks],
+            power_acc: vec![0.0f64; ticks],
+            batch: Vec::with_capacity(quanta),
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::BatchArena;
+
+    #[test]
+    fn arena_holds_the_largest_batch_the_run_can_dispatch() {
+        // (quantum ticks, batch bound, run ticks) → tick slots.
+        for (quantum, max_batch, total, slots) in [
+            // Software-like: a 10 ms quantum in a 0.5 ms run.
+            (100_000, 1, 5_000, 5_000),
+            // Fixed baseline: 32 quanta of 100 µs, in a short and a long run.
+            (1_000, 32, 5_000, 5_000),
+            (1_000, 32, 1_000_000, 32_000),
+            // HCAPP: one 1 µs quantum per batch.
+            (10, 1, 10_000, 10),
+            // A batch bound too large to multiply.
+            (10, usize::MAX, 95, 95),
+        ] {
+            let arena = BatchArena::new(quantum, max_batch, total);
+            assert_eq!(
+                arena.v_sched.len(),
+                slots,
+                "{quantum} x {max_batch} in {total}"
+            );
+            assert_eq!(arena.power_acc.len(), slots);
+            let quanta = max_batch.min(total.div_ceil(quantum));
+            assert!(arena.batch.capacity() >= quanta);
+            assert!(
+                arena.batch.capacity() <= 2 * quanta,
+                "spec list not run-sized"
+            );
         }
     }
 }

@@ -126,13 +126,36 @@ impl VoltageRegulator {
     /// ticks starting at `t0` — the quantum-stepper kernel's borrow-based
     /// entry point. Equivalent to calling [`VoltageRegulator::step`] at
     /// `t0 + tick * i` and reading [`VoltageRegulator::output`] for each
-    /// slot, and bit-identical to that loop by construction (it *is* that
-    /// loop, hoisted behind the borrow).
+    /// slot, and bit-identical to that loop: it steps tick by tick until
+    /// the regulator [holds](VoltageRegulator::holds_through) through the
+    /// quantum's last tick, then fills the rest with the held output, which
+    /// is exactly what the remaining steps would have written.
     pub fn schedule_into(&mut self, t0: SimTime, tick: SimDuration, out: &mut [f64]) {
-        for (i, v) in out.iter_mut().enumerate() {
-            self.step(t0 + tick * i as u64, tick);
+        let last = t0 + tick * out.len().saturating_sub(1) as u64;
+        let mut now = t0;
+        let mut slots = out.iter_mut();
+        while !self.holds_through(last) {
+            let Some(v) = slots.next() else { return };
+            self.step(now, tick);
             *v = self.output.value();
+            now += tick;
         }
+        slots.into_slice().fill(self.output.value());
+    }
+
+    /// True when [`VoltageRegulator::step`] at any tick up to `last` leaves
+    /// the regulator unchanged. That holds when no pending setpoint matures
+    /// by `last` (nothing is adopted) and the output is a finite, in-range
+    /// value bit-equal to the target: then `err` is 0, `delta` is +0, adding
+    /// it keeps every such value but -0 (which becomes +0, so it is
+    /// excluded), and the range clamp keeps an in-range value.
+    fn holds_through(&self, last: SimTime) -> bool {
+        let out = self.output.value();
+        out.is_finite()
+            && out.to_bits() == self.target.value().to_bits()
+            && (self.v_min.value()..=self.v_max.value()).contains(&out)
+            && out.to_bits() != (-0.0f64).to_bits()
+            && self.pending.front().is_none_or(|&(at, _)| at > last)
     }
 
     /// Set the transient slew derating factor (1.0 = healthy). Values at or
@@ -302,14 +325,29 @@ mod tests {
         let mut scheduled = mk();
         let tick = ns(50);
         let mut t = SimTime::ZERO;
-        for q in 0..40u64 {
-            // Retarget every few quanta to keep pending setpoints in play.
-            if q % 3 == 0 {
-                let v = Volt::new(0.7 + 0.05 * (q % 9) as f64);
-                stepped.set_target(t, v);
-                scheduled.set_target(t, v);
-            }
+        let mut filled = 0;
+        for q in 0..120u64 {
             let n = 4 + (q % 3) as usize;
+            let last = t + tick * (n as u64 - 1);
+            // Quanta 0..40 retarget every third quantum; after that each
+            // block of ten holds still long enough to take the fill, then
+            // meets one event: a setpoint maturing exactly on the
+            // quantum's last tick, one maturing the tick after, a droop,
+            // or a slew derating.
+            let event = if q < 40 { q % 3 } else { (q % 10).min(6) };
+            let apply = |vr: &mut VoltageRegulator| match event {
+                0 => vr.set_target(t, Volt::new(0.7 + 0.05 * (q % 9) as f64)),
+                3 => vr.set_target(last - ns(100), Volt::new(0.8 + 0.01 * (q % 7) as f64)),
+                4 => vr.set_target(last + tick - ns(100), Volt::new(1.0)),
+                5 => vr.droop(0.05),
+                6 => vr.set_slew_derate(if q % 20 < 10 { 0.25 } else { 1.0 }),
+                _ => {}
+            };
+            apply(&mut stepped);
+            apply(&mut scheduled);
+            if scheduled.holds_through(last) {
+                filled += 1;
+            }
             let mut expect = vec![0.0f64; n];
             for (i, v) in expect.iter_mut().enumerate() {
                 stepped.step(t + tick * i as u64, tick);
@@ -320,12 +358,44 @@ mod tests {
             for (i, (a, b)) in expect.iter().zip(&got).enumerate() {
                 assert_eq!(a.to_bits(), b.to_bits(), "quantum {q} slot {i}");
             }
+            let (mut ws, mut wd) = (StateWriter::new(), StateWriter::new());
+            stepped.save_state(&mut ws);
+            scheduled.save_state(&mut wd);
+            assert_eq!(ws.finish(), wd.finish(), "state after quantum {q}");
             t = t + tick * n as u64;
         }
-        assert_eq!(
-            stepped.output().value().to_bits(),
-            scheduled.output().value().to_bits()
+        assert!(filled >= 20, "only {filled} quanta took the fill");
+    }
+
+    #[test]
+    fn holding_needs_a_settled_in_range_output_and_no_maturing_setpoint() {
+        let tick = ns(50);
+        let last = SimTime::from_nanos(450);
+        let mut vr = VoltageRegulator::ideal(Volt::new(0.6), Volt::new(1.3), Volt::new(0.9));
+        assert!(vr.holds_through(last));
+        // A setpoint maturing on the last tick must be stepped to; one
+        // maturing after it may not.
+        vr.set_target(last, Volt::new(0.9));
+        assert!(!vr.holds_through(last));
+        assert!(vr.holds_through(last - tick));
+        let mut vr = VoltageRegulator::ideal(Volt::new(0.6), Volt::new(1.3), Volt::new(0.9));
+        vr.droop(0.1);
+        assert!(
+            !vr.holds_through(last),
+            "a drooped rail is still recovering"
         );
+        // -0 V is bit-equal to a -0 V target but the step writes +0 V.
+        let mut vr = VoltageRegulator::ideal(Volt::new(-1.0), Volt::new(1.0), Volt::new(-0.0));
+        assert!(!vr.holds_through(last));
+        let mut out = [1.0f64; 3];
+        vr.schedule_into(SimTime::ZERO, tick, &mut out);
+        assert!(out.iter().all(|v| v.to_bits() == 0.0f64.to_bits()));
+        // An output outside a narrowed range is clamped by the step.
+        let mut vr = VoltageRegulator::ideal(Volt::new(0.6), Volt::new(1.3), Volt::new(1.2));
+        vr.v_max = Volt::new(1.0);
+        assert!(!vr.holds_through(last));
+        vr.schedule_into(SimTime::ZERO, tick, &mut out);
+        assert_eq!(out, [1.0; 3]);
     }
 
     #[test]

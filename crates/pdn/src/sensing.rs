@@ -6,6 +6,12 @@
 //! modelled here. The sensor is a tick-granular delay line: the controller
 //! always acts on slightly stale power, which the PID tuning has to absorb
 //! (and which the integration tests exercise).
+//!
+//! Quantization is memoized on the bit pattern of the sample leaving the
+//! delay line: a settled package feeds the same power tick after tick, and
+//! the memo hands back the previous result instead of rounding again. The
+//! memo is a cache of a pure function of that sample and the fixed
+//! resolution, so it is never checkpointed and `load_state` forgets it.
 
 use hcapp_sim_core::units::Watt;
 use std::collections::VecDeque;
@@ -38,6 +44,9 @@ pub struct PowerSensor {
     resolution: f64,
     line: VecDeque<Watt>,
     latest_output: Watt,
+    /// The last quantized sample: `(input bits, quantize(input))`. A cache,
+    /// not state: never checkpointed.
+    memo: Option<(u64, Watt)>,
 }
 
 impl PowerSensor {
@@ -50,6 +59,7 @@ impl PowerSensor {
             resolution,
             line: VecDeque::with_capacity(delay_ticks + 1),
             latest_output: Watt::ZERO,
+            memo: None,
         }
     }
 
@@ -74,7 +84,14 @@ impl PowerSensor {
             // Pipeline still filling: hold the last output (zero at reset).
             self.latest_output
         };
-        self.latest_output = self.quantize(out);
+        self.latest_output = match self.memo {
+            Some((bits, q)) if bits == out.value().to_bits() => q,
+            _ => {
+                let q = self.quantize(out);
+                self.memo = Some((out.value().to_bits(), q));
+                q
+            }
+        };
         self.latest_output
     }
 
@@ -129,6 +146,7 @@ impl hcapp_sim_core::state::Snapshot for PowerSensor {
     fn load_state(&mut self, r: &mut hcapp_sim_core::state::StateReader<'_>) -> Option<()> {
         self.line = r.f64_vec("sensor.line")?.into_iter().map(Watt).collect();
         self.latest_output = Watt(r.f64("sensor.latest")?);
+        self.memo = None;
         Some(())
     }
 }
@@ -179,6 +197,57 @@ mod tests {
         assert_close!(s.read().value(), 0.0, 1e-12);
         assert_close!(s.sample(Watt::new(70.0)).value(), 0.0, 1e-12);
         assert_close!(s.sample(Watt::new(80.0)).value(), 70.0, 1e-12);
+    }
+
+    #[test]
+    fn memoized_quantize_matches_unmemoized() {
+        use hcapp_sim_core::state::{Snapshot, StateReader, StateWriter};
+        // Runs of repeats, sign changes, -0, NaN and infinities.
+        let mut stream = Vec::new();
+        for i in 0..400u32 {
+            let p = match i % 23 {
+                0..=7 => 80.0,
+                8 | 9 => 80.04,
+                10 => 79.95,
+                11 | 12 => f64::NAN,
+                13 => -0.0,
+                14 => 0.0,
+                15 => f64::INFINITY,
+                16 => -12.25,
+                _ => 60.0 + f64::from(i) * 0.037,
+            };
+            stream.push(p);
+        }
+        for (delay, resolution) in [(0, 0.1), (1, 0.1), (3, 0.5), (1, 0.0)] {
+            let mut memoized = PowerSensor::new(delay, resolution);
+            // The oracle: the same sensor with its memo dropped before
+            // every sample, so every sample is quantized afresh.
+            let mut fresh = PowerSensor::new(delay, resolution);
+            for (i, &p) in stream.iter().enumerate() {
+                if i == stream.len() / 2 {
+                    // Restore mid-stream into a sensor whose memo holds
+                    // an unrelated entry: the memo is forgotten, and the
+                    // restored sensor continues bit-exactly.
+                    let mut w = StateWriter::new();
+                    memoized.save_state(&mut w);
+                    let mut restored = PowerSensor::new(delay, resolution);
+                    restored.sample(Watt::new(123.4));
+                    restored
+                        .load_state(&mut StateReader::new(&w.finish()))
+                        .expect("restore");
+                    assert!(restored.memo.is_none(), "load_state kept the memo");
+                    memoized = restored;
+                }
+                fresh.memo = None;
+                let want = fresh.sample(Watt::new(p));
+                let got = memoized.sample(Watt::new(p));
+                assert_eq!(
+                    got.value().to_bits(),
+                    want.value().to_bits(),
+                    "sample {i} ({p}) delay {delay} resolution {resolution}"
+                );
+            }
+        }
     }
 
     #[test]

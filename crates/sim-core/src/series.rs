@@ -146,7 +146,7 @@ impl TimeSeries {
             "window {window} smaller than sample interval {}",
             self.dt
         );
-        let mut w = SlidingWindowAvg::new(n);
+        let mut w = SlidingWindowAvg::with_run_len(n, self.values.len());
         let values = self
             .values
             .iter()

@@ -11,12 +11,28 @@
 //! * [`WindowedMaxTracker`] — feeds a [`SlidingWindowAvg`] and keeps the
 //!   maximum windowed average seen, which is exactly the "maximum power /
 //!   limit" metric of Figures 4 and 7.
+//!
+//! The ring is run-sized: it grows one slot per push until it holds a full
+//! window and only then starts to wrap, so a run shorter than its window
+//! (a 0.5 ms job under a 10 ms limit, or a `--window-us 1000000000` limit)
+//! never allocates or zeroes the slots it cannot fill.
+//! [`SlidingWindowAvg::with_run_len`] reserves `min(capacity, run_len)`
+//! slots up front, so a stream of known length never reallocates. Growth is
+//! invisible to every observer: the averages, the periodic resync (the
+//! first `filled` slots, in slot order) and the checkpoint text (always
+//! `capacity` slots, the unfilled tail written as zeros) are exactly those
+//! of a ring zeroed to full capacity at construction (DESIGN §6j,
+//! run-sized buffers).
 
 /// Running average over the last `capacity` samples (a fixed time window when
 /// samples arrive on a fixed tick).
 #[derive(Debug, Clone)]
 pub struct SlidingWindowAvg {
+    /// Ring slots written so far: grows to `capacity` while the window
+    /// fills (`head == buf.len()` until then), then wraps. A restored
+    /// checkpoint installs all `capacity` slots at once.
     buf: Vec<f64>,
+    capacity: usize,
     head: usize,
     filled: usize,
     sum: f64,
@@ -25,14 +41,28 @@ pub struct SlidingWindowAvg {
 }
 
 impl SlidingWindowAvg {
-    /// Create a window holding `capacity` samples.
+    /// Create a window holding `capacity` samples. The ring grows as
+    /// samples arrive; nothing is reserved up front.
     ///
     /// # Panics
     /// Panics if `capacity` is zero.
     pub fn new(capacity: usize) -> Self {
+        Self::with_run_len(capacity, 0)
+    }
+
+    /// Create a window holding `capacity` samples for a stream expected to
+    /// be `run_len` samples long: reserves `min(capacity, run_len)` slots,
+    /// so the ring never reallocates for a stream of that length and never
+    /// holds more than the stream can fill. Behaves exactly like
+    /// [`SlidingWindowAvg::new`].
+    ///
+    /// # Panics
+    /// Panics if `capacity` is zero.
+    pub fn with_run_len(capacity: usize, run_len: usize) -> Self {
         assert!(capacity > 0, "window capacity must be positive");
         SlidingWindowAvg {
-            buf: vec![0.0; capacity],
+            buf: Vec::with_capacity(capacity.min(run_len)),
+            capacity,
             head: 0,
             filled: 0,
             sum: 0.0,
@@ -43,7 +73,7 @@ impl SlidingWindowAvg {
     /// Number of samples the window holds when full.
     #[inline]
     pub fn capacity(&self) -> usize {
-        self.buf.len()
+        self.capacity
     }
 
     /// Number of samples currently in the window.
@@ -61,15 +91,13 @@ impl SlidingWindowAvg {
     /// True once the window has seen at least `capacity` samples.
     #[inline]
     pub fn is_full(&self) -> bool {
-        self.filled == self.buf.len()
+        self.filled == self.capacity
     }
 
     /// Push a sample, evicting the oldest if full.
     #[inline]
     pub fn push(&mut self, sample: f64) {
-        let cap = self.buf.len();
-        // `head < cap` always holds (`new`, the wrap below and `load_state`
-        // keep it), so the slot exists.
+        let cap = self.capacity;
         if let Some(slot) = self.buf.get_mut(self.head) {
             if self.filled == cap {
                 self.sum -= *slot;
@@ -77,6 +105,11 @@ impl SlidingWindowAvg {
                 self.filled += 1;
             }
             *slot = sample;
+        } else {
+            // The ring is still growing: `head == buf.len() < capacity`, so
+            // the window is not full and the new slot is the next one.
+            self.buf.push(sample);
+            self.filled += 1;
         }
         self.sum += sample;
         self.head += 1;
@@ -112,15 +145,16 @@ impl SlidingWindowAvg {
     #[inline]
     pub fn full_average(&self) -> Option<f64> {
         if self.is_full() {
-            Some(self.sum / self.buf.len() as f64)
+            Some(self.sum / self.capacity as f64)
         } else {
             None
         }
     }
 
-    /// Drop all samples.
+    /// Drop all samples. The ring keeps its allocation and grows again
+    /// from empty.
     pub fn reset(&mut self) {
-        self.buf.fill(0.0);
+        self.buf.clear();
         self.head = 0;
         self.filled = 0;
         self.sum = 0.0;
@@ -155,8 +189,15 @@ pub struct WindowedMaxTracker {
 impl WindowedMaxTracker {
     /// Track the max average over windows of `capacity` samples.
     pub fn new(capacity: usize) -> Self {
+        Self::with_run_len(capacity, 0)
+    }
+
+    /// Track the max average over windows of `capacity` samples of a
+    /// stream expected to be `run_len` samples long (see
+    /// [`SlidingWindowAvg::with_run_len`]).
+    pub fn with_run_len(capacity: usize, run_len: usize) -> Self {
         WindowedMaxTracker {
-            window: SlidingWindowAvg::new(capacity),
+            window: SlidingWindowAvg::with_run_len(capacity, run_len),
             max: f64::NEG_INFINITY,
             seen_full: false,
         }
@@ -201,7 +242,16 @@ impl WindowedMaxTracker {
 
 impl crate::state::Snapshot for SlidingWindowAvg {
     fn save_state(&self, w: &mut crate::state::StateWriter) {
-        w.f64_slice("win.buf", &self.buf);
+        // Always `capacity` slots: a ring that is still growing writes its
+        // unwritten tail as the zeros a full-size ring would hold there.
+        if self.buf.len() == self.capacity {
+            w.f64_slice("win.buf", &self.buf);
+        } else {
+            let mut full = Vec::with_capacity(self.capacity);
+            full.extend_from_slice(&self.buf);
+            full.resize(self.capacity, 0.0);
+            w.f64_slice("win.buf", &full);
+        }
         w.usize("win.head", self.head);
         w.usize("win.filled", self.filled);
         w.f64("win.sum", self.sum);
@@ -210,13 +260,13 @@ impl crate::state::Snapshot for SlidingWindowAvg {
 
     fn load_state(&mut self, r: &mut crate::state::StateReader<'_>) -> Option<()> {
         let buf = r.f64_vec("win.buf")?;
-        if buf.len() != self.buf.len() {
+        if buf.len() != self.capacity {
             return None;
         }
         self.buf = buf;
         self.head = r.usize("win.head")?;
         self.filled = r.usize("win.filled")?;
-        if self.head >= self.buf.len() || self.filled > self.buf.len() {
+        if self.head >= self.capacity || self.filled > self.capacity {
             return None;
         }
         self.sum = r.f64("win.sum")?;
@@ -343,6 +393,177 @@ mod tests {
         t.push(1.0);
         t.push(3.0);
         assert!((t.max().unwrap() - 2.0).abs() < 1e-12);
+    }
+
+    /// A ring zeroed to full capacity at construction: the oracle a
+    /// growing [`SlidingWindowAvg`] must be indistinguishable from.
+    struct FullRing {
+        buf: Vec<f64>,
+        head: usize,
+        filled: usize,
+        sum: f64,
+        since_resync: usize,
+    }
+
+    impl FullRing {
+        fn new(capacity: usize) -> Self {
+            FullRing {
+                buf: vec![0.0; capacity],
+                head: 0,
+                filled: 0,
+                sum: 0.0,
+                since_resync: 0,
+            }
+        }
+
+        fn push(&mut self, sample: f64) {
+            let cap = self.buf.len();
+            if self.filled == cap {
+                self.sum -= self.buf[self.head];
+            } else {
+                self.filled += 1;
+            }
+            self.buf[self.head] = sample;
+            self.sum += sample;
+            self.head = (self.head + 1) % cap;
+            self.since_resync += 1;
+            if self.since_resync >= cap.saturating_mul(64).max(1 << 16) {
+                self.sum = self.buf.iter().take(self.filled).sum();
+                self.since_resync = 0;
+            }
+        }
+
+        fn reset(&mut self) {
+            self.buf.fill(0.0);
+            self.head = 0;
+            self.filled = 0;
+            self.sum = 0.0;
+            self.since_resync = 0;
+        }
+
+        fn save_state(&self) -> String {
+            let mut w = crate::state::StateWriter::new();
+            w.f64_slice("win.buf", &self.buf);
+            w.usize("win.head", self.head);
+            w.usize("win.filled", self.filled);
+            w.f64("win.sum", self.sum);
+            w.usize("win.resync", self.since_resync);
+            w.finish()
+        }
+    }
+
+    fn save(w: &SlidingWindowAvg) -> String {
+        use crate::state::Snapshot;
+        let mut sw = crate::state::StateWriter::new();
+        w.save_state(&mut sw);
+        sw.finish()
+    }
+
+    /// Every observable of `w` equals the oracle's, bit for bit.
+    fn assert_same(w: &SlidingWindowAvg, oracle: &FullRing, at: usize) {
+        let cap = oracle.buf.len();
+        assert_eq!(w.len(), oracle.filled, "len at push {at}");
+        assert_eq!(w.is_full(), oracle.filled == cap, "is_full at push {at}");
+        let avg = if oracle.filled == 0 {
+            0.0
+        } else {
+            oracle.sum / oracle.filled as f64
+        };
+        assert_eq!(w.average().to_bits(), avg.to_bits(), "average at push {at}");
+        let full = (oracle.filled == cap).then(|| oracle.sum / cap as f64);
+        assert_eq!(
+            w.full_average().map(f64::to_bits),
+            full.map(f64::to_bits),
+            "full_average at push {at}"
+        );
+        assert!(w.buf.len() <= cap, "ring outgrew its capacity at push {at}");
+    }
+
+    #[test]
+    fn growing_ring_matches_a_full_capacity_ring() {
+        // Capacities below and above the 65 536-push resync floor, each
+        // driven through fill, wrap, at least one resync and a reset; the
+        // checkpoint text is compared mid-fill, at the wrap and after it.
+        for (cap, run_len) in [(1, 0), (7, 3), (300, 300), (2_000, 100_000)] {
+            let resync = (cap * 64).max(1 << 16);
+            let mut w = SlidingWindowAvg::with_run_len(cap, run_len);
+            let mut oracle = FullRing::new(cap);
+            let mut rng = crate::rng::DeterministicRng::new(cap as u64);
+            let reset_at = resync + cap;
+            for i in 0..reset_at + 3 * cap {
+                if i == reset_at {
+                    w.reset();
+                    oracle.reset();
+                    assert_same(&w, &oracle, i);
+                }
+                let x = rng.uniform(0.0, 150.0);
+                w.push(x);
+                oracle.push(x);
+                assert_same(&w, &oracle, i);
+                if i + 1 == resync {
+                    assert_eq!(w.since_resync, 0, "no resync after {resync} pushes");
+                }
+                let k = i % reset_at;
+                if k == cap / 2 || k + 1 == cap || k == 2 * cap || i + 1 == resync {
+                    assert_eq!(save(&w), oracle.save_state(), "checkpoint text at push {i}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn restored_ring_matches_a_full_capacity_ring() {
+        use crate::state::{Snapshot, StateReader};
+        let cap = 50;
+        // Save mid-fill (20 pushes) and after a wrap (130 pushes), restore
+        // into a fresh ring, and keep both in lockstep with the oracle.
+        for saved_at in [20, 130] {
+            let mut w = SlidingWindowAvg::new(cap);
+            let mut oracle = FullRing::new(cap);
+            let mut rng = crate::rng::DeterministicRng::new(saved_at as u64);
+            for _ in 0..saved_at {
+                let x = rng.uniform(0.0, 150.0);
+                w.push(x);
+                oracle.push(x);
+            }
+            let text = save(&w);
+            assert_eq!(text, oracle.save_state());
+            let mut restored = SlidingWindowAvg::new(cap);
+            restored
+                .load_state(&mut StateReader::new(&text))
+                .expect("restore");
+            assert_eq!(save(&restored), text, "restore is not byte-exact");
+            for i in 0..3 * cap {
+                let x = rng.uniform(0.0, 150.0);
+                w.push(x);
+                restored.push(x);
+                oracle.push(x);
+                assert_same(&w, &oracle, i);
+                assert_same(&restored, &oracle, i);
+                assert_eq!(save(&restored), oracle.save_state(), "text at push {i}");
+            }
+            // A checkpoint of another capacity is rejected.
+            let mut other = SlidingWindowAvg::new(cap + 1);
+            assert!(other.load_state(&mut StateReader::new(&text)).is_none());
+        }
+    }
+
+    #[test]
+    fn a_short_stream_never_allocates_the_whole_window() {
+        // A 100 s window at 100 ns ticks would be 8 GB zeroed up front.
+        let mut w = SlidingWindowAvg::with_run_len(1_000_000_000, 10_000);
+        assert!(w.buf.capacity() <= 10_000);
+        for _ in 0..10_000 {
+            w.push(1.0);
+        }
+        assert_eq!(w.buf.capacity(), 10_000, "the reservation covered the run");
+        assert_eq!(w.full_average(), None);
+        let mut t = WindowedMaxTracker::new(1_000_000_000);
+        for _ in 0..1_000 {
+            t.push(1.0);
+        }
+        assert_eq!(t.max(), None);
+        assert!(t.window.buf.capacity() < 2_048);
     }
 
     #[test]

@@ -25,6 +25,15 @@ cargo test -q
 echo "==> cargo run -p simlint -- --deny-all"
 cargo run -p simlint -q -- --deny-all
 
+echo "==> long-window smoke (1000 s limit window on a 1 ms run, 4 GB address-space cap)"
+# Window trackers are sized to the run, not to the window: a ring sized to
+# this window would ask for 80 GB and abort. The report must say the window
+# never filled instead of printing a 0 W maximum as compliant.
+long_window=$( (ulimit -v 4000000; exec target/release/hcapp run \
+    --combo Hi-Hi --window-us 1000000000 --ms 1) )
+echo "$long_window" | grep -q "n/a (window longer than run)" \
+    || { echo "long-window run did not report its unfilled window" >&2; exit 1; }
+
 echo "==> hcapp sanitize smoke (permuted reply orders vs serial bytes)"
 cargo run --release -p hcapp-cli -q -- sanitize \
     --combo Low-Low --ms 1 --orderings 8 > /dev/null
