@@ -6,12 +6,12 @@
 //! document: it first looks for the metric inside a `"metrics"` object
 //! (the [`crate::RunReport`] shape) and falls back to a top-level member,
 //! so the same gate runs against `hcapp.report` files and flat documents
-//! like the `hcapp.bench-parallel` output alike.
+//! like the `hcapp.bench-kernel` output alike.
 //!
 //! ```json
 //! {"schema": "hcapp.checks", "version": 1, "checks": [
 //!   {"metric": "over_budget_frac", "max": 0.25},
-//!   {"metric": "batched_speedup", "min": 0.9}
+//!   {"metric": "qps_serial_3", "min": 30000}
 //! ]}
 //! ```
 //!
@@ -171,11 +171,11 @@ mod tests {
     #[test]
     fn falls_back_to_top_level_members() {
         let checks = parse_checks(
-            r#"{"schema":"hcapp.checks","version":1,"checks":[{"metric":"batched_speedup","min":0.9}]}"#,
+            r#"{"schema":"hcapp.checks","version":1,"checks":[{"metric":"qps_serial_3","min":30000}]}"#,
         )
         .unwrap();
-        // Flat document, the hcapp.bench-parallel shape.
-        let doc = json::parse(r#"{"schema":"hcapp.bench-parallel","batched_speedup":1.4}"#).unwrap();
+        // Flat document, the hcapp.bench-kernel shape.
+        let doc = json::parse(r#"{"schema":"hcapp.bench-kernel","qps_serial_3":500000.0}"#).unwrap();
         assert!(run_checks(&doc, &checks).iter().all(|r| r.passed));
     }
 

@@ -21,10 +21,10 @@
 //! * **offline** — [`StreamAnalyzer::consume_jsonl`] replays a recorded
 //!   `hcapp.trace` file.
 //!
-//! Because traced event streams are byte-identical across the serial,
-//! pooled, batched and permuted executors (pinned since PR 2), the report
-//! is too — `RunReport::to_json` is deterministic, and the determinism
-//! suite in `tests/` pins serial == pooled == permuted report bytes.
+//! Because a traced event stream is a pure function of the run's inputs,
+//! the report is too — `RunReport::to_json` is deterministic, and the
+//! determinism suite in `tests/` pins rerun and live == offline-replay
+//! report bytes.
 
 #![warn(missing_docs)]
 #![warn(clippy::all)]

@@ -1,10 +1,9 @@
-//! Satellite 3: the `RunReport` is executor-independent.
+//! The `RunReport` is a pure function of the run's inputs.
 //!
-//! PR 2 pinned the *trace* byte-identical across the serial, pooled,
-//! batched and permuted executors; this suite pins the *report* the same
-//! way. Every run below attaches a fresh [`AnalyzingTracer`] and compares
+//! Every run below attaches a fresh [`AnalyzingTracer`] and compares
 //! `RunReport::to_json()` bytes — any divergence (a reordered metric, a
-//! float that differs in the last ulp, a miscounted event) fails loudly.
+//! float that differs in the last ulp, a miscounted event) fails loudly —
+//! across reruns and against an offline replay of the exported trace.
 
 use std::sync::{Arc, Mutex};
 
@@ -28,57 +27,23 @@ fn config() -> (SystemConfig, RunConfig) {
     (sys, run)
 }
 
-enum Exec {
-    Serial,
-    Pooled(usize),
-    Batched(usize),
-    Permuted(usize, u64),
-}
-
-fn report_json(exec: &Exec) -> String {
+fn report_json() -> String {
     let (sys, mut run) = config();
     let tracer = Arc::new(Mutex::new(AnalyzingTracer::new()));
     run.tracer = Some(tracer.clone() as SharedTracer);
-    let run = match exec {
-        Exec::Batched(n) => run.with_batch_quanta(*n),
-        _ => run,
-    };
-    let sim = Simulation::new(sys, run);
-    match exec {
-        Exec::Serial | Exec::Batched(_) => {
-            sim.run();
-        }
-        Exec::Pooled(w) => {
-            sim.run_parallel(*w);
-        }
-        Exec::Permuted(w, seed) => {
-            sim.run_parallel_permuted(*w, *seed);
-        }
-    }
+    Simulation::new(sys, run).run();
     let json = tracer.lock().expect("analyzer lock").report().to_json();
     json
 }
 
 #[test]
-fn report_is_byte_identical_across_executors() {
-    let baseline = report_json(&Exec::Serial);
+fn report_is_byte_identical_across_reruns() {
+    let baseline = report_json();
     assert!(
         baseline.contains("\"schema\":\"hcapp.report\""),
         "{baseline}"
     );
-    let variants: Vec<(&str, Exec)> = vec![
-        ("pooled-2", Exec::Pooled(2)),
-        ("pooled-4", Exec::Pooled(4)),
-        ("batched-32", Exec::Batched(32)),
-        ("permuted-seed-1", Exec::Permuted(2, 1)),
-        ("permuted-seed-7", Exec::Permuted(2, 7)),
-        ("permuted-seed-23", Exec::Permuted(4, 23)),
-        ("permuted-seed-99", Exec::Permuted(4, 99)),
-    ];
-    for (name, exec) in &variants {
-        let json = report_json(exec);
-        assert_eq!(json, baseline, "{name} report diverged from serial");
-    }
+    assert_eq!(report_json(), baseline, "rerun report diverged");
 }
 
 #[test]

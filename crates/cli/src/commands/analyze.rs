@@ -114,11 +114,10 @@ pub fn execute(args: &Args) -> Result<String, ArgError> {
 
     // Mode: live run.
     let (sys, run, _limit) = shared::build(args)?;
-    let workers = shared::parallel_workers(args)?;
     let format = args.string("format", "json")?;
     let out = args.opt_string("out")?;
     args.finish()?;
-    let (_outcome, report) = run_analyzed(sys, run, workers);
+    let (_outcome, report) = run_analyzed(sys, run);
     emit(&report, &format, out.as_deref())
 }
 
@@ -277,13 +276,6 @@ mod tests {
         for p in [&report, &trace, &checks_ok, &checks_bad] {
             let _ = std::fs::remove_file(p);
         }
-    }
-
-    #[test]
-    fn serial_and_pooled_live_reports_are_byte_identical() {
-        let a = run_cli("--combo Low-Low --ms 2 --retarget 1:70").unwrap();
-        let b = run_cli("--combo Low-Low --ms 2 --retarget 1:70 --parallel 3").unwrap();
-        assert_eq!(a, b);
     }
 
     #[test]

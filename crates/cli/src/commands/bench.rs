@@ -1,23 +1,13 @@
 //! `hcapp bench` — the quantum-stepper kernel's scaling throughput bench.
 //!
-//! Measures control quanta per second for a sweep of package sizes in
-//! three configurations and writes a flat JSON report gateable by
-//! `hcapp analyze --assert`:
-//!
-//! * `qps_serial_N` — the serial executor on the kernel path, HCAPP
-//!   scheme (1 µs quanta) at the default 100 ns tick.
-//! * `qps_pooled_N` — the pooled executor, same configuration.
-//! * `qps_fixed_coarse_N` — the serial executor on the fixed-voltage
-//!   baseline with `batch_quanta = 32` on a coarse 10 µs tick, the regime
-//!   where multi-quantum batching engages (dynamic schemes re-plan every
-//!   quantum, so batching cannot). A different scheme at a 100x coarser
-//!   tick, so it is *not* comparable with the two columns above; it
-//!   tracks batched dispatch on its own.
-//!
-//! The pooled executor runs `--workers` threads, defaulting to the host's
-//! available parallelism; larger requests are clamped to it, since extra
-//! workers on a smaller host only measure oversubscription. The report
-//! records `host_parallelism` and the `workers` actually used.
+//! Measures control quanta per second for a sweep of package sizes, HCAPP
+//! scheme (1 µs quanta) at the default 100 ns tick, and writes a flat JSON
+//! report gateable by `hcapp analyze --assert`. Each point runs `--trials`
+//! times and records the spread: `qps_serial_N` is the median trial, with
+//! `qps_serial_N_min` and `qps_serial_N_max` beside it. The gate reads the
+//! median, so one slow trial on a noisy host does not trip it and one
+//! lucky trial does not hide a regression. The report records the host's
+//! `host_parallelism`; the runs themselves are single-threaded.
 //!
 //! Timings use `std::time::Instant`, which is legal here: the CLI is a
 //! host crate outside simlint L3's simulation-crate scope, and nothing
@@ -45,16 +35,28 @@ fn split(n: usize) -> (usize, usize, usize) {
     (n - 2 * third, third, third)
 }
 
-/// Best-of-N wall clock: the minimum is the standard noise filter for
-/// short benchmarks (scheduler hiccups only ever make a trial slower).
-fn secs_min(trials: u64, mut f: impl FnMut()) -> f64 {
-    (0..trials.max(1))
+/// Wall-clock seconds of each of `trials` calls of `f`, sorted ascending.
+fn trial_secs(trials: u64, mut f: impl FnMut()) -> Vec<f64> {
+    let mut secs: Vec<f64> = (0..trials.max(1))
         .map(|_| {
             let t0 = Instant::now();
             f();
             t0.elapsed().as_secs_f64()
         })
-        .fold(f64::INFINITY, f64::min)
+        .collect();
+    secs.sort_by(f64::total_cmp);
+    secs
+}
+
+/// Median of an ascending, non-empty slice (the mean of the middle pair
+/// for an even count).
+fn median(sorted: &[f64]) -> f64 {
+    let mid = sorted.len() / 2;
+    match (sorted.get(mid.wrapping_sub(1)), sorted.get(mid)) {
+        (Some(lo), Some(hi)) if sorted.len().is_multiple_of(2) => (lo + hi) / 2.0,
+        (_, Some(m)) => *m,
+        _ => f64::NAN,
+    }
 }
 
 /// The scaled system for one sweep point, or the flag error for a count
@@ -67,25 +69,19 @@ fn scaled(n: usize, tick: SimDuration) -> Result<SystemConfig, ArgError> {
     Ok(sys)
 }
 
-/// Threads the host can run at once (1 when the platform cannot say).
-fn host_parallelism() -> usize {
-    std::thread::available_parallelism().map_or(1, |n| n.get())
-}
-
+/// Quanta per second at one sweep point: slowest, median and fastest
+/// trial.
 struct Point {
     n: usize,
-    qps_serial: f64,
-    qps_pooled: f64,
-    qps_fixed_coarse: f64,
+    min: f64,
+    median: f64,
+    max: f64,
 }
 
 /// Execute `hcapp bench`.
 pub fn execute(args: &Args) -> Result<String, ArgError> {
     let points_raw = args.string("points", DEFAULT_POINTS)?;
     let ms = args.u64("ms", 10)?.max(1);
-    let host = host_parallelism();
-    let requested = args.u64("workers", host as u64)?.max(1) as usize;
-    let workers = requested.min(host);
     let trials = args.u64("trials", 3)?.max(1);
     let out_path = args.string("out", "results/BENCH_kernel.json")?;
     args.finish()?;
@@ -101,25 +97,18 @@ pub fn execute(args: &Args) -> Result<String, ArgError> {
         })
         .collect::<Result<_, _>>()?;
 
+    let host = std::thread::available_parallelism().map_or(1, |n| n.get());
     let tick = SimDuration::from_nanos(100);
-    let coarse = SimDuration::from_micros(10);
     let duration = SimDuration::from_millis(ms);
-    let limit = PowerLimit::package_pin();
-    let target = limit.guardbanded_target();
+    let target = PowerLimit::package_pin().guardbanded_target();
 
-    let mut log = format!(
-        "bench: {ms} ms runs, points [{points_raw}], {workers} workers, best of {trials}\n"
-    );
-    if requested > workers {
-        log.push_str(&format!(
-            "  --workers {requested} clamped to the host parallelism of {host}\n"
-        ));
-    }
+    let mut log =
+        format!("bench: {ms} ms runs, points [{points_raw}], median of {trials} (min..max)\n");
     let mut rows = Vec::with_capacity(points.len());
 
     // Untimed warmup: the first timed region otherwise absorbs one-off
     // process costs (page faults, frequency-governor ramp) and skews the
-    // first point's serial number low.
+    // first point's number low.
     {
         let sys = scaled(*points.first().unwrap_or(&3), tick)?;
         let run = RunConfig::new(
@@ -131,56 +120,35 @@ pub fn execute(args: &Args) -> Result<String, ArgError> {
     }
 
     for &n in &points {
-        // Serial and pooled: the HCAPP scheme at its 1 µs control quantum,
-        // the hot path the kernel refactor targets.
         let sys = scaled(n, tick)?;
         let run = RunConfig::new(duration, ControlScheme::Hcapp, target);
         let quanta = total_quanta(&sys, &run) as f64;
-        let serial_s = secs_min(trials, || {
+        let secs = trial_secs(trials, || {
             Simulation::new(sys.clone(), run.clone()).run();
         });
-        let pooled_s = secs_min(trials, || {
-            Simulation::new(sys.clone(), run.clone()).run_parallel(workers);
-        });
-
-        // Fixed-coarse: fixed baseline (static scheme, so multi-quantum
-        // batching engages) on a coarse tick where dispatch cost is visible.
-        let bsys = scaled(n, coarse)?;
-        let mut brun = RunConfig::new(duration, ControlScheme::fixed_baseline(), target)
-            .with_batch_quanta(32);
-        // The default 1 µs trace interval does not divide the coarse tick;
-        // align it (no trace is recorded, but the driver still derives its
-        // sampling stride from it).
-        brun.trace_interval = coarse;
-        let bquanta = total_quanta(&bsys, &brun) as f64;
-        let fixed_coarse_s = secs_min(trials, || {
-            Simulation::new(bsys.clone(), brun.clone()).run();
-        });
-
+        let qps = |s: f64| quanta / s.max(1e-9);
         let row = Point {
             n,
-            qps_serial: quanta / serial_s.max(1e-9),
-            qps_pooled: quanta / pooled_s.max(1e-9),
-            qps_fixed_coarse: bquanta / fixed_coarse_s.max(1e-9),
+            min: qps(secs.last().copied().unwrap_or(f64::NAN)),
+            median: qps(median(&secs)),
+            max: qps(secs.first().copied().unwrap_or(f64::NAN)),
         };
         log.push_str(&format!(
-            "  n={:<4} serial {:>10.0} q/s   pooled {:>10.0} q/s   fixed-coarse {:>10.0} q/s\n",
-            row.n, row.qps_serial, row.qps_pooled, row.qps_fixed_coarse
+            "  n={:<4} {:>10.0} q/s  ({:.0}..{:.0})\n",
+            row.n, row.median, row.min, row.max
         ));
-
         rows.push(row);
     }
 
     let mut json = format!(
-        "{{\n  \"schema\": \"hcapp.bench-kernel\",\n  \"version\": 1,\n  \
-         \"ms\": {ms},\n  \"host_parallelism\": {host},\n  \"workers\": {workers},\n  \
-         \"trials\": {trials}"
+        "{{\n  \"schema\": \"hcapp.bench-kernel\",\n  \"version\": 2,\n  \
+         \"ms\": {ms},\n  \"host_parallelism\": {host},\n  \"trials\": {trials}"
     );
     for row in &rows {
         json.push_str(&format!(
-            ",\n  \"qps_serial_{0}\": {1:.1},\n  \"qps_pooled_{0}\": {2:.1},\n  \
-             \"qps_fixed_coarse_{0}\": {3:.1}",
-            row.n, row.qps_serial, row.qps_pooled, row.qps_fixed_coarse
+            ",\n  \"qps_serial_{0}\": {1:.1},\n  \"qps_serial_{0}_min\": {2:.1},\n  \
+             \"qps_serial_{0}_max\": {3:.1}",
+            row.n, row.median, row.min, row.max
         ));
     }
     json.push_str("\n}\n");
@@ -228,9 +196,10 @@ mod tests {
         let body = std::fs::read_to_string(&path).unwrap();
         for key in [
             "hcapp.bench-kernel",
-            "qps_serial_3",
-            "qps_pooled_3",
-            "qps_fixed_coarse_3",
+            "\"host_parallelism\": ",
+            "\"qps_serial_3\": ",
+            "\"qps_serial_3_min\": ",
+            "\"qps_serial_3_max\": ",
         ] {
             assert!(body.contains(key), "missing {key} in {body}");
         }
@@ -238,24 +207,11 @@ mod tests {
     }
 
     #[test]
-    fn workers_are_clamped_to_the_host() {
-        let path = std::env::temp_dir().join("hcapp_bench_kernel_workers_test.json");
-        let _ = std::fs::remove_file(&path);
-        let host = host_parallelism();
-        let out = run_cli(&format!(
-            "--points 3 --ms 1 --trials 1 --workers {} --out {}",
-            host + 3,
-            path.display()
-        ))
-        .unwrap();
-        assert!(out.contains("clamped to the host parallelism"), "{out}");
-        let body = std::fs::read_to_string(&path).unwrap();
-        assert!(
-            body.contains(&format!("\"host_parallelism\": {host},")),
-            "{body}"
-        );
-        assert!(body.contains(&format!("\"workers\": {host},")), "{body}");
-        let _ = std::fs::remove_file(&path);
+    fn median_of_sorted_trials() {
+        assert_eq!(median(&[1.0, 2.0, 9.0]), 2.0);
+        assert_eq!(median(&[1.0, 2.0, 4.0, 9.0]), 3.0);
+        assert_eq!(median(&[5.0]), 5.0);
+        assert!(median(&[]).is_nan());
     }
 
     #[test]

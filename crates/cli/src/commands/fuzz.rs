@@ -10,7 +10,7 @@
 //! * `--smoke` — the fixed-seed CI corpus (seed `0xC0FFEE`, 24 cases,
 //!   capped at 32): `scripts/check.sh` runs it twice and byte-compares the
 //!   logs, so determinism itself is gated, not just correctness.
-//! * `--plant pooled|cache` — the self-test: plant a known defect, verify
+//! * `--plant resume|cache` — the self-test: plant a known defect, verify
 //!   the oracle catches it, shrink it to a minimal repro, write that as an
 //!   `hcapp.fuzzcase` file (`--out`, valid only here) and verify
 //!   `--replay` of the written bytes reproduces the catch.
@@ -114,17 +114,17 @@ fn replay_case(path: &str) -> Result<String, ArgError> {
     }
 }
 
-/// `--plant pooled|cache`: verify the whole catch → shrink → emit →
+/// `--plant resume|cache`: verify the whole catch → shrink → emit →
 /// replay pipeline against a defect we know is there.
 fn plant_and_catch(kind: &str, seed: u64, out: Option<String>) -> Result<String, ArgError> {
     let plant = match kind {
-        "pooled" => Plant::PooledBitflip,
+        "resume" => Plant::ResumeBitflip,
         "cache" => Plant::CacheTruncate,
         _ => {
             return Err(bad(
                 "plant",
                 kind.to_string(),
-                "pooled (executor bitflip) or cache (torn cache entry)",
+                "resume (bitflip across the resume seam) or cache (torn cache entry)",
             ))
         }
     };
@@ -208,7 +208,7 @@ mod tests {
     fn plant_catch_shrink_replay_closes_the_loop() {
         let dir = scratch("plant");
         let out = dir.join("repro.fuzzcase");
-        let msg = run_cli(&format!("--plant pooled --out {}", out.display())).unwrap();
+        let msg = run_cli(&format!("--plant resume --out {}", out.display())).unwrap();
         assert!(msg.contains("caught, shrunk, replay reproduces"), "{msg}");
         assert!(out.exists());
         // Replaying the emitted repro fails loudly, naming the leg.
@@ -216,7 +216,7 @@ mod tests {
             .unwrap_err()
             .to_string();
         assert!(err.contains("fuzzcase FAILS"), "{err}");
-        assert!(err.contains("pooled"), "{err}");
+        assert!(err.contains("resume"), "{err}");
         let _ = fs::remove_dir_all(&dir);
     }
 
@@ -226,7 +226,7 @@ mod tests {
         let cfg = CampaignConfig {
             seed: 5,
             cases: 1,
-            plant: Plant::PooledBitflip,
+            plant: Plant::ResumeBitflip,
         };
         let err = campaign(&cfg, &dir).unwrap_err().to_string();
         let repro = dir.join("finding-0x5-000.fuzzcase");
@@ -236,7 +236,7 @@ mod tests {
             .unwrap_err()
             .to_string();
         assert!(replayed.contains("fuzzcase FAILS"), "{replayed}");
-        assert!(replayed.contains("pooled"), "{replayed}");
+        assert!(replayed.contains("resume"), "{replayed}");
         let _ = fs::remove_dir_all(&dir);
     }
 
@@ -260,7 +260,7 @@ mod tests {
     #[test]
     fn bad_plant_kind_names_the_choices() {
         let e = run_cli("--plant gremlin").unwrap_err().to_string();
-        assert!(e.contains("pooled"), "{e}");
+        assert!(e.contains("resume"), "{e}");
         assert!(e.contains("cache"), "{e}");
     }
 
@@ -268,7 +268,7 @@ mod tests {
     fn damaged_fuzzcase_is_rejected_with_the_reason() {
         let dir = scratch("damaged");
         let path = dir.join("bad.fuzzcase");
-        fs::write(&path, "hcapp.fuzzcase v1\nseed banana\n").unwrap();
+        fs::write(&path, "hcapp.fuzzcase v2\nseed banana\n").unwrap();
         let e = run_cli(&format!("--replay {}", path.display()))
             .unwrap_err()
             .to_string();

@@ -8,7 +8,6 @@ pub mod fuzz;
 pub mod hist;
 pub mod record;
 pub mod run;
-pub mod sanitize;
 pub mod shared;
 pub mod soak;
 pub mod sweep;
@@ -39,12 +38,10 @@ COMMANDS:
             --adversarial-accel                      §3.3.3 adversarial accelerator
             --ripple moderate|severe                 dirty-rail injection
             --thermal                                §3.3 thermal guards
-            --parallel N                             pooled executor with N
-                                                     workers (0/absent = serial)
             --trace PATH --voltage-trace PATH        CSV traces
     sweep   run the Table 3 suite (results memoized in the sweep cache)
             --scheme LIST (hcapp,rapl,sw)  --ms N (50)  --budget/--window-us
-            --parallel N (one per core)   worker threads
+            --parallel N (one per core)   worker threads, one run each
             --no-cache                    bypass the result cache
             --cache-dir PATH (results/cache)  relocate the cache
             --wipe-cache                  clear the cache before running
@@ -68,12 +65,7 @@ COMMANDS:
                                                       min/max bounds
     faults  run under a seeded fault plan, report resilience vs the clean run
             (run flags) --plan quiet|light|moderate|severe (moderate)
-            --check               executor-determinism + cap-bound self-test
-    sanitize schedule-permutation sanitizer: re-run the pooled executor under
-            adversarially permuted worker reply orders; every outcome must be
-            byte-identical to the serial run
-            (run flags) --orderings N (16)   permutation seeds per worker count
-            --parallel N          single worker count (absent = 2 and 3)
+            --check               trace-validity + cap-bound self-test
     soak    chaos soak: kill a checkpointing run at seeded quanta, resume
             from hcapp.ckpt, gate the stitched outcome/trace/report against
             the uninterrupted oracle at tolerance zero
@@ -84,20 +76,18 @@ COMMANDS:
             --keep                retain hcapp.ckpt / hcapp.trace artifacts
             --worker [--stop-at Q]  single resumable link (scripts/soak.sh
                                   SIGKILLs these to soak real process death)
-    bench   quantum-stepper scaling bench: quanta/sec per package size under
-            the serial and pooled executors, plus the fixed-voltage baseline
-            batched on a coarse 10 us tick (schema hcapp.bench-kernel)
+    bench   quantum-stepper scaling bench: HCAPP quanta/sec per package size,
+            median and min..max over trials (schema hcapp.bench-kernel)
             --points LIST (3,16,64,256)   domain counts to sweep
             --ms N (10)      simulated milliseconds per run
-            --workers N (host cores, larger N clamped)   pooled pool size
-            --trials N (3)   best-of-N
+            --trials N (3)   trials per point
             --out PATH (results/BENCH_kernel.json)
     fuzz    deterministic config-space fuzzer: differential legs (serial vs
-            pooled vs permuted vs batched vs kill-and-resume vs cache) plus
-            metamorphic paper invariants, with failing-case shrinking
+            kill-and-resume vs cache) plus metamorphic paper invariants,
+            with failing-case shrinking
             --seed N (0xC0FFEE)   --cases N (64)      campaign knobs
             --smoke               fixed-seed CI corpus (byte-stable log)
-            --plant pooled|cache [--out PATH]  plant a defect, verify the
+            --plant resume|cache [--out PATH]  plant a defect, verify the
                                   catch -> shrink -> replay pipeline
             --replay PATH         rerun a committed hcapp.fuzzcase exactly
     list    available combos, benchmarks and schemes

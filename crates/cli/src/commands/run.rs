@@ -17,12 +17,11 @@ pub fn execute(args: &Args) -> Result<String, ArgError> {
     if vtrace_path.is_some() {
         run.record_voltage_trace = true;
     }
-    let workers = shared::parallel_workers(args)?;
     args.finish()?;
 
     let scheme = run.scheme;
     let duration = run.duration;
-    let out = shared::execute_sim(Simulation::new(sys, run), workers);
+    let out = Simulation::new(sys, run).run();
 
     if let (Some(path), Some(trace)) = (trace_path, out.trace.as_ref()) {
         let thin = trace.thin_to(10_000);
@@ -88,12 +87,6 @@ mod tests {
         assert!(out.contains("PPE"));
         assert!(out.contains("CPU work"));
         assert!(out.contains("SHA work"));
-    }
-
-    #[test]
-    fn parallel_executor_via_flag() {
-        let out = run_cli("--combo Mid-Mid --ms 2 --parallel 3").unwrap();
-        assert!(out.contains("avg power"));
     }
 
     #[test]

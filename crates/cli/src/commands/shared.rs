@@ -6,6 +6,7 @@ use hcapp::controller::thermal_guard::ThermalConfig;
 use hcapp::coordinator::{RunConfig, SoftwareConfig};
 use hcapp::limits::PowerLimit;
 use hcapp::outcome::RunOutcome;
+use hcapp::pid::PidGains;
 use hcapp::scheme::ControlScheme;
 use hcapp::software::ComponentKind;
 use hcapp::system::SystemConfig;
@@ -30,38 +31,40 @@ fn bad(flag: &str, value: String, expected: &'static str) -> ArgError {
 }
 
 /// Decode `--scheme` (`hcapp | rapl | sw | fixed[:volts] | custom:<us>`).
+/// A fixed voltage outside the global rail, or a zero custom period, is a
+/// flag error naming the rail range ([`ControlScheme::check`]).
 pub fn scheme(args: &Args) -> Result<ControlScheme, ArgError> {
     let s = args.string("scheme", "hcapp")?;
     let lower = s.to_ascii_lowercase();
-    match lower.as_str() {
-        "hcapp" => Ok(ControlScheme::Hcapp),
-        "rapl" | "rapl-like" => Ok(ControlScheme::RaplLike),
-        "sw" | "sw-like" | "software" => Ok(ControlScheme::SoftwareLike),
-        "fixed" => Ok(ControlScheme::fixed_baseline()),
+    let scheme = match lower.as_str() {
+        "hcapp" => ControlScheme::Hcapp,
+        "rapl" | "rapl-like" => ControlScheme::RaplLike,
+        "sw" | "sw-like" | "software" => ControlScheme::SoftwareLike,
+        "fixed" => ControlScheme::fixed_baseline(),
         other => {
             if let Some(v) = other.strip_prefix("fixed:") {
                 let volts: f64 = v
                     .parse()
                     .map_err(|_| bad("scheme", s.clone(), "fixed:<volts>"))?;
-                return Ok(ControlScheme::FixedVoltage(
-                    hcapp_sim_core::units::Volt::new(volts),
-                ));
-            }
-            if let Some(us) = other.strip_prefix("custom:") {
+                ControlScheme::FixedVoltage(hcapp_sim_core::units::Volt::new(volts))
+            } else if let Some(us) = other.strip_prefix("custom:") {
                 let us: u64 = us
                     .parse()
                     .map_err(|_| bad("scheme", s.clone(), "custom:<microseconds>"))?;
-                return Ok(ControlScheme::CustomPeriod(SimDuration::from_micros(
-                    us.max(1),
-                )));
+                ControlScheme::CustomPeriod(SimDuration::from_micros(us))
+            } else {
+                return Err(bad(
+                    "scheme",
+                    s,
+                    "hcapp, rapl, sw, fixed[:volts] or custom:<us>",
+                ));
             }
-            Err(bad(
-                "scheme",
-                s,
-                "hcapp, rapl, sw, fixed[:volts] or custom:<us>",
-            ))
         }
-    }
+    };
+    scheme
+        .check(&PidGains::paper_default())
+        .map_err(|msg| ArgError::Failed(format!("--scheme {s}: {msg}")))?;
+    Ok(scheme)
 }
 
 /// Decode `--combo` or the `--cpu`/`--gpu` pair.
@@ -136,28 +139,6 @@ pub fn degraded(args: &Args) -> Result<hcapp::DegradedConfig, ArgError> {
     cfg.try_validate()
         .map_err(|msg| ArgError::Failed(format!("invalid degraded config: {msg}")))?;
     Ok(cfg)
-}
-
-/// Decode `--parallel N`: `None` (flag absent or `0`) selects the serial
-/// coordinator, `Some(n)` the pooled executor with `n` workers. `--parallel
-/// 1` therefore means "pooled with one worker" — useful for isolating
-/// executor overhead — and every subcommand decodes the flag identically.
-pub fn parallel_workers(args: &Args) -> Result<Option<usize>, ArgError> {
-    Ok(match args.u64("parallel", 0)? as usize {
-        0 => None,
-        n => Some(n),
-    })
-}
-
-/// Run a built simulation on the executor `--parallel` selected.
-pub fn execute_sim(
-    sim: hcapp::coordinator::Simulation,
-    workers: Option<usize>,
-) -> hcapp::outcome::RunOutcome {
-    match workers {
-        Some(n) => sim.run_parallel(n),
-        None => sim.run(),
-    }
 }
 
 /// Build the system + run configs from the shared flags.
@@ -380,6 +361,32 @@ mod tests {
             ControlScheme::CustomPeriod(SimDuration::from_micros(10))
         );
         assert!(scheme(&parse("--scheme warp")).is_err());
+    }
+
+    #[test]
+    fn off_rail_fixed_voltages_and_zero_periods_are_flag_errors() {
+        assert_eq!(
+            scheme(&parse("--scheme fixed:1.3")).unwrap(),
+            ControlScheme::FixedVoltage(hcapp_sim_core::units::Volt::new(1.3))
+        );
+        for flag in ["fixed:5", "fixed:0", "fixed:-1", "fixed:nan", "fixed:inf"] {
+            let e = scheme(&parse(&format!("--scheme {flag}")))
+                .unwrap_err()
+                .to_string();
+            assert!(e.contains(flag), "{flag}: {e}");
+            assert!(e.contains("0.60..=1.30 V"), "{flag}: {e}");
+        }
+        let e = scheme(&parse("--scheme custom:0")).unwrap_err().to_string();
+        assert!(e.contains("at least 1 us"), "{e}");
+        // The whole `run` command reports it instead of panicking.
+        let e = crate::dispatch(
+            &"run --combo Hi-Hi --scheme fixed:5 --ms 1"
+                .split_whitespace()
+                .map(String::from)
+                .collect::<Vec<_>>(),
+        )
+        .unwrap_err();
+        assert!(e.contains("outside the rail range"), "{e}");
     }
 
     #[test]

@@ -68,8 +68,6 @@ fn setup(args: &Args) -> Result<SoakSetup, ArgError> {
     let plan_name = args.string("plan", "moderate")?;
     let kills = args.u64("kills", 3)?;
     let every = args.u64("every", 64)?;
-    let workers = shared::parallel_workers(args)?.unwrap_or(0);
-    let permute = args.u64("permute-seed", 0)?;
     let dir = PathBuf::from(args.string("dir", "results/soak")?);
     let keep = args.switch("keep")?;
 
@@ -86,15 +84,11 @@ fn setup(args: &Args) -> Result<SoakSetup, ArgError> {
         run = run.with_faults(plan);
     }
 
-    let mut opts = ResumeOptions::new(dir.join("hcapp.ckpt"))
+    let opts = ResumeOptions::new(dir.join("hcapp.ckpt"))
         .with_checkpoint_every(every.max(1))
-        .with_workers(workers)
         .with_trace_sink(dir.join("hcapp.trace"))
         .with_trace_extra("case", "soak")
         .with_trace_extra("seed", &seed.to_string());
-    if permute != 0 {
-        opts = opts.with_permute_seed(permute);
-    }
     Ok(SoakSetup {
         sys,
         run,

@@ -37,14 +37,14 @@ pub fn execute(args: &Args) -> Result<String, ArgError> {
     let ms = args.u64("ms", 50)?.max(1);
     let seed = args.u64("seed", 11)?;
     let scheme_list = args.string("scheme", "hcapp,rapl,sw")?;
-    // `--parallel N` like the other run commands; the sweep defaults to one
-    // worker per core instead of serial because its job list is the whole
-    // Table 3 matrix.
-    let workers = shared::parallel_workers(args)?.unwrap_or_else(|| {
-        std::thread::available_parallelism()
+    // `--parallel N` sizes the run-level pool; absent or 0 means one worker
+    // per core, because the job list is the whole Table 3 matrix.
+    let workers = match args.u64("parallel", 0)? as usize {
+        0 => std::thread::available_parallelism()
             .map(|n| n.get())
-            .unwrap_or(4)
-    });
+            .unwrap_or(4),
+        n => n,
+    };
     let no_cache = args.switch("no-cache")?;
     let cache_dir = args.string(
         "cache-dir",

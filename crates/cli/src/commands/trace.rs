@@ -33,7 +33,6 @@ pub fn execute(args: &Args) -> Result<String, ArgError> {
     let (sys, run, limit) = shared::build(args)?;
     let out_path = args.string("out", "results/trace.jsonl")?;
     let cap = args.u64("events", 1 << 16)?.max(1) as usize;
-    let workers = shared::parallel_workers(args)?;
     args.finish()?;
 
     // Keep a concrete handle so the ring's events survive the run; the
@@ -45,7 +44,7 @@ pub fn execute(args: &Args) -> Result<String, ArgError> {
         .with_profiler(profiler.clone());
     let scheme = run.scheme;
     let duration = run.duration;
-    let outcome = shared::execute_sim(Simulation::new(sys, run), workers);
+    let outcome = Simulation::new(sys, run).run();
 
     let mut guard = ring.lock().expect("invariant: tracer mutex never poisoned");
     let dropped = guard.dropped();
@@ -148,24 +147,6 @@ mod tests {
         let checked = run_cli(&format!("--check {}", path.display())).unwrap();
         assert!(checked.contains("valid hcapp.trace"));
         let _ = std::fs::remove_file(&path);
-    }
-
-    #[test]
-    fn serial_and_parallel_trace_files_match() {
-        let dir = std::env::temp_dir();
-        let a = dir.join("hcapp_cli_trace_ser.jsonl");
-        let b = dir.join("hcapp_cli_trace_par.jsonl");
-        run_cli(&format!("--combo Mid-Mid --ms 2 --out {}", a.display())).unwrap();
-        run_cli(&format!(
-            "--combo Mid-Mid --ms 2 --parallel 3 --out {}",
-            b.display()
-        ))
-        .unwrap();
-        let ta = std::fs::read_to_string(&a).unwrap();
-        let tb = std::fs::read_to_string(&b).unwrap();
-        assert_eq!(ta, tb, "serial and parallel traces must be byte-identical");
-        let _ = std::fs::remove_file(&a);
-        let _ = std::fs::remove_file(&b);
     }
 
     #[test]

@@ -42,7 +42,6 @@ pub fn dispatch(argv: &[String]) -> Result<String, String> {
         "bench" => commands::bench::execute(&args).map_err(|e| e.to_string()),
         "record" => commands::record::execute(&args).map_err(|e| e.to_string()),
         "faults" => commands::faults::execute(&args).map_err(|e| e.to_string()),
-        "sanitize" => commands::sanitize::execute(&args).map_err(|e| e.to_string()),
         "soak" => commands::soak::execute(&args).map_err(|e| e.to_string()),
         "fuzz" => commands::fuzz::execute(&args).map_err(|e| e.to_string()),
         "list" => Ok(commands::list()),

@@ -4,8 +4,8 @@
 //!
 //! This is the convenience layer the CLI and the experiment binaries use:
 //! it wraps whatever tracer the `RunConfig` already carries (so trace
-//! export keeps working), runs serially or on the worker pool, and reads
-//! the aggregated report back out — one call, no trace-file round trip.
+//! export keeps working), runs the simulation, and reads the aggregated
+//! report back out — one call, no trace-file round trip.
 
 use std::sync::{Arc, Mutex};
 
@@ -19,26 +19,15 @@ use hcapp_telemetry::SharedTracer;
 ///
 /// Any tracer already present on `run` keeps receiving every event (the
 /// analyzer forwards to it), so callers can collect a ring-buffer trace
-/// and a report from the same run. `workers` selects the executor:
-/// `None`/`Some(1)` runs serially, `Some(n > 1)` uses the worker pool —
-/// the report is byte-identical either way (pinned by the determinism
-/// suite in `crates/analyze/tests`).
-pub fn run_analyzed(
-    sys: SystemConfig,
-    mut run: RunConfig,
-    workers: Option<usize>,
-) -> (RunOutcome, RunReport) {
+/// and a report from the same run.
+pub fn run_analyzed(sys: SystemConfig, mut run: RunConfig) -> (RunOutcome, RunReport) {
     let analyzer = match run.tracer.take() {
         Some(inner) => AnalyzingTracer::wrapping(inner),
         None => AnalyzingTracer::new(),
     };
     let handle = Arc::new(Mutex::new(analyzer));
     run.tracer = Some(handle.clone() as SharedTracer);
-    let sim = Simulation::new(sys, run);
-    let outcome = match workers {
-        Some(w) if w > 1 => sim.run_parallel(w),
-        _ => sim.run(),
-    };
+    let outcome = Simulation::new(sys, run).run();
     let report = handle
         .lock()
         .expect("invariant: analyzer mutex is never poisoned")
@@ -69,7 +58,7 @@ mod tests {
     #[test]
     fn live_report_covers_the_whole_run() {
         let (sys, run) = config();
-        let (outcome, report) = run_analyzed(sys, run, None);
+        let (outcome, report) = run_analyzed(sys, run);
         assert!(outcome.avg_power.value() > 0.0);
         // Initial programming + the scheduled change.
         assert_eq!(report.get("retargets"), Some(2.0));
@@ -84,17 +73,9 @@ mod tests {
         let (sys, run) = config();
         let ring = Arc::new(Mutex::new(RingTracer::new(1 << 16)));
         let run = run.with_tracer(ring.clone() as SharedTracer);
-        let (_, report) = run_analyzed(sys, run, None);
+        let (_, report) = run_analyzed(sys, run);
         let stored = ring.lock().expect("ring lock for inspection").events().count() as f64;
         assert!(stored > 0.0, "inner tracer must keep receiving events");
         assert_eq!(report.get("events"), Some(stored));
-    }
-
-    #[test]
-    fn serial_and_pooled_reports_agree() {
-        let (sys, run) = config();
-        let (_, serial) = run_analyzed(sys.clone(), run.clone(), None);
-        let (_, pooled) = run_analyzed(sys, run, Some(4));
-        assert_eq!(serial.to_json(), pooled.to_json());
     }
 }

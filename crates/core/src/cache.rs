@@ -14,9 +14,8 @@
 //! `SystemConfig` (via its derived `Debug` rendering — deterministic
 //! because simlint rule L3 bans `HashMap`/`HashSet` from library crates,
 //! and injective for floats because Rust's `f64` Debug is
-//! shortest-roundtrip) plus every `RunConfig` field **except**
-//! `batch_quanta` (an execution-strategy knob; the determinism tests pin
-//! that it never changes results) and the `tracer`/`profiler` hooks.
+//! shortest-roundtrip) plus every `RunConfig` field **except** the
+//! `tracer`/`profiler` hooks.
 //! Runs with a tracer or profiler attached are *uncacheable* ([`job_key`]
 //! returns `None`): their value is the side-channel stream, which the
 //! cache does not capture, so replaying them from disk would silently
@@ -73,7 +72,6 @@ pub fn job_key(sys: &SystemConfig, run: &RunConfig) -> Option<ContentHash> {
     h.write_str(&format!("{:?}", run.software));
     h.write_str(&format!("{:?}", run.faults));
     h.write_str(&format!("{:?}", run.degraded));
-    // run.batch_quanta deliberately omitted: execution strategy, not physics.
     Some(h.finish())
 }
 
@@ -456,13 +454,6 @@ mod tests {
         let mut run2 = run.clone();
         run2.duration = SimDuration::from_micros(300);
         assert_ne!(job_key(&sys, &run), job_key(&sys, &run2));
-    }
-
-    #[test]
-    fn key_ignores_batch_quanta() {
-        let (sys, run) = job();
-        let rebatched = run.clone().with_batch_quanta(1);
-        assert_eq!(job_key(&sys, &run), job_key(&sys, &rebatched));
     }
 
     #[test]

@@ -8,11 +8,9 @@
 //!
 //! Time is organized in quanta because the global voltage schedule for a
 //! quantum is fully determined at its boundary (the VR slews toward a fixed
-//! setpoint), so domains are independent inside a quantum. The run loop is
-//! generic over a `DomainExecutor`; the serial executor here and the
-//! worker-pool executor in [`crate::parallel`] share [`Domain::run_quantum`]
-//! and produce bit-identical results (per-domain powers are merged in domain
-//! order in both).
+//! setpoint), so domains are independent inside a quantum. The run loop
+//! advances its domains one quantum at a time, in domain order, through
+//! [`Domain::run_quantum`], and sums their per-tick powers in that order.
 
 use std::sync::Arc;
 
@@ -115,8 +113,8 @@ pub struct RunConfig {
     /// Structured-telemetry sink. `None` (the default) keeps the run loop on
     /// its zero-cost path: the hook's `enabled()` is read once per run, and
     /// no event is ever constructed when it is absent or disabled. Events
-    /// are buffered per quantum and recorded with one lock acquisition, in
-    /// an order independent of the executor (serial == parallel).
+    /// are buffered per quantum and recorded with one lock acquisition:
+    /// global events first, then per-domain events in domain order.
     pub tracer: Option<SharedTracer>,
     /// Wall-clock phase profiler. Strictly observational: its readings never
     /// feed back into simulated time or control decisions (see simlint L3),
@@ -128,14 +126,6 @@ pub struct RunConfig {
     pub faults: Option<FaultPlan>,
     /// Degradation tuning, consulted only when `faults` is set.
     pub degraded: DegradedConfig,
-    /// Upper bound on how many control quanta the coordinator ships to the
-    /// executor per dispatch (default [`BATCH_QUANTA`]). Batching only
-    /// engages when there is no per-quantum feedback into the coordinator —
-    /// see [`BATCH_QUANTA`] — so this knob trades executor round trips
-    /// against working-set size and never changes results (pinned by the
-    /// determinism tests). `1` forces per-quantum dispatch, which the
-    /// scaling bench uses as its comparison point.
-    pub batch_quanta: usize,
 }
 
 impl RunConfig {
@@ -160,16 +150,7 @@ impl RunConfig {
             profiler: None,
             faults: None,
             degraded: DegradedConfig::default(),
-            batch_quanta: BATCH_QUANTA,
         }
-    }
-
-    /// Override the executor batch bound (builder style). `1` forces
-    /// per-quantum dispatch; larger values only take effect on runs with no
-    /// per-quantum feedback (see [`BATCH_QUANTA`]).
-    pub fn with_batch_quanta(mut self, batch_quanta: usize) -> Self {
-        self.batch_quanta = batch_quanta.max(1);
-        self
     }
 
     /// Enable power-trace recording (builder style).
@@ -229,10 +210,16 @@ impl RunConfig {
     /// Validate invariants against a system configuration.
     ///
     /// # Panics
-    /// Panics if durations don't divide by the system tick.
+    /// Panics if durations don't divide by the system tick, or if the
+    /// scheme fails [`ControlScheme::check`] against the system's rail.
     pub fn validate(&self, sys: &SystemConfig) {
         assert!(!self.duration.is_zero(), "zero run duration");
         assert!(self.power_target.value() > 0.0, "non-positive target");
+        assert_eq!(
+            self.scheme.check(&sys.pid),
+            Ok(()),
+            "invalid control scheme"
+        );
         let tick = sys.tick.as_nanos();
         assert!(
             self.duration.as_nanos().is_multiple_of(tick),
@@ -250,7 +237,6 @@ impl RunConfig {
                 "control period must be a multiple of the tick"
             );
         }
-        assert!(self.batch_quanta >= 1, "zero batch bound");
         self.degraded.validate();
         if let Some(plan) = &self.faults {
             plan.validate();
@@ -260,155 +246,6 @@ impl RunConfig {
 
 /// The fallback quantum for the uncontrolled fixed-voltage baseline.
 pub(crate) const FIXED_QUANTUM: SimDuration = SimDuration::from_micros(100);
-
-/// Default number of control quanta the coordinator ships to an executor in
-/// one batch. Batching only happens when there is provably no per-quantum
-/// feedback into the coordinator — the fixed-voltage baseline with no fault
-/// plan and no tracer attached. The dynamic schemes *cannot* batch across
-/// quanta without changing results: the global PID reads the previous
-/// quantum's sensed power at every boundary (§4.1), so each quantum's
-/// voltage schedule depends on the one before it. For those, the win comes
-/// from the pooled executor's per-worker reply merging instead (see
-/// [`crate::parallel`]). The value therefore trades executor round trips
-/// against working-set size, never correctness.
-pub const BATCH_QUANTA: usize = 32;
-
-/// One control quantum's worth of executor input, referencing slices of the
-/// batch-wide `v_sched`/`power_acc` buffers via `offset..offset + n`.
-#[derive(Debug, Clone, Copy)]
-pub(crate) struct QuantumSpec {
-    /// Start time of the quantum.
-    pub(crate) t0: SimTime,
-    /// First tick of this quantum inside the batch buffers.
-    pub(crate) offset: usize,
-    /// Number of ticks in this quantum.
-    pub(crate) n: usize,
-    /// Whether local controllers update at this quantum's boundary.
-    pub(crate) update_local: bool,
-}
-
-/// Abstraction over how the domain set advances through a *batch* of
-/// quanta — serial in this module, worker-pool in [`crate::parallel`].
-pub(crate) trait DomainExecutor {
-    /// Component kind of each domain, in order.
-    fn kinds(&self) -> Vec<ComponentKind>;
-    /// Nominal work rate of each domain (see [`Domain::nominal_rate`]).
-    fn nominal_rates(&self) -> Vec<f64>;
-    /// Current cumulative work per domain.
-    fn work_done(&mut self) -> Vec<f64>;
-    /// Advance all domains through `quanta`, adding per-tick powers into
-    /// `power_acc` (indexed by each spec's `offset..offset + n`) in domain
-    /// order, so the floating-point sums are bit-identical across
-    /// executors. `ctls` carries the per-domain command (priority,
-    /// throttle, faults) shared by every quantum of the batch — the
-    /// coordinator only batches when the commands are quantum-invariant.
-    /// Each domain's heartbeat for the batch's *last* quantum is written
-    /// into `heartbeats` at the domain's index (the health watchdogs only
-    /// run under a fault plan, where batches are single-quantum). When
-    /// `events` is `Some`, the batch is a single quantum and per-domain
-    /// trace events are appended *in domain order* regardless of execution
-    /// order, so traces are executor-independent too.
-    #[allow(clippy::too_many_arguments)]
-    fn run_batch(
-        &mut self,
-        quanta: &[QuantumSpec],
-        v_sched: &[f64],
-        ctls: &[QuantumCtl],
-        tick: SimDuration,
-        power_acc: &mut [f64],
-        heartbeats: &mut [bool],
-        events: Option<&mut Vec<TraceEvent>>,
-    );
-
-    /// Serialize every domain's checkpoint payload, in domain-index order
-    /// (the resume layer stores them as `domain.<i>` sections). Must only
-    /// be called at a batch boundary, where no quantum is in flight.
-    fn domain_states(&mut self) -> Vec<String>;
-
-    /// Restore payloads produced by [`DomainExecutor::domain_states`]
-    /// (same indexing). `None` if any payload is missing, malformed, or
-    /// shaped for a different system configuration.
-    fn restore_domain_states(&mut self, states: &[String]) -> Option<()>;
-}
-
-/// Serialize one domain with the sim-core state codec.
-pub(crate) fn encode_domain_state(d: &Domain) -> String {
-    use hcapp_sim_core::state::Snapshot;
-    let mut w = hcapp_sim_core::state::StateWriter::new();
-    d.save_state(&mut w);
-    w.finish()
-}
-
-/// Restore one domain from [`encode_domain_state`]'s payload, requiring the
-/// payload to be fully consumed.
-pub(crate) fn decode_domain_state(d: &mut Domain, payload: &str) -> Option<()> {
-    use hcapp_sim_core::state::Snapshot;
-    let mut r = hcapp_sim_core::state::StateReader::new(payload);
-    d.load_state(&mut r)?;
-    r.finished()
-}
-
-/// In-process executor over the owned domain list.
-pub(crate) struct SerialExecutor {
-    pub(crate) domains: Vec<Domain>,
-}
-
-impl DomainExecutor for SerialExecutor {
-    fn kinds(&self) -> Vec<ComponentKind> {
-        self.domains.iter().map(|d| d.kind).collect()
-    }
-
-    fn nominal_rates(&self) -> Vec<f64> {
-        self.domains.iter().map(|d| d.nominal_rate).collect()
-    }
-
-    fn work_done(&mut self) -> Vec<f64> {
-        self.domains.iter().map(|d| d.sim.work_done()).collect()
-    }
-
-    #[allow(clippy::too_many_arguments)]
-    fn run_batch(
-        &mut self,
-        quanta: &[QuantumSpec],
-        v_sched: &[f64],
-        ctls: &[QuantumCtl],
-        tick: SimDuration,
-        power_acc: &mut [f64],
-        heartbeats: &mut [bool],
-        mut events: Option<&mut Vec<TraceEvent>>,
-    ) {
-        // Quantum-major, domain-minor: the same tick order the original
-        // per-quantum loop executed, which appends events in domain order
-        // within each quantum.
-        for q in quanta {
-            for (i, (d, c)) in self.domains.iter_mut().zip(ctls).enumerate() {
-                heartbeats[i] = d.run_quantum(
-                    q.t0,
-                    &v_sched[q.offset..q.offset + q.n],
-                    q.update_local,
-                    c,
-                    tick,
-                    &mut power_acc[q.offset..q.offset + q.n],
-                    events.as_deref_mut(),
-                );
-            }
-        }
-    }
-
-    fn domain_states(&mut self) -> Vec<String> {
-        self.domains.iter().map(encode_domain_state).collect()
-    }
-
-    fn restore_domain_states(&mut self, states: &[String]) -> Option<()> {
-        if states.len() != self.domains.len() {
-            return None;
-        }
-        for (d, s) in self.domains.iter_mut().zip(states) {
-            decode_domain_state(d, s)?;
-        }
-        Some(())
-    }
-}
 
 /// The central simulation controller.
 pub struct Simulation {
@@ -461,47 +298,22 @@ impl Simulation {
         &self.domains
     }
 
-    /// Run to completion with the serial executor.
+    /// Run to completion.
     pub fn run(self) -> RunOutcome {
-        let Simulation {
-            sys,
-            run,
-            domains,
-            global_ctl,
-            vr,
-            sensor,
-            policy,
-        } = self;
-        let executor = SerialExecutor { domains };
-        run_loop(sys, run, global_ctl, vr, sensor, policy, executor)
+        let mut driver = LoopDriver::new(self);
+        while !driver.is_done() {
+            driver.step_quantum();
+        }
+        driver.finish()
     }
-}
-
-/// The quantum-granular run loop shared by the serial and parallel
-/// executors.
-pub(crate) fn run_loop<E: DomainExecutor>(
-    sys: SystemConfig,
-    run: RunConfig,
-    global_ctl: GlobalController,
-    vr: VoltageRegulator,
-    sensor: PowerSensor,
-    policy: Box<dyn SoftwarePolicy>,
-    executor: E,
-) -> RunOutcome {
-    let mut driver = LoopDriver::new(sys, run, global_ctl, vr, sensor, policy, executor);
-    while !driver.is_done() {
-        driver.step_batch();
-    }
-    driver.finish()
 }
 
 /// The run loop reified as a stepwise driver, so the checkpoint/resume
-/// layer ([`crate::resume`]) can pause a run at any batch boundary.
-/// `new` + `step_batch`-until-done + `finish` execute the exact statement
-/// sequence the single-function loop used to, so the reification cannot
-/// change results — [`run_loop`] is that composition, and every existing
-/// determinism test pins it.
-pub(crate) struct LoopDriver<E: DomainExecutor> {
+/// layer ([`crate::resume`]) can pause a run at any quantum boundary.
+/// [`Simulation::run`] is `new` + `step_quantum`-until-done + `finish`,
+/// and the resume driver executes the same sequence with checkpoints in
+/// between, so pausing cannot change results.
+pub(crate) struct LoopDriver {
     // Configuration and values derived from it once in `new` (rebuilt, not
     // checkpointed: a resumed run re-derives them from the same config).
     sys: SystemConfig,
@@ -513,10 +325,7 @@ pub(crate) struct LoopDriver<E: DomainExecutor> {
     quantum_ticks: usize,
     total_ticks: usize,
     trace_ticks: usize,
-    kinds: Vec<ComponentKind>,
-    nominal_rates: Vec<f64>,
     sw_interval: u64,
-    n_domains: usize,
     injector: Option<FaultInjector>,
     degraded: DegradedConfig,
     tracer: Option<SharedTracer>,
@@ -524,13 +333,12 @@ pub(crate) struct LoopDriver<E: DomainExecutor> {
     profiler: Option<Arc<Profiler>>,
     v_floor: Volt,
     v_ceil: Volt,
-    max_batch: usize,
     // The controlled components.
     global_ctl: GlobalController,
     vr: VoltageRegulator,
     sensor: PowerSensor,
     policy: Box<dyn SoftwarePolicy>,
-    executor: E,
+    domains: Vec<Domain>,
     // Loop state proper (checkpointed by `save_sections`).
     trackers: Vec<WindowedMaxTracker>,
     trace: Option<TimeSeries>,
@@ -556,22 +364,23 @@ pub(crate) struct LoopDriver<E: DomainExecutor> {
     peak_hold: f64,
     retarget_cursor: usize,
     prev_t0: Option<SimTime>,
-    /// Batch-scoped scratch buffers, allocated once and reused per batch
-    /// (never live across a boundary; see [`crate::kernel`]).
+    /// Quantum-scoped scratch buffers, allocated once and reused by every
+    /// quantum (never live across a boundary; see [`crate::kernel`]).
     arena: BatchArena,
 }
 
-impl<E: DomainExecutor> LoopDriver<E> {
-    /// Everything the original loop did before its first iteration.
-    pub(crate) fn new(
-        sys: SystemConfig,
-        run: RunConfig,
-        global_ctl: GlobalController,
-        mut vr: VoltageRegulator,
-        sensor: PowerSensor,
-        policy: Box<dyn SoftwarePolicy>,
-        mut executor: E,
-    ) -> Self {
+impl LoopDriver {
+    /// Everything the loop does before its first quantum.
+    pub(crate) fn new(sim: Simulation) -> Self {
+        let Simulation {
+            sys,
+            run,
+            domains,
+            global_ctl,
+            mut vr,
+            sensor,
+            policy,
+        } = sim;
         let tick = sys.tick;
         let tick_s = tick.as_secs_f64();
         let dynamic = run.scheme.control_period().is_some();
@@ -600,30 +409,28 @@ impl<E: DomainExecutor> LoopDriver<E> {
         let trace_ticks = run.trace_interval.ticks(tick) as usize;
 
         // Software-policy bookkeeping.
-        let kinds = executor.kinds();
-        let nominal_rates = executor.nominal_rates();
         let sw_interval = policy.interval_periods().max(1);
-        let work_snapshot = executor.work_done();
-        let progress: Vec<DomainProgress> = kinds
-            .iter()
-            .map(|&kind| DomainProgress {
-                kind,
-                relative_rate: 1.0,
-            })
-            .collect();
+        let lanes = DomainLanes::new(
+            domains.iter().map(|d| d.sim.work_done()).collect(),
+            domains
+                .iter()
+                .map(|d| DomainProgress {
+                    kind: d.kind,
+                    relative_rate: 1.0,
+                })
+                .collect(),
+        );
 
         // Fault injection + graceful degradation. Without a plan the
         // injector is never built and every guard below is a single branch
         // on `None`; the clean path multiplies by bitwise-1.0 throttles
         // only, so fault-free runs stay byte-identical to a coordinator
         // without this layer.
-        let n_domains = kinds.len();
         let injector = run
             .faults
             .as_ref()
             .map(|p| FaultInjector::new(p.clone(), period));
         let degraded = run.degraded;
-        let lanes = DomainLanes::new(work_snapshot, progress);
 
         // Telemetry: resolve the hooks once per run. Without a tracer (or
         // with a disabled one, e.g. NullTracer) `tracing` stays false and no
@@ -654,20 +461,7 @@ impl<E: DomainExecutor> LoopDriver<E> {
         }
 
         let (v_floor, v_ceil) = (Volt::new(sys.pid.out_min), Volt::new(sys.pid.out_max));
-
-        // Batch sizing. Multi-quantum dispatch is only sound when nothing
-        // below consumes per-quantum feedback: no dynamic control (the
-        // global PID reads the previous quantum's sensed power at every
-        // boundary), no fault plan (injection decisions and the watchdogs
-        // act per quantum) and no tracer (events flush per quantum).
-        // Otherwise every batch is a single quantum, which reproduces the
-        // pre-batching loop op for op.
-        let max_batch = if dynamic || injector.is_some() || tracing {
-            1
-        } else {
-            run.batch_quanta.max(1)
-        };
-        let arena = BatchArena::new(quantum_ticks, max_batch, total_ticks);
+        let arena = BatchArena::new(quantum_ticks, total_ticks);
 
         LoopDriver {
             sys,
@@ -679,10 +473,7 @@ impl<E: DomainExecutor> LoopDriver<E> {
             quantum_ticks,
             total_ticks,
             trace_ticks,
-            kinds,
-            nominal_rates,
             sw_interval,
-            n_domains,
             injector,
             degraded,
             tracer,
@@ -690,12 +481,11 @@ impl<E: DomainExecutor> LoopDriver<E> {
             profiler,
             v_floor,
             v_ceil,
-            max_batch,
             global_ctl,
             vr,
             sensor,
             policy,
-            executor,
+            domains,
             trackers,
             trace,
             voltage_trace,
@@ -732,336 +522,343 @@ impl<E: DomainExecutor> LoopDriver<E> {
         self.quantum_index
     }
 
-    /// One iteration of the original `while done < total_ticks` loop:
-    /// assemble a batch of quanta, dispatch it to the executor, fold the
-    /// results into the package-level accumulators. After it returns the
-    /// driver sits at a batch boundary — the only place a checkpoint is
-    /// coherent.
-    pub(crate) fn step_batch(&mut self) {
-        // Assemble up to `max_batch` quanta. The per-quantum head (fault
-        // injection, global control, VR scheduling, command assembly) runs
-        // once per quantum exactly as before; only the executor dispatch
-        // below is amortized across the batch.
-        self.arena.batch.clear();
-        let mut batch_ticks = 0usize;
-        while self.arena.batch.len() < self.max_batch && self.done + batch_ticks < self.total_ticks {
-            let n = self.quantum_ticks.min(self.total_ticks - self.done - batch_ticks);
-            let t0 = SimTime::from_nanos((self.done + batch_ticks) as u64 * self.tick.as_nanos());
-            crate::invariants::check_time_monotonic("run_loop quantum", self.prev_t0, t0);
-            self.prev_t0 = Some(t0);
+    /// One control quantum: fault injection, global control, VR
+    /// scheduling and command assembly at the boundary, then every domain
+    /// through the quantum, then the package-level accumulators. After it
+    /// returns the driver sits at a quantum boundary — the only place a
+    /// checkpoint is coherent.
+    pub(crate) fn step_quantum(&mut self) {
+        let n = self.quantum_ticks.min(self.total_ticks - self.done);
+        let t0 = SimTime::from_nanos(self.done as u64 * self.tick.as_nanos());
+        crate::invariants::check_time_monotonic("run_loop quantum", self.prev_t0, t0);
+        self.prev_t0 = Some(t0);
 
-            // VR-side faults apply at the quantum boundary, before the
-            // control step, so the controller reacts to a post-droop world.
-            if let Some(inj) = self.injector.as_ref() {
-                if let Some(depth) = inj.vr_droop(t0) {
-                    self.vr.droop(depth);
+        // VR-side faults apply at the quantum boundary, before the control
+        // step, so the controller reacts to a post-droop world.
+        if let Some(inj) = self.injector.as_ref() {
+            if let Some(depth) = inj.vr_droop(t0) {
+                self.vr.droop(depth);
+                self.resilience.faults_injected += 1;
+                if self.tracing {
+                    self.ev_buf.push(TraceEvent::FaultInjected {
+                        t: t0,
+                        point: "vr_droop",
+                        domain: None,
+                        magnitude: depth,
+                    });
+                }
+            }
+            let derate = inj.vr_slew_derate(t0);
+            self.vr.set_slew_derate(derate.unwrap_or(1.0));
+            if let Some(factor) = derate {
+                if !self.slew_fault_active {
                     self.resilience.faults_injected += 1;
                     if self.tracing {
                         self.ev_buf.push(TraceEvent::FaultInjected {
                             t: t0,
-                            point: "vr_droop",
+                            point: "vr_slew_derate",
                             domain: None,
-                            magnitude: depth,
+                            magnitude: factor,
                         });
                     }
                 }
-                let derate = inj.vr_slew_derate(t0);
-                self.vr.set_slew_derate(derate.unwrap_or(1.0));
-                if let Some(factor) = derate {
-                    if !self.slew_fault_active {
+            }
+            self.slew_fault_active = derate.is_some();
+        }
+
+        if self.dynamic {
+            let _span = self.profiler.as_deref().map(|p| p.span("control"));
+            // Apply any scheduled power-target changes that have matured.
+            while let Some(&(at, target)) = self.run.retargets.get(self.retarget_cursor) {
+                if at > t0 {
+                    break;
+                }
+                self.global_ctl.set_target(target);
+                if self.tracing {
+                    self.ev_buf.push(TraceEvent::Retarget { t: t0, target });
+                }
+                self.retarget_cursor += 1;
+            }
+            // Software policy at its (much slower) interval.
+            if self.quantum_index.is_multiple_of(self.sw_interval) {
+                let elapsed_ticks = (self.done - self.last_policy_tick).max(1);
+                let elapsed_ns = elapsed_ticks as f64 * self.tick.as_nanos() as f64;
+                for ((d, snapshot), progress) in self
+                    .domains
+                    .iter()
+                    .zip(&mut self.lanes.work_snapshot)
+                    .zip(&mut self.lanes.progress)
+                {
+                    let work_now = d.sim.work_done();
+                    let delta = work_now - *snapshot;
+                    *progress = DomainProgress {
+                        kind: d.kind,
+                        relative_rate: if d.nominal_rate > 0.0 {
+                            delta / (elapsed_ns * d.nominal_rate)
+                        } else {
+                            1.0
+                        },
+                    };
+                    *snapshot = work_now;
+                }
+                self.policy
+                    .update(&self.lanes.progress, &mut self.lanes.priorities);
+                self.last_policy_tick = self.done;
+            }
+            // Global control action (Eq. 1 + Eq. 2). The controller reads
+            // the sensing circuitry's *peak-hold* register — the maximum
+            // power observed since its last action. For HCAPP's 1 µs period
+            // this is essentially the instantaneous power; for the slower
+            // schemes it is what a capping firmware actually consults, and
+            // it is what makes them conservative (they see every spike they
+            // were too slow to prevent).
+            let sensed = self.peak_hold.max(self.sensor.read().value());
+            self.peak_hold = 0.0;
+            let mut p_input = Watt::new(sensed);
+            let mut clamped = false;
+            if let Some(inj) = self.injector.as_ref() {
+                // Pass the true reading through any active sensor fault —
+                // the controller only ever sees the (possibly lying) result,
+                // never the injector's oracle.
+                let fault = inj.sensor_fault(t0);
+                let reading = match fault {
+                    Some(f) => {
+                        PowerSensor::faulted_reading(Watt::new(sensed), f, self.held_reading)
+                    }
+                    None => {
+                        self.held_reading = Watt::new(sensed);
+                        Watt::new(sensed)
+                    }
+                };
+                if let Some(f) = fault {
+                    if !self.sensor_fault_active {
                         self.resilience.faults_injected += 1;
                         if self.tracing {
+                            let (point, magnitude) = match f {
+                                SensorFault::Noise { factor } => ("sensor_noise", factor),
+                                SensorFault::StuckAt => ("sensor_stuck", f64::NAN),
+                                SensorFault::Dropout => ("sensor_dropout", f64::NAN),
+                            };
                             self.ev_buf.push(TraceEvent::FaultInjected {
                                 t: t0,
-                                point: "vr_slew_derate",
+                                point,
                                 domain: None,
-                                magnitude: factor,
+                                magnitude,
                             });
                         }
                     }
                 }
-                self.slew_fault_active = derate.is_some();
-            }
-
-            if self.dynamic {
-                let _span = self.profiler.as_deref().map(|p| p.span("control"));
-                // Apply any scheduled power-target changes that have
-                // matured.
-                while self.retarget_cursor < self.run.retargets.len() {
-                    // simlint: allow(L6): cursor bounds-checked by the loop condition one line up
-                    let (at, target) = self.run.retargets[self.retarget_cursor];
-                    if at <= t0 {
-                        self.global_ctl.set_target(target);
-                        if self.tracing {
-                            self.ev_buf.push(TraceEvent::Retarget { t: t0, target });
-                        }
-                        self.retarget_cursor += 1;
-                    } else {
-                        break;
-                    }
-                }
-                // Software policy at its (much slower) interval.
-                if self.quantum_index.is_multiple_of(self.sw_interval) {
-                    let work_now = self.executor.work_done();
-                    let elapsed_ticks = (self.done - self.last_policy_tick).max(1);
-                    let elapsed_ns = elapsed_ticks as f64 * self.tick.as_nanos() as f64;
-                    for (i, kind) in self.kinds.iter().enumerate() {
-                        let delta = work_now[i] - self.lanes.work_snapshot[i];
-                        self.lanes.progress[i] = DomainProgress {
-                            kind: *kind,
-                            relative_rate: if self.nominal_rates[i] > 0.0 {
-                                delta / (elapsed_ns * self.nominal_rates[i])
-                            } else {
-                                1.0
-                            },
-                        };
-                    }
-                    self.lanes.work_snapshot = work_now;
-                    self.policy.update(&self.lanes.progress, &mut self.lanes.priorities);
-                    self.last_policy_tick = self.done;
-                }
-                // Global control action (Eq. 1 + Eq. 2). The controller
-                // reads the sensing circuitry's *peak-hold* register — the
-                // maximum power observed since its last action. For HCAPP's
-                // 1 µs period this is essentially the instantaneous power;
-                // for the slower schemes it is what a capping firmware
-                // actually consults, and it is what makes them conservative
-                // (they see every spike they were too slow to prevent).
-                let sensed = self.peak_hold.max(self.sensor.read().value());
-                self.peak_hold = 0.0;
-                let mut p_input = Watt::new(sensed);
-                let mut clamped = false;
-                if let Some(inj) = self.injector.as_ref() {
-                    // Pass the true reading through any active sensor fault
-                    // — the controller only ever sees the (possibly lying)
-                    // result, never the injector's oracle.
-                    let fault = inj.sensor_fault(t0);
-                    let reading = match fault {
-                        Some(f) => {
-                            PowerSensor::faulted_reading(Watt::new(sensed), f, self.held_reading)
-                        }
-                        None => {
-                            self.held_reading = Watt::new(sensed);
-                            Watt::new(sensed)
-                        }
-                    };
-                    if let Some(f) = fault {
-                        if !self.sensor_fault_active {
-                            self.resilience.faults_injected += 1;
-                            if self.tracing {
-                                let (point, magnitude) = match f {
-                                    SensorFault::Noise { factor } => ("sensor_noise", factor),
-                                    SensorFault::StuckAt => ("sensor_stuck", f64::NAN),
-                                    SensorFault::Dropout => ("sensor_dropout", f64::NAN),
-                                };
-                                self.ev_buf.push(TraceEvent::FaultInjected {
-                                    t: t0,
-                                    point,
-                                    domain: None,
-                                    magnitude,
-                                });
-                            }
-                        }
-                    }
-                    self.sensor_fault_active = fault.is_some();
-                    // Watchdog on the observable symptom: a reading that
-                    // stays frozen while the rail moves away from it.
-                    if let Some((from, to)) =
-                        self.sensor_dog
-                            .observe(reading.value(), self.vr.output().value(), &self.degraded)
-                    {
-                        self.resilience.health_transitions += 1;
-                        if self.tracing {
-                            self.ev_buf.push(TraceEvent::HealthTransition {
-                                t: t0,
-                                subject: "sensor",
-                                domain: None,
-                                from: from.name(),
-                                to: to.name(),
-                            });
-                        }
-                    }
-                    // A faulted sensor is replaced by the worst-case power
-                    // at the present rail voltage: regulation errs low, not
-                    // blind.
-                    p_input = if self.sensor_dog.state() == HealthState::Faulted {
-                        self.sys.peak_power_at(self.vr.output())
-                    } else {
-                        reading
-                    };
-                    // Trip strictly above P_SPEC × margin: settled
-                    // regulation hovers a hair over the setpoint by design
-                    // (see the near-miss counter), and must not engage the
-                    // clamp.
-                    let over = p_input.value()
-                        > self.global_ctl.target().value() * self.degraded.trip_margin;
-                    if let Some(engaged) = self.emergency.observe(over, &self.degraded) {
-                        if engaged {
-                            self.resilience.emergency_engagements += 1;
-                        }
-                        if self.tracing {
-                            self.ev_buf.push(TraceEvent::EmergencyThrottle {
-                                t: t0,
-                                engaged,
-                                estimate: p_input,
-                                target: self.global_ctl.target(),
-                                scale: self.emergency.scale(),
-                            });
-                        }
-                    }
-                    clamped = self.emergency.engaged();
-                }
-                if clamped {
-                    // Emergency: rail pinned to its floor, PID frozen (its
-                    // state resumes unchanged on release, so the incident
-                    // does not wind up the integrator).
-                    self.resilience.emergency_quanta += 1;
-                    self.vr.set_target(t0, self.v_floor);
-                } else {
-                    let v_next = self.global_ctl.update(p_input, self.period);
-                    self.vr.set_target(t0, v_next);
-                    if self.tracing {
-                        let terms = self.global_ctl.pid().last_terms();
-                        self.ev_buf.push(TraceEvent::GlobalPidStep {
-                            t: t0,
-                            p_now: p_input,
-                            setpoint: self.global_ctl.target(),
-                            v_err: terms.error,
-                            p_term: terms.p,
-                            i_term: terms.i,
-                            d_term: terms.d,
-                            v_next,
-                        });
-                    }
-                }
-            }
-
-            // Precompute the global voltage schedule for this quantum, into
-            // this quantum's slice of the batch-wide buffer.
-            {
-                let _span = self.profiler.as_deref().map(|p| p.span("vr-schedule"));
-                let sched = &mut self.arena.v_sched[batch_ticks..batch_ticks + n];
-                self.vr.schedule_into(t0, self.tick, sched);
-                for &v in sched.iter() {
-                    crate::invariants::check_voltage_in_range(
-                        "run_loop voltage schedule",
-                        Volt::new(v),
-                        self.v_floor,
-                        self.v_ceil,
-                    );
-                }
-            }
-            if self.tracing {
-                self.ev_buf.push(TraceEvent::VrSlew {
-                    t: t0,
-                    setpoint: self.vr.target(),
-                    start: Volt::new(self.arena.v_sched[batch_ticks]),
-                    end: Volt::new(self.arena.v_sched[batch_ticks + n - 1]),
-                });
-            }
-
-            // Assemble this quantum's per-domain commands. All fault
-            // decisions are made here, on the coordinator thread, from pure
-            // functions of (seed, point, domain index, quantum index) — the
-            // executors only ever see the resulting `QuantumCtl`s, which is
-            // why serial and pooled runs are byte-identical under any plan.
-            if let Some(inj) = self.injector.as_ref() {
-                let em_scale = self.emergency.scale();
-                for i in 0..self.n_domains {
-                    let link = inj.link_fault(t0, i);
-                    let ctlf = inj.ctl_fault(t0, i);
-                    if let Some(f) = link {
-                        if !self.lanes.link_fault_active[i] {
-                            self.resilience.faults_injected += 1;
-                            if self.tracing {
-                                let (point, magnitude) = match f {
-                                    LinkFault::Delay { ticks } => {
-                                        ("link_delay", f64::from(ticks))
-                                    }
-                                    LinkFault::Loss => ("link_loss", f64::NAN),
-                                };
-                                self.ev_buf.push(TraceEvent::FaultInjected {
-                                    t: t0,
-                                    point,
-                                    domain: Some(i as u32),
-                                    magnitude,
-                                });
-                            }
-                        }
-                    }
-                    self.lanes.link_fault_active[i] = link.is_some();
-                    if let Some(f) = ctlf {
-                        if !self.lanes.ctl_fault_active[i] {
-                            self.resilience.faults_injected += 1;
-                            if self.tracing {
-                                let point = match f {
-                                    CtlFault::DomainStuck => "ctl_stuck",
-                                    CtlFault::LocalSilent => "ctl_silent",
-                                };
-                                self.ev_buf.push(TraceEvent::FaultInjected {
-                                    t: t0,
-                                    point,
-                                    domain: Some(i as u32),
-                                    magnitude: f64::NAN,
-                                });
-                            }
-                        }
-                    }
-                    self.lanes.ctl_fault_active[i] = ctlf.is_some();
-                    self.lanes.ctls[i] = QuantumCtl {
-                        priority: self.lanes.priorities[i],
-                        throttle: self.lanes.dom_health[i].throttle() * em_scale,
-                        link_fault: link,
-                        ctl_fault: ctlf,
-                    };
-                }
-            } else {
-                for (c, &p) in self.lanes.ctls.iter_mut().zip(&self.lanes.priorities) {
-                    c.priority = p;
-                }
-            }
-
-            self.arena.batch.push(QuantumSpec {
-                t0,
-                offset: batch_ticks,
-                n,
-                update_local: self.dynamic,
-            });
-            batch_ticks += n;
-            self.quantum_index += 1;
-        }
-
-        // Advance every domain through the batch.
-        self.arena.power_acc[..batch_ticks].fill(0.0);
-        {
-            let _span = self.profiler.as_deref().map(|p| p.span("domains"));
-            self.executor.run_batch(
-                &self.arena.batch,
-                &self.arena.v_sched[..batch_ticks],
-                &self.lanes.ctls,
-                self.tick,
-                &mut self.arena.power_acc[..batch_ticks],
-                &mut self.lanes.heartbeats,
-                self.tracing.then_some(&mut self.ev_buf),
-            );
-        }
-        // Feed the heartbeats back into the per-domain watchdogs — appended
-        // after the executor's per-domain events, still in domain order. A
-        // fault plan forces single-quantum batches, so the batch's last (and
-        // only) quantum is the one the heartbeats belong to.
-        if self.injector.is_some() {
-            let t_beat = self
-                .arena
-                .batch
-                .last()
-                .expect("invariant: the run loop never dispatches an empty batch")
-                .t0;
-            for (i, dh) in self.lanes.dom_health.iter_mut().enumerate() {
-                if let Some((from, to)) = dh.observe(self.lanes.heartbeats[i], &self.degraded) {
+                self.sensor_fault_active = fault.is_some();
+                // Watchdog on the observable symptom: a reading that stays
+                // frozen while the rail moves away from it.
+                if let Some((from, to)) = self.sensor_dog.observe(
+                    reading.value(),
+                    self.vr.output().value(),
+                    &self.degraded,
+                ) {
                     self.resilience.health_transitions += 1;
                     if self.tracing {
                         self.ev_buf.push(TraceEvent::HealthTransition {
-                            t: t_beat,
+                            t: t0,
+                            subject: "sensor",
+                            domain: None,
+                            from: from.name(),
+                            to: to.name(),
+                        });
+                    }
+                }
+                // A faulted sensor is replaced by the worst-case power at
+                // the present rail voltage: regulation errs low, not blind.
+                p_input = if self.sensor_dog.state() == HealthState::Faulted {
+                    self.sys.peak_power_at(self.vr.output())
+                } else {
+                    reading
+                };
+                // Trip strictly above P_SPEC × margin: settled regulation
+                // hovers a hair over the setpoint by design (see the
+                // near-miss counter), and must not engage the clamp.
+                let over =
+                    p_input.value() > self.global_ctl.target().value() * self.degraded.trip_margin;
+                if let Some(engaged) = self.emergency.observe(over, &self.degraded) {
+                    if engaged {
+                        self.resilience.emergency_engagements += 1;
+                    }
+                    if self.tracing {
+                        self.ev_buf.push(TraceEvent::EmergencyThrottle {
+                            t: t0,
+                            engaged,
+                            estimate: p_input,
+                            target: self.global_ctl.target(),
+                            scale: self.emergency.scale(),
+                        });
+                    }
+                }
+                clamped = self.emergency.engaged();
+            }
+            if clamped {
+                // Emergency: rail pinned to its floor, PID frozen (its state
+                // resumes unchanged on release, so the incident does not
+                // wind up the integrator).
+                self.resilience.emergency_quanta += 1;
+                self.vr.set_target(t0, self.v_floor);
+            } else {
+                let v_next = self.global_ctl.update(p_input, self.period);
+                self.vr.set_target(t0, v_next);
+                if self.tracing {
+                    let terms = self.global_ctl.pid().last_terms();
+                    self.ev_buf.push(TraceEvent::GlobalPidStep {
+                        t: t0,
+                        p_now: p_input,
+                        setpoint: self.global_ctl.target(),
+                        v_err: terms.error,
+                        p_term: terms.p,
+                        i_term: terms.i,
+                        d_term: terms.d,
+                        v_next,
+                    });
+                }
+            }
+        }
+
+        // The quantum's slices of the arena: the last quantum of a run may
+        // be cut short by the end of the run.
+        let (v_sched, _) = self.arena.v_sched.split_at_mut(n);
+        let (power_acc, _) = self.arena.power_acc.split_at_mut(n);
+
+        // Precompute the global voltage schedule for this quantum.
+        {
+            let _span = self.profiler.as_deref().map(|p| p.span("vr-schedule"));
+            self.vr.schedule_into(t0, self.tick, v_sched);
+            for &v in v_sched.iter() {
+                crate::invariants::check_voltage_in_range(
+                    "run_loop voltage schedule",
+                    Volt::new(v),
+                    self.v_floor,
+                    self.v_ceil,
+                );
+            }
+        }
+        if self.tracing {
+            if let (Some(&start), Some(&end)) = (v_sched.first(), v_sched.last()) {
+                self.ev_buf.push(TraceEvent::VrSlew {
+                    t: t0,
+                    setpoint: self.vr.target(),
+                    start: Volt::new(start),
+                    end: Volt::new(end),
+                });
+            }
+        }
+
+        // Assemble this quantum's per-domain commands. All fault decisions
+        // are pure functions of (seed, point, domain index, quantum index),
+        // so a resumed run re-derives them exactly.
+        if let Some(inj) = self.injector.as_ref() {
+            let em_scale = self.emergency.scale();
+            let lanes = &mut self.lanes;
+            let per_domain = lanes
+                .ctls
+                .iter_mut()
+                .zip(&lanes.priorities)
+                .zip(&lanes.dom_health)
+                .zip(
+                    lanes
+                        .link_fault_active
+                        .iter_mut()
+                        .zip(&mut lanes.ctl_fault_active),
+                );
+            for (i, (((ctl, &priority), health), (link_active, ctl_active))) in
+                per_domain.enumerate()
+            {
+                let link = inj.link_fault(t0, i);
+                let ctlf = inj.ctl_fault(t0, i);
+                if let Some(f) = link {
+                    if !*link_active {
+                        self.resilience.faults_injected += 1;
+                        if self.tracing {
+                            let (point, magnitude) = match f {
+                                LinkFault::Delay { ticks } => ("link_delay", f64::from(ticks)),
+                                LinkFault::Loss => ("link_loss", f64::NAN),
+                            };
+                            self.ev_buf.push(TraceEvent::FaultInjected {
+                                t: t0,
+                                point,
+                                domain: Some(i as u32),
+                                magnitude,
+                            });
+                        }
+                    }
+                }
+                *link_active = link.is_some();
+                if let Some(f) = ctlf {
+                    if !*ctl_active {
+                        self.resilience.faults_injected += 1;
+                        if self.tracing {
+                            let point = match f {
+                                CtlFault::DomainStuck => "ctl_stuck",
+                                CtlFault::LocalSilent => "ctl_silent",
+                            };
+                            self.ev_buf.push(TraceEvent::FaultInjected {
+                                t: t0,
+                                point,
+                                domain: Some(i as u32),
+                                magnitude: f64::NAN,
+                            });
+                        }
+                    }
+                }
+                *ctl_active = ctlf.is_some();
+                *ctl = QuantumCtl {
+                    priority,
+                    throttle: health.throttle() * em_scale,
+                    link_fault: link,
+                    ctl_fault: ctlf,
+                };
+            }
+        } else {
+            for (c, &p) in self.lanes.ctls.iter_mut().zip(&self.lanes.priorities) {
+                c.priority = p;
+            }
+        }
+
+        // Advance every domain through the quantum, adding its per-tick
+        // powers into the accumulator in domain order; per-domain trace
+        // events land in the buffer in the same order.
+        power_acc.fill(0.0);
+        {
+            let _span = self.profiler.as_deref().map(|p| p.span("domains"));
+            let mut events = self.tracing.then_some(&mut self.ev_buf);
+            for ((d, c), beat) in self
+                .domains
+                .iter_mut()
+                .zip(&self.lanes.ctls)
+                .zip(&mut self.lanes.heartbeats)
+            {
+                *beat = d.run_quantum(
+                    t0,
+                    v_sched,
+                    self.dynamic,
+                    c,
+                    self.tick,
+                    power_acc,
+                    events.as_deref_mut(),
+                );
+            }
+        }
+        // Feed the heartbeats back into the per-domain watchdogs — appended
+        // after the per-domain events, still in domain order.
+        if self.injector.is_some() {
+            for (i, (dh, &beat)) in self
+                .lanes
+                .dom_health
+                .iter_mut()
+                .zip(&self.lanes.heartbeats)
+                .enumerate()
+            {
+                if let Some((from, to)) = dh.observe(beat, &self.degraded) {
+                    self.resilience.health_transitions += 1;
+                    if self.tracing {
+                        self.ev_buf.push(TraceEvent::HealthTransition {
+                            t: t0,
                             subject: "domain",
                             domain: Some(i as u32),
                             from: from.name(),
@@ -1071,12 +868,12 @@ impl<E: DomainExecutor> LoopDriver<E> {
                 }
             }
         }
-        for &p in &self.arena.power_acc[..batch_ticks] {
+        for &p in power_acc.iter() {
             crate::invariants::check_power_sane("run_loop package power", Watt::new(p));
         }
         // Flush the quantum's events with a single lock acquisition. The
         // buffer holds global events first, then per-domain events in
-        // domain order — identical for the serial and parallel executors.
+        // domain order.
         if self.tracing {
             if let Some(t) = self.tracer.as_ref() {
                 t.lock()
@@ -1085,10 +882,9 @@ impl<E: DomainExecutor> LoopDriver<E> {
             }
         }
 
-        // Aggregate package-level signals, tick-ordered across the batch.
+        // Aggregate package-level signals, tick by tick.
         let _agg_span = self.profiler.as_deref().map(|p| p.span("aggregate"));
-        for i in 0..batch_ticks {
-            let p = self.arena.power_acc[i];
+        for (&p, &v) in power_acc.iter().zip(v_sched.iter()) {
             let seen = self.sensor.sample(Watt::new(p)).value();
             if seen > self.peak_hold {
                 self.peak_hold = seen;
@@ -1097,10 +893,10 @@ impl<E: DomainExecutor> LoopDriver<E> {
                 tr.push(p);
             }
             self.energy += p * self.tick_s;
-            self.voltage_sum += self.arena.v_sched[i];
+            self.voltage_sum += v;
             if self.trace.is_some() || self.voltage_trace.is_some() {
                 self.trace_sum += p;
-                self.vtrace_sum += self.arena.v_sched[i];
+                self.vtrace_sum += v;
                 self.trace_count += 1;
                 if self.trace_count == self.trace_ticks {
                     if let Some(series) = self.trace.as_mut() {
@@ -1116,13 +912,13 @@ impl<E: DomainExecutor> LoopDriver<E> {
             }
         }
 
-        self.done += batch_ticks;
+        self.done += n;
+        self.quantum_index += 1;
     }
 
-    /// Everything the original loop did after its last iteration.
-    pub(crate) fn finish(mut self) -> RunOutcome {
+    /// Everything the loop does after its last quantum.
+    pub(crate) fn finish(self) -> RunOutcome {
         let duration_s = self.run.duration.as_secs_f64();
-        let final_work = self.executor.work_done();
         RunOutcome {
             scheme: self.run.scheme,
             duration: self.run.duration,
@@ -1135,28 +931,29 @@ impl<E: DomainExecutor> LoopDriver<E> {
                 .zip(&self.trackers)
                 .map(|(w, tr)| (*w, Watt::new(tr.max().unwrap_or(0.0))))
                 .collect(),
-            work: self.kinds.into_iter().zip(final_work).collect(),
+            work: self
+                .domains
+                .iter()
+                .map(|d| (d.kind, d.sim.work_done()))
+                .collect(),
             mean_global_voltage: self.voltage_sum / self.total_ticks as f64,
             trace: self.trace,
             voltage_trace: self.voltage_trace,
             resilience: self.resilience,
         }
     }
-}
-
-impl<E: DomainExecutor> LoopDriver<E> {
-    /// Collect every checkpoint section at a batch boundary, in a fixed
+    /// Collect every checkpoint section at a quantum boundary, in a fixed
     /// order: the coordinator's own loop state, the three package-level
-    /// components, then one section per domain. Panics if called
-    /// mid-quantum (unflushed trace events) — the resume driver only calls
-    /// it right after `step_batch`.
-    pub(crate) fn save_sections(&mut self) -> Vec<(String, String)> {
+    /// components, then one `domain.<i>` section per domain. Panics if
+    /// called mid-quantum (unflushed trace events) — the resume driver only
+    /// calls it right after `step_quantum`.
+    pub(crate) fn save_sections(&self) -> Vec<(String, String)> {
         use hcapp_sim_core::state::{Snapshot, StateWriter};
         assert!(
             self.ev_buf.is_empty(),
             "checkpoint mid-quantum: unflushed trace events"
         );
-        let mut sections = Vec::with_capacity(4 + self.n_domains);
+        let mut sections = Vec::with_capacity(4 + self.domains.len());
         let mut w = StateWriter::new();
         self.save_loop(&mut w);
         sections.push(("loop".to_string(), w.finish()));
@@ -1169,8 +966,10 @@ impl<E: DomainExecutor> LoopDriver<E> {
         let mut w = StateWriter::new();
         self.sensor.save_state(&mut w);
         sections.push(("sensor".to_string(), w.finish()));
-        for (i, s) in self.executor.domain_states().into_iter().enumerate() {
-            sections.push((format!("domain.{i}"), s));
+        for (i, d) in self.domains.iter().enumerate() {
+            let mut w = StateWriter::new();
+            d.save_state(&mut w);
+            sections.push((format!("domain.{i}"), w.finish()));
         }
         sections
     }
@@ -1196,10 +995,11 @@ impl<E: DomainExecutor> LoopDriver<E> {
         let mut r = StateReader::new(get("sensor")?);
         self.sensor.load_state(&mut r)?;
         r.finished()?;
-        let states: Vec<String> = (0..self.n_domains)
-            .map(|i| get(&format!("domain.{i}")).map(str::to_string))
-            .collect::<Option<_>>()?;
-        self.executor.restore_domain_states(&states)?;
+        for (i, d) in self.domains.iter_mut().enumerate() {
+            let mut r = StateReader::new(get(&format!("domain.{i}"))?);
+            d.load_state(&mut r)?;
+            r.finished()?;
+        }
         // The original process already flushed its boundary events
         // (including the t = 0 retarget preamble `new` re-pushed); a
         // resumed run must not emit them again.
@@ -1257,9 +1057,9 @@ impl<E: DomainExecutor> LoopDriver<E> {
 
     /// Inverse of [`LoopDriver::save_loop`], with shape checks against the
     /// (rebuilt) configuration. Not restored because they are rebuilt or
-    /// batch-scoped: `ctls`/`heartbeats` (fully reassembled before every
+    /// quantum-scoped: `ctls`/`heartbeats` (fully reassembled before every
     /// use), `ev_buf` (flushed at every boundary), and the
-    /// `v_sched`/`power_acc`/`batch` scratch buffers.
+    /// `v_sched`/`power_acc` scratch buffers.
     fn load_loop(&mut self, r: &mut hcapp_sim_core::state::StateReader<'_>) -> Option<()> {
         use hcapp_sim_core::state::Snapshot;
         let done = r.usize("loop.done")?;
@@ -1296,19 +1096,19 @@ impl<E: DomainExecutor> LoopDriver<E> {
             series.load_state(r)?;
         }
         let work_snapshot = r.f64_vec("loop.work_snapshot")?;
-        if work_snapshot.len() != self.n_domains {
+        if work_snapshot.len() != self.domains.len() {
             return None;
         }
         self.lanes.work_snapshot = work_snapshot;
         let rates = r.f64_vec("loop.progress")?;
-        if rates.len() != self.n_domains {
+        if rates.len() != self.domains.len() {
             return None;
         }
         for (p, rate) in self.lanes.progress.iter_mut().zip(rates) {
             p.relative_rate = rate;
         }
         let priorities = r.f64_vec("loop.priorities")?;
-        if priorities.len() != self.n_domains {
+        if priorities.len() != self.domains.len() {
             return None;
         }
         self.lanes.priorities = priorities;
@@ -1321,8 +1121,10 @@ impl<E: DomainExecutor> LoopDriver<E> {
         self.held_reading = Watt::new(r.f64("loop.held_reading")?);
         self.sensor_fault_active = r.bool("loop.sensor_fault_active")?;
         self.slew_fault_active = r.bool("loop.slew_fault_active")?;
-        self.lanes.link_fault_active = u64_to_bools(&r.u64_vec("loop.link_fault_active")?, self.n_domains)?;
-        self.lanes.ctl_fault_active = u64_to_bools(&r.u64_vec("loop.ctl_fault_active")?, self.n_domains)?;
+        self.lanes.link_fault_active =
+            u64_to_bools(&r.u64_vec("loop.link_fault_active")?, self.domains.len())?;
+        self.lanes.ctl_fault_active =
+            u64_to_bools(&r.u64_vec("loop.ctl_fault_active")?, self.domains.len())?;
         self.resilience.faults_injected = r.u64("loop.res.faults_injected")?;
         self.resilience.health_transitions = r.u64("loop.res.health_transitions")?;
         self.resilience.emergency_engagements = r.u64("loop.res.emergency_engagements")?;

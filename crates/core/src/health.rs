@@ -26,8 +26,8 @@
 //!   drains, then the scale ramps back geometrically.
 //!
 //! All three are pure, allocation-free state machines stepped once per
-//! control quantum on the coordinator thread — the parallel executor never
-//! sees them, which is one half of the serial/parallel determinism
+//! control quantum by the coordinator, and checkpointed with the rest of
+//! the loop state, which is one half of the kill/resume determinism
 //! contract (the other half: fault decisions are pure functions of the
 //! plan seed).
 

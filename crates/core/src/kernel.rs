@@ -1,15 +1,15 @@
 //! The quantum-stepper kernel's data layout.
 //!
 //! The run loop's hot path is a struct-of-arrays machine: every per-domain
-//! signal lives in its own contiguous lane, and every batch-scoped scratch
-//! buffer lives in an arena sized once at construction — to the largest
-//! batch the run can actually dispatch, `min(quantum × batch bound, run
-//! length)` ticks, so a 0.5 ms run under the 10 ms Software-like quantum
-//! allocates 5 000 tick slots, not 100 000. This module names
-//! that layout — [`DomainLanes`] for the lanes, [`BatchArena`] for the
-//! scratch — so the coordinator's field list says what is *per-domain
-//! state* (checkpointed, stepped by tight index loops) versus *batch
-//! scratch* (never alive across a batch boundary, never checkpointed).
+//! signal lives in its own contiguous lane, and every quantum-scoped
+//! scratch buffer lives in an arena sized once at construction — to one
+//! quantum cut to the run, `min(quantum, run length)` ticks, so a 0.5 ms
+//! run under the 10 ms Software-like quantum allocates 5 000 tick slots,
+//! not 100 000. This module names that layout — [`DomainLanes`] for the
+//! lanes, [`BatchArena`] for the scratch — so the coordinator's field list
+//! says what is *per-domain state* (checkpointed, stepped in domain order
+//! beside the domains) versus *quantum scratch* (never alive across a
+//! quantum boundary, never checkpointed).
 //!
 //! Grouping is all this module does: the lanes hold exactly the vectors the
 //! [`LoopDriver`](crate::coordinator) held as loose fields before the
@@ -26,7 +26,7 @@
 //! stretch steady and hands it to the chiplet's `replay_span` in one
 //! call. See `DESIGN.md` §6j for the proof obligations of both.
 
-use crate::coordinator::{QuantumCtl, QuantumSpec};
+use crate::coordinator::QuantumCtl;
 use crate::health::DomainHealth;
 use crate::software::DomainProgress;
 
@@ -38,7 +38,7 @@ pub(crate) struct DomainLanes {
     /// Software-policy priority per domain (written at policy intervals,
     /// read into every quantum's command).
     pub(crate) priorities: Vec<f64>,
-    /// Did the domain accept commands last batch (watchdog input).
+    /// Did the domain accept commands last quantum (watchdog input).
     pub(crate) heartbeats: Vec<bool>,
     /// Cumulative work per domain at the last policy invocation.
     pub(crate) work_snapshot: Vec<f64>,
@@ -50,14 +50,13 @@ pub(crate) struct DomainLanes {
     pub(crate) ctl_fault_active: Vec<bool>,
     /// Per-domain health watchdogs.
     pub(crate) dom_health: Vec<DomainHealth>,
-    /// The per-domain quantum commands, reassembled every quantum and
-    /// shipped to the executor by reference.
+    /// The per-domain quantum commands, reassembled every quantum.
     pub(crate) ctls: Vec<QuantumCtl>,
 }
 
 impl DomainLanes {
     /// Lanes for `n_domains` domains. `work_snapshot` seeds from the
-    /// executor's initial cumulative work; `progress` mirrors the domain
+    /// domains' initial cumulative work; `progress` mirrors the domain
     /// kinds at a neutral relative rate.
     pub(crate) fn new(work_snapshot: Vec<f64>, progress: Vec<DomainProgress>) -> Self {
         let n = work_snapshot.len();
@@ -75,32 +74,28 @@ impl DomainLanes {
     }
 }
 
-/// Batch-scoped scratch, allocated once at driver construction and reused
-/// by every batch — the reusable-arena half of the kernel layout. Nothing
-/// in here lives across a batch boundary, so none of it is checkpointed.
+/// Quantum-scoped scratch, allocated once at driver construction and
+/// reused by every quantum — the reusable-arena half of the kernel layout.
+/// Nothing in here lives across a quantum boundary, so none of it is
+/// checkpointed.
 #[derive(Debug)]
 pub(crate) struct BatchArena {
-    /// Global voltage schedule, one slot per tick of the batch.
+    /// Global voltage schedule, one slot per tick of the quantum.
     pub(crate) v_sched: Vec<f64>,
-    /// Package power accumulator, one slot per tick of the batch.
+    /// Package power accumulator, one slot per tick of the quantum.
     pub(crate) power_acc: Vec<f64>,
-    /// The batch's quantum specs (offsets into the tick buffers).
-    pub(crate) batch: Vec<QuantumSpec>,
 }
 
 impl BatchArena {
-    /// An arena for batches of up to `max_batch` quanta of `quantum_ticks`
-    /// ticks each in a run of `total_ticks` ticks. A batch never reaches
-    /// past the end of the run, so the tick buffers hold
-    /// `min(quantum_ticks × max_batch, total_ticks)` slots and the spec
-    /// list at most as many quanta as the run has.
-    pub(crate) fn new(quantum_ticks: usize, max_batch: usize, total_ticks: usize) -> Self {
-        let ticks = quantum_ticks.saturating_mul(max_batch).min(total_ticks);
-        let quanta = max_batch.min(total_ticks.div_ceil(quantum_ticks.max(1)));
+    /// An arena for quanta of `quantum_ticks` ticks in a run of
+    /// `total_ticks` ticks. A quantum never reaches past the end of the
+    /// run, so the tick buffers hold `min(quantum_ticks, total_ticks)`
+    /// slots.
+    pub(crate) fn new(quantum_ticks: usize, total_ticks: usize) -> Self {
+        let ticks = quantum_ticks.min(total_ticks);
         BatchArena {
             v_sched: vec![0.0f64; ticks],
             power_acc: vec![0.0f64; ticks],
-            batch: Vec::with_capacity(quanta),
         }
     }
 }
@@ -110,32 +105,19 @@ mod tests {
     use super::BatchArena;
 
     #[test]
-    fn arena_holds_the_largest_batch_the_run_can_dispatch() {
-        // (quantum ticks, batch bound, run ticks) → tick slots.
-        for (quantum, max_batch, total, slots) in [
+    fn arena_holds_one_quantum_cut_to_the_run() {
+        // (quantum ticks, run ticks) → tick slots.
+        for (quantum, total, slots) in [
             // Software-like: a 10 ms quantum in a 0.5 ms run.
-            (100_000, 1, 5_000, 5_000),
-            // Fixed baseline: 32 quanta of 100 µs, in a short and a long run.
-            (1_000, 32, 5_000, 5_000),
-            (1_000, 32, 1_000_000, 32_000),
-            // HCAPP: one 1 µs quantum per batch.
-            (10, 1, 10_000, 10),
-            // A batch bound too large to multiply.
-            (10, usize::MAX, 95, 95),
+            (100_000, 5_000, 5_000),
+            // Fixed baseline: 100 µs quanta in a long run.
+            (1_000, 1_000_000, 1_000),
+            // HCAPP: a 1 µs quantum.
+            (10, 10_000, 10),
         ] {
-            let arena = BatchArena::new(quantum, max_batch, total);
-            assert_eq!(
-                arena.v_sched.len(),
-                slots,
-                "{quantum} x {max_batch} in {total}"
-            );
+            let arena = BatchArena::new(quantum, total);
+            assert_eq!(arena.v_sched.len(), slots, "{quantum} in {total}");
             assert_eq!(arena.power_acc.len(), slots);
-            let quanta = max_batch.min(total.div_ceil(quantum));
-            assert!(arena.batch.capacity() >= quanta);
-            assert!(
-                arena.batch.capacity() <= 2 * quanta,
-                "spec list not run-sized"
-            );
         }
     }
 }

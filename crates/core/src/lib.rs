@@ -22,8 +22,8 @@
 //! systems the evaluation compares. [`system`] assembles an N-domain package
 //! (the paper's CPU+GPU+SHA system is [`system::SystemConfig::paper_system`]),
 //! [`coordinator::Simulation`] is the central simulation controller (§4.1),
-//! and [`parallel`] provides deterministic parallel execution for sweeps and
-//! many-chiplet scaling studies.
+//! and [`parallel`] runs independent simulations of a sweep on a worker
+//! pool.
 //!
 //! Attaching a seeded `hcapp-faults` plan to a run
 //! ([`coordinator::RunConfig::with_faults`]) turns on the [`health`]
@@ -32,8 +32,8 @@
 //! last-good voltage ratios, and a package-wide emergency throttle clamps
 //! the system when the (worst-case-estimated) power stays above `P_SPEC`
 //! beyond the configured violation window. Fault decisions are pure
-//! functions of the plan seed and simulated time, so the serial and
-//! parallel executors stay bit-identical under any plan.
+//! functions of the plan seed and simulated time, so a run killed and
+//! resumed from a checkpoint stays bit-identical under any plan.
 
 #![warn(missing_docs)]
 #![warn(clippy::all)]
@@ -51,7 +51,6 @@ pub mod parallel;
 pub mod pid;
 pub mod resume;
 pub mod scheme;
-pub mod simsan;
 pub mod software;
 pub mod system;
 #[cfg(any(test, feature = "testutil"))]

@@ -1,27 +1,28 @@
 //! Crash-safe checkpoint/resume driver: `run_resumable`.
 //!
 //! The coordinator's [`crate::coordinator`] loop is reified as a stepwise
-//! `LoopDriver`; this module drives it batch by batch, persisting an
+//! `LoopDriver`; this module drives it quantum by quantum, persisting an
 //! `hcapp.ckpt` snapshot ([`hcapp_resume::Checkpoint`]) every
 //! `checkpoint_every` control quanta. The correctness contract, pinned by
 //! the kill-matrix tests and the `scripts/check.sh` soak smoke step:
 //!
 //! > A run killed at **any** quantum and resumed from its last valid
 //! > checkpoint produces a byte-identical [`RunOutcome`], trace stream and
-//! > `hcapp.report` to the run that was never interrupted — across the
-//! > serial, pooled and batched executors, under any valid fault plan.
+//! > `hcapp.report` to the run that was never interrupted, under any valid
+//! > fault plan.
 //!
 //! Why it holds (DESIGN §6h has the full argument):
 //!
 //! * Every piece of mutable run state lives behind a
 //!   [`hcapp_sim_core::state::Snapshot`] impl that round-trips f64s as
 //!   IEEE-754 bit patterns, so a restore is *exact*, not approximate.
-//! * Checkpoints are only taken at batch boundaries, where the per-quantum
-//!   event buffer is empty (asserted) and no scratch state is live.
-//! * Stateless collaborators (the fault injector, software policies, the
-//!   reply permuter's per-dispatch derivation) are pure functions of
-//!   configuration and simulated time, which the checkpoint pins via its
-//!   config fingerprint instead of serializing them.
+//! * Checkpoints are only taken at quantum boundaries, where the
+//!   per-quantum event buffer is empty (asserted) and no scratch state is
+//!   live.
+//! * Stateless collaborators (the fault injector, software policies) are
+//!   pure functions of configuration and simulated time, which the
+//!   checkpoint pins via its config fingerprint instead of serializing
+//!   them.
 //!
 //! The trace seam: with a sink attached, the driver drains the in-memory
 //! ring into the JSONL file immediately *before* each checkpoint and
@@ -41,10 +42,8 @@ use hcapp_sim_core::state::{Snapshot, StateReader, StateWriter};
 use hcapp_telemetry::jsonl;
 use hcapp_telemetry::tracer::{RingTracer, SharedTracer};
 
-use crate::coordinator::{DomainExecutor, LoopDriver, RunConfig, Simulation};
+use crate::coordinator::{LoopDriver, RunConfig, Simulation};
 use crate::outcome::RunOutcome;
-use crate::parallel::{with_pooled_executor, ReplyPermuter};
-use crate::coordinator::SerialExecutor;
 use crate::system::SystemConfig;
 
 /// How a resumable run ended.
@@ -82,11 +81,6 @@ pub struct ResumeOptions {
     pub ckpt_path: PathBuf,
     /// Snapshot cadence in control quanta (clamped to at least 1).
     pub checkpoint_every: u64,
-    /// Worker threads for the pooled executor; 0 runs serially.
-    pub workers: usize,
-    /// Adversarial reply-order seed for the pooled executor (the simsan
-    /// permutation); `None` merges replies in arrival order.
-    pub permute_seed: Option<u64>,
     /// Stop (without flushing) once this many quanta have completed — the
     /// deterministic in-process equivalent of `kill -9`.
     pub stop_at: Option<u64>,
@@ -102,14 +96,11 @@ pub struct ResumeOptions {
 }
 
 impl ResumeOptions {
-    /// Defaults: serial execution, checkpoint every 64 quanta, no trace
-    /// sink, no stop.
+    /// Defaults: checkpoint every 64 quanta, no trace sink, no stop.
     pub fn new(ckpt_path: impl Into<PathBuf>) -> Self {
         ResumeOptions {
             ckpt_path: ckpt_path.into(),
             checkpoint_every: 64,
-            workers: 0,
-            permute_seed: None,
             stop_at: None,
             trace_sink: None,
             trace_capacity: 1 << 20,
@@ -120,18 +111,6 @@ impl ResumeOptions {
     /// Set the snapshot cadence in quanta.
     pub fn with_checkpoint_every(mut self, every: u64) -> Self {
         self.checkpoint_every = every;
-        self
-    }
-
-    /// Use the pooled executor with this many workers (0 = serial).
-    pub fn with_workers(mut self, workers: usize) -> Self {
-        self.workers = workers;
-        self
-    }
-
-    /// Use the pooled executor with adversarially permuted reply order.
-    pub fn with_permute_seed(mut self, seed: u64) -> Self {
-        self.permute_seed = Some(seed);
         self
     }
 
@@ -156,11 +135,9 @@ impl ResumeOptions {
 
 /// 32-hex fingerprint of everything that determines a run's results (and
 /// its trace stream). Two invocations with equal fingerprints are the same
-/// physical run, so a checkpoint from one may seed the other. Execution
-/// strategy (`batch_quanta`, worker count, reply permutation) is excluded —
-/// the executors are bit-identical by construction — but whether a trace
-/// sink is attached is included, because tracing changes what must be
-/// stitched on resume.
+/// physical run, so a checkpoint from one may seed the other. Whether a
+/// trace sink is attached is included, because tracing changes what must
+/// be stitched on resume.
 pub fn config_fingerprint(sys: &SystemConfig, run: &RunConfig, traced: bool) -> String {
     let mut h = Hasher::new();
     h.write_str(hcapp_resume::SCHEMA);
@@ -245,37 +222,17 @@ fn run_once(
         let shared: SharedTracer = ring.clone();
         run.tracer = Some(shared);
     }
-    let sim = Simulation::new(sys.clone(), run);
-    let Simulation {
-        sys,
-        run,
-        domains,
-        global_ctl,
-        vr,
-        sensor,
-        policy,
-    } = sim;
-
+    let driver = LoopDriver::new(Simulation::new(sys.clone(), run));
     let ctx = DriveCtx {
         opts,
         fingerprint,
         store,
         ring: ring.as_deref(),
     };
-    if opts.workers == 0 {
-        let executor = SerialExecutor { domains };
-        let driver = LoopDriver::new(sys, run, global_ctl, vr, sensor, policy, executor);
-        drive(driver, candidate, &ctx)
-    } else {
-        let permuter = opts.permute_seed.map(ReplyPermuter::new);
-        with_pooled_executor(domains, opts.workers, permuter, move |executor| {
-            let driver = LoopDriver::new(sys, run, global_ctl, vr, sensor, policy, executor);
-            drive(driver, candidate, &ctx)
-        })
-    }
+    drive(driver, candidate, &ctx)
 }
 
-/// Shared context threaded through the generic driver loop.
+/// Shared context threaded through the driver loop.
 struct DriveCtx<'a> {
     opts: &'a ResumeOptions,
     fingerprint: &'a str,
@@ -284,10 +241,10 @@ struct DriveCtx<'a> {
 }
 
 /// The stepwise loop: restore (or initialize the trace sink), then
-/// `step_batch` to completion, checkpointing on cadence. Returns `Ok(None)`
-/// when the candidate checkpoint failed to apply.
-fn drive<E: DomainExecutor>(
-    mut driver: LoopDriver<E>,
+/// `step_quantum` to completion, checkpointing on cadence. Returns
+/// `Ok(None)` when the candidate checkpoint failed to apply.
+fn drive(
+    mut driver: LoopDriver,
     candidate: Option<Checkpoint>,
     ctx: &DriveCtx<'_>,
 ) -> io::Result<Option<ResumeSummary>> {
@@ -330,11 +287,11 @@ fn drive<E: DomainExecutor>(
     let mut checkpoints_written = 0u64;
     let mut next_mark = next_multiple(driver.quanta_completed(), every);
     while !driver.is_done() {
-        driver.step_batch();
+        driver.step_quantum();
         let q = driver.quanta_completed();
         if q >= next_mark && !driver.is_done() {
             sink_len = flush_ring(ctx, opts, sink_len)?;
-            save_checkpoint(&mut driver, ctx, sink_len)?;
+            save_checkpoint(&driver, ctx, sink_len)?;
             checkpoints_written += 1;
             next_mark = next_multiple(q, every);
         }
@@ -370,11 +327,7 @@ fn next_multiple(q: u64, every: u64) -> u64 {
 /// Apply a checkpoint to a freshly-built driver (coordinator sections plus
 /// the ring tracer's counters). `None` leaves the driver partially mutated;
 /// the caller discards it.
-fn restore<E: DomainExecutor>(
-    driver: &mut LoopDriver<E>,
-    ck: &Checkpoint,
-    ctx: &DriveCtx<'_>,
-) -> Option<()> {
+fn restore(driver: &mut LoopDriver, ck: &Checkpoint, ctx: &DriveCtx<'_>) -> Option<()> {
     driver.restore_sections(|name| ck.section(name))?;
     match ctx.ring {
         Some(ring) => {
@@ -446,8 +399,8 @@ fn flush_ring(
 }
 
 /// Snapshot the driver (and the ring's counters) into the store.
-fn save_checkpoint<E: DomainExecutor>(
-    driver: &mut LoopDriver<E>,
+fn save_checkpoint(
+    driver: &LoopDriver,
     ctx: &DriveCtx<'_>,
     sink_len: Option<u64>,
 ) -> io::Result<()> {
@@ -490,8 +443,7 @@ pub fn outcome_digest(out: &RunOutcome) -> String {
     h.finish().to_hex()
 }
 
-/// Reference oracle: the same configuration run uninterrupted on the
-/// serial executor.
+/// Reference oracle: the same configuration run uninterrupted.
 pub fn run_uninterrupted(sys: SystemConfig, run: RunConfig) -> RunOutcome {
     Simulation::new(sys, run).run()
 }

@@ -10,6 +10,8 @@
 use hcapp_sim_core::time::SimDuration;
 use hcapp_sim_core::units::Volt;
 
+use crate::pid::PidGains;
+
 /// A power control scheme.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum ControlScheme {
@@ -65,6 +67,30 @@ impl ControlScheme {
             ControlScheme::SoftwareLike => Some(SimDuration::from_millis(10)),
             ControlScheme::FixedVoltage(_) => None,
             ControlScheme::CustomPeriod(d) => Some(*d),
+        }
+    }
+
+    /// Check the scheme against the rail it drives. A fixed voltage must be
+    /// a finite value inside the global VR's range
+    /// `gains.out_min..=gains.out_max` (0.60–1.30 V for the paper's gains),
+    /// and a custom control period must be nonzero. The error names the
+    /// offending value and, for a voltage, the range.
+    pub fn check(&self, gains: &PidGains) -> Result<(), String> {
+        match *self {
+            ControlScheme::FixedVoltage(v)
+                if !(gains.out_min..=gains.out_max).contains(&v.value()) =>
+            {
+                Err(format!(
+                    "fixed voltage {} V is outside the rail range {:.2}..={:.2} V",
+                    v.value(),
+                    gains.out_min,
+                    gains.out_max
+                ))
+            }
+            ControlScheme::CustomPeriod(d) if d.is_zero() => {
+                Err("custom control period must be at least 1 us".into())
+            }
+            _ => Ok(()),
         }
     }
 

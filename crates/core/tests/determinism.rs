@@ -1,7 +1,7 @@
 //! Determinism regression tests backing simlint rule L3: the property the
-//! static rule protects (bit-identical reruns, serial == parallel) checked
-//! end-to-end on the paper system. If someone allowlists their way past L3
-//! with something genuinely nondeterministic, these fail.
+//! static rule protects (bit-identical reruns, run == cached replay)
+//! checked end-to-end on the paper system. If someone allowlists their way
+//! past L3 with something genuinely nondeterministic, these fail.
 
 use hcapp::cache::{decode_outcome, encode_outcome, job_key, run_all_cached, RunCache};
 use hcapp::coordinator::{RunConfig, Simulation};
@@ -12,17 +12,16 @@ use hcapp_sim_core::time::SimDuration;
 use hcapp_sim_core::units::Watt;
 use hcapp_workloads::combos::combo_suite;
 
-fn config(scheme: ControlScheme, batch_quanta: usize) -> (SystemConfig, RunConfig) {
+fn config(scheme: ControlScheme) -> (SystemConfig, RunConfig) {
     let sys = SystemConfig::paper_system(combo_suite()[3], 7); // Hi-Hi
     let run = RunConfig::new(SimDuration::from_millis(2), scheme, Watt::new(84.0))
         .with_trace()
-        .with_voltage_trace()
-        .with_batch_quanta(batch_quanta);
+        .with_voltage_trace();
     (sys, run)
 }
 
 fn sim() -> Simulation {
-    let (sys, run) = config(ControlScheme::Hcapp, 1);
+    let (sys, run) = config(ControlScheme::Hcapp);
     Simulation::new(sys, run)
 }
 
@@ -38,35 +37,10 @@ fn assert_outcomes_identical(a: &RunOutcome, b: &RunOutcome, what: &str) {
     assert_eq!(a.resilience, b.resilience, "{what}");
 }
 
+/// A run and its cached replay must be byte-identical, for a dynamic
+/// scheme and for the fixed baseline.
 #[test]
-fn serial_equals_parallel_bitwise() {
-    let serial = sim().run();
-    for workers in [1, 2, 4] {
-        let parallel = sim().run_parallel(workers);
-        assert_eq!(serial.avg_power, parallel.avg_power, "{workers} workers");
-        assert_eq!(serial.energy_j, parallel.energy_j, "{workers} workers");
-        assert_eq!(serial.work, parallel.work, "{workers} workers");
-        assert_eq!(serial.windowed_max, parallel.windowed_max);
-        assert_eq!(
-            serial.mean_global_voltage,
-            parallel.mean_global_voltage
-        );
-        let ts = serial.trace.as_ref().expect("trace requested");
-        let tp = parallel.trace.as_ref().expect("trace requested");
-        assert_eq!(ts.values(), tp.values(), "{workers} workers");
-        let vs = serial.voltage_trace.as_ref().expect("trace requested");
-        let vp = parallel.voltage_trace.as_ref().expect("trace requested");
-        assert_eq!(vs.values(), vp.values(), "{workers} workers");
-    }
-}
-
-/// The full acceptance matrix: serial, pooled, batched-pooled and cached
-/// outcomes must all be byte-identical, for a dynamic scheme (batching is
-/// internally disabled — PID feedback — but the knob must still be a
-/// no-op) and for the fixed baseline (where multi-quantum batches really
-/// ship).
-#[test]
-fn serial_pooled_batched_cached_all_bitwise_identical() {
+fn run_and_cached_replay_bitwise_identical() {
     let cache_dir = std::env::temp_dir().join(format!(
         "hcapp_determinism_cache_{}",
         std::process::id()
@@ -75,22 +49,8 @@ fn serial_pooled_batched_cached_all_bitwise_identical() {
     let cache = RunCache::new(&cache_dir);
 
     for scheme in [ControlScheme::Hcapp, ControlScheme::fixed_baseline()] {
-        let (sys, run) = config(scheme, 1);
+        let (sys, run) = config(scheme);
         let reference = Simulation::new(sys.clone(), run.clone()).run();
-
-        for batch in [1, 32, 1000] {
-            let (bs, br) = config(scheme, batch);
-            let serial = Simulation::new(bs.clone(), br.clone()).run();
-            assert_outcomes_identical(&reference, &serial, "serial batch knob");
-            for workers in [1, 3] {
-                let pooled = Simulation::new(bs.clone(), br.clone()).run_parallel(workers);
-                assert_outcomes_identical(
-                    &reference,
-                    &pooled,
-                    &format!("{scheme:?} batch={batch} workers={workers}"),
-                );
-            }
-        }
 
         // Cached replay: cold run populates, warm run replays bit-exactly.
         let (cold, s1) = run_all_cached(vec![(sys.clone(), run.clone())], 2, &cache);
@@ -105,15 +65,14 @@ fn serial_pooled_batched_cached_all_bitwise_identical() {
     let _ = std::fs::remove_dir_all(&cache_dir);
 }
 
-/// The cache key must see through everything that changes results and
-/// ignore the one knob that does not, and the codec must round-trip the
-/// outcome of a real run exactly.
+/// The cache key must see through everything that changes results, and
+/// the codec must round-trip the outcome of a real run exactly.
 #[test]
 fn cache_key_and_codec_contract() {
-    let (sys, run) = config(ControlScheme::Hcapp, 1);
+    let (sys, run) = config(ControlScheme::Hcapp);
     let key = job_key(&sys, &run).expect("untraced runs are cacheable");
-    assert_eq!(Some(key), job_key(&sys, &run.clone().with_batch_quanta(64)));
-    let (sys2, run2) = config(ControlScheme::fixed_baseline(), 1);
+    assert_eq!(Some(key), job_key(&sys, &run));
+    let (sys2, run2) = config(ControlScheme::fixed_baseline());
     assert_ne!(Some(key), job_key(&sys2, &run2));
 
     let out = Simulation::new(sys, run).run();
@@ -132,4 +91,44 @@ fn rerun_is_bit_identical() {
         a.trace.expect("trace").values(),
         b.trace.expect("trace").values()
     );
+}
+
+/// The cache gate in deterministic form: a warm pass over the 32-job
+/// Table-3 sweep (8 combos × 4 schemes) answers every job from disk and
+/// returns the cold pass's outcomes byte for byte.
+#[test]
+fn warm_table3_sweep_hits_every_job_bit_identically() {
+    let cache_dir = std::env::temp_dir().join(format!(
+        "hcapp_determinism_sweep_cache_{}",
+        std::process::id()
+    ));
+    let _ = std::fs::remove_dir_all(&cache_dir);
+    let cache = RunCache::new(&cache_dir);
+    let jobs: Vec<(SystemConfig, RunConfig)> = combo_suite()
+        .into_iter()
+        .flat_map(|combo| {
+            ControlScheme::all().into_iter().map(move |scheme| {
+                (
+                    SystemConfig::paper_system(combo, 11),
+                    RunConfig::new(SimDuration::from_micros(200), scheme, Watt::new(84.0)),
+                )
+            })
+        })
+        .collect();
+    assert_eq!(jobs.len(), 32);
+
+    let (cold, cs) = run_all_cached(jobs.clone(), 2, &cache);
+    assert_eq!(
+        (cs.hits, cs.misses, cs.corrupt, cs.uncacheable),
+        (0, 32, 0, 0)
+    );
+    let (warm, ws) = run_all_cached(jobs, 2, &cache);
+    assert_eq!(
+        (ws.hits, ws.misses, ws.corrupt, ws.uncacheable),
+        (32, 0, 0, 0)
+    );
+    for (c, w) in cold.iter().zip(&warm) {
+        assert_eq!(encode_outcome(c), encode_outcome(w));
+    }
+    let _ = std::fs::remove_dir_all(&cache_dir);
 }

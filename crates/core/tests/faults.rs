@@ -97,26 +97,3 @@ fn quiet_plan_changes_nothing_measurable() {
     assert_eq!(clean.work, quiet.work);
     assert_eq!(quiet.resilience.faults_injected, 0);
 }
-
-#[test]
-fn faulted_outcome_is_identical_across_serial_and_parallel() {
-    let sys = SystemConfig::paper_system(combo_suite()[4], 13); // Hi-Low
-    let limit = PowerLimit::package_pin();
-    let run = RunConfig::new(
-        SimDuration::from_millis(2),
-        ControlScheme::Hcapp,
-        limit.guardbanded_target(),
-    )
-    .with_trace()
-    .with_faults(FaultPlan::severe(13));
-    let ser = Simulation::new(sys.clone(), run.clone()).run();
-    let par = Simulation::new(sys, run).run_parallel(3);
-    assert_eq!(ser.avg_power, par.avg_power);
-    assert_eq!(ser.energy_j, par.energy_j);
-    assert_eq!(ser.work, par.work);
-    assert_eq!(ser.resilience, par.resilience);
-    assert_eq!(
-        ser.trace.as_ref().map(|t| t.values().to_vec()),
-        par.trace.as_ref().map(|t| t.values().to_vec())
-    );
-}

@@ -15,9 +15,8 @@
 //! * the `hcapp.report`, replayed offline from each trace.
 //!
 //! The matrix crosses fault plans (none/light/moderate/severe), kill quanta
-//! (early, mid, seam-adjacent, chained double kills), and executors
-//! (serial, pooled, pooled + adversarial reply permutation, and the
-//! batched fixed-voltage path).
+//! (early, mid, seam-adjacent, chained double kills), and schemes (HCAPP's
+//! 1 µs loop and the fixed-voltage baseline).
 
 use std::fs;
 use std::path::PathBuf;
@@ -49,7 +48,7 @@ fn scratch(tag: &str) -> PathBuf {
 /// The scenario under test: a 1 ms paper-system run with a mid-run
 /// retarget, so the checkpoint must carry PID state, retarget cursor and
 /// window trackers, not just the domains.
-fn scenario(plan: Option<FaultPlan>, scheme: ControlScheme, batch: usize) -> (SystemConfig, RunConfig) {
+fn scenario(plan: Option<FaultPlan>, scheme: ControlScheme) -> (SystemConfig, RunConfig) {
     let sys = SystemConfig::paper_system(combo_suite()[3], 11); // Hi-Hi
     let limit = PowerLimit::package_pin();
     let mut run = RunConfig::new(
@@ -59,8 +58,7 @@ fn scenario(plan: Option<FaultPlan>, scheme: ControlScheme, batch: usize) -> (Sy
     )
     .with_trace()
     .with_voltage_trace()
-    .with_retarget(SimTime::from_micros(400), Watt::new(70.0))
-    .with_batch_quanta(batch);
+    .with_retarget(SimTime::from_micros(400), Watt::new(70.0));
     run.track_windows = vec![SimDuration::from_micros(100)];
     if let Some(p) = plan {
         run = run.with_faults(p);
@@ -89,16 +87,12 @@ fn chained(
     run: &RunConfig,
     dir: &PathBuf,
     every: u64,
-    workers: usize,
-    permute_seed: Option<u64>,
     kills: &[u64],
 ) -> (RunOutcome, String) {
-    let mut base = ResumeOptions::new(dir.join("hcapp.ckpt"))
+    let base = ResumeOptions::new(dir.join("hcapp.ckpt"))
         .with_checkpoint_every(every)
         .with_trace_sink(dir.join("hcapp.trace"))
         .with_trace_extra("case", "resume-equivalence");
-    base.workers = workers;
-    base.permute_seed = permute_seed;
     for (i, &kill) in kills.iter().enumerate() {
         let opts = base.clone().with_stop_at(kill);
         let summary = run_resumable(sys.clone(), run.clone(), &opts).unwrap();
@@ -143,16 +137,13 @@ fn assert_equivalent(
     tag: &str,
     plan: Option<FaultPlan>,
     scheme: ControlScheme,
-    batch: usize,
     every: u64,
-    workers: usize,
-    permute_seed: Option<u64>,
     kills: &[u64],
 ) {
     let dir = scratch(tag);
-    let (sys, run) = scenario(plan, scheme, batch);
+    let (sys, run) = scenario(plan, scheme);
     let (want_out, want_trace) = oracle(&sys, &run);
-    let (got_out, got_trace) = chained(&sys, &run, &dir, every, workers, permute_seed, kills);
+    let (got_out, got_trace) = chained(&sys, &run, &dir, every, kills);
     assert_eq!(
         encode_outcome(&got_out),
         encode_outcome(&want_out),
@@ -175,10 +166,7 @@ fn serial_moderate_plan_killed_early() {
         "serial_moderate_early",
         Some(FaultPlan::moderate(7)),
         ControlScheme::Hcapp,
-        1,
         64,
-        0,
-        None,
         &[137],
     );
 }
@@ -189,10 +177,7 @@ fn serial_severe_plan_killed_mid_run() {
         "serial_severe_mid",
         Some(FaultPlan::severe(42)),
         ControlScheme::Hcapp,
-        1,
         64,
-        0,
-        None,
         &[500],
     );
 }
@@ -203,10 +188,7 @@ fn serial_light_plan_killed_on_final_quantum() {
         "serial_light_final",
         Some(FaultPlan::light(3)),
         ControlScheme::Hcapp,
-        1,
         64,
-        0,
-        None,
         &[999],
     );
 }
@@ -217,10 +199,7 @@ fn serial_clean_run_killed_exactly_on_a_checkpoint_boundary() {
         "serial_clean_boundary",
         None,
         ControlScheme::Hcapp,
-        1,
         64,
-        0,
-        None,
         &[256],
     );
 }
@@ -231,39 +210,8 @@ fn serial_quiet_plan_double_kill_chain() {
         "serial_quiet_double",
         Some(FaultPlan::quiet(5)),
         ControlScheme::Hcapp,
-        1,
         64,
-        0,
-        None,
         &[137, 700],
-    );
-}
-
-#[test]
-fn pooled_moderate_plan_killed_early() {
-    assert_equivalent(
-        "pooled_moderate_early",
-        Some(FaultPlan::moderate(7)),
-        ControlScheme::Hcapp,
-        1,
-        64,
-        2,
-        None,
-        &[137],
-    );
-}
-
-#[test]
-fn pooled_permuted_severe_plan_killed_late() {
-    assert_equivalent(
-        "pooled_permuted_severe_late",
-        Some(FaultPlan::severe(42)),
-        ControlScheme::Hcapp,
-        1,
-        64,
-        3,
-        Some(9),
-        &[613],
     );
 }
 
@@ -275,33 +223,24 @@ fn serial_kill_before_first_checkpoint_restarts_fresh() {
         "serial_fresh_restart",
         Some(FaultPlan::moderate(21)),
         ControlScheme::Hcapp,
-        1,
         64,
-        0,
-        None,
         &[10],
     );
 }
 
-/// The batched fixed-voltage path: no tracer is attachable (tracing forces
-/// single-quantum batches), so this case pins outcome equivalence only —
-/// checkpoints land at 32-quantum batch boundaries and the resumed run
-/// re-batches identically.
-fn assert_batched_equivalent(tag: &str, workers: usize, permute_seed: Option<u64>, kills: &[u64]) {
+/// The fixed-voltage path, untraced: this case pins outcome equivalence
+/// for the 100 µs fixed quantum, with checkpoints every 2 quanta.
+fn assert_fixed_equivalent(tag: &str, kills: &[u64]) {
     let dir = scratch(tag);
     let sys = SystemConfig::paper_system(combo_suite()[3], 11);
-    // 10 ms at the 100 µs fixed quantum = 100 quanta = four 32-quantum
-    // batches, so kills and checkpoints land at interior batch boundaries.
+    // 10 ms at the 100 µs fixed quantum = 100 quanta.
     let run = RunConfig::new(
         SimDuration::from_millis(10),
         ControlScheme::FixedVoltage(Volt::new(1.0)),
         PowerLimit::package_pin().guardbanded_target(),
-    )
-    .with_batch_quanta(32);
+    );
     let want = Simulation::new(sys.clone(), run.clone()).run();
-    let mut base = ResumeOptions::new(dir.join("hcapp.ckpt")).with_checkpoint_every(2);
-    base.workers = workers;
-    base.permute_seed = permute_seed;
+    let base = ResumeOptions::new(dir.join("hcapp.ckpt")).with_checkpoint_every(2);
     for &kill in kills {
         let opts = base.clone().with_stop_at(kill);
         match run_resumable(sys.clone(), run.clone(), &opts).unwrap().end {
@@ -318,19 +257,14 @@ fn assert_batched_equivalent(tag: &str, workers: usize, permute_seed: Option<u64
     assert_eq!(
         encode_outcome(&got),
         encode_outcome(&want),
-        "{tag}: batched outcome diverged across the kill/resume seam"
+        "{tag}: fixed-voltage outcome diverged across the kill/resume seam"
     );
     let _ = fs::remove_dir_all(&dir);
 }
 
 #[test]
-fn batched_serial_killed_mid_run() {
-    assert_batched_equivalent("batched_serial", 0, None, &[40]);
-}
-
-#[test]
-fn batched_pooled_permuted_killed_mid_run() {
-    assert_batched_equivalent("batched_pooled_permuted", 2, Some(17), &[40]);
+fn fixed_voltage_killed_mid_run() {
+    assert_fixed_equivalent("fixed_voltage", &[40]);
 }
 
 #[test]
@@ -341,10 +275,7 @@ fn resumable_fresh_run_matches_plain_run() {
         "fresh_noop",
         Some(FaultPlan::moderate(99)),
         ControlScheme::Hcapp,
-        1,
         64,
-        0,
-        None,
         &[],
     );
 }
@@ -356,7 +287,7 @@ fn validator_rejects_a_double_emitted_seam_quantum() {
     // validator must reject the splice, while the correctly stitched trace
     // (same events, emitted once) passes.
     let dir = scratch("seam_double_emit");
-    let (sys, run) = scenario(Some(FaultPlan::moderate(7)), ControlScheme::Hcapp, 1);
+    let (sys, run) = scenario(Some(FaultPlan::moderate(7)), ControlScheme::Hcapp);
     let (_, trace) = oracle(&sys, &run);
     jsonl::validate(&trace).unwrap();
     // Find the last global_pid line and splice a copy of everything from
@@ -383,7 +314,7 @@ fn validator_rejects_a_double_emitted_seam_quantum() {
 #[test]
 fn foreign_config_checkpoint_is_ignored() {
     let dir = scratch("foreign_config");
-    let (sys, run) = scenario(Some(FaultPlan::moderate(7)), ControlScheme::Hcapp, 1);
+    let (sys, run) = scenario(Some(FaultPlan::moderate(7)), ControlScheme::Hcapp);
     let base = ResumeOptions::new(dir.join("hcapp.ckpt"))
         .with_checkpoint_every(64)
         .with_trace_sink(dir.join("hcapp.trace"))
@@ -393,7 +324,7 @@ fn foreign_config_checkpoint_is_ignored() {
     run_resumable(sys.clone(), run.clone(), &opts).unwrap();
     // ...then run a *different* configuration against the same store: the
     // foreign checkpoint must be skipped, not applied.
-    let (sys2, run2) = scenario(Some(FaultPlan::severe(8)), ControlScheme::Hcapp, 1);
+    let (sys2, run2) = scenario(Some(FaultPlan::severe(8)), ControlScheme::Hcapp);
     let summary = run_resumable(sys2.clone(), run2.clone(), &base).unwrap();
     assert!(summary.resumed_from.is_none(), "resumed from a foreign config's checkpoint");
     let got = match summary.end {
@@ -409,7 +340,7 @@ fn foreign_config_checkpoint_is_ignored() {
 #[test]
 fn corrupt_checkpoint_falls_back_to_fresh_start() {
     let dir = scratch("corrupt_ckpt");
-    let (sys, run) = scenario(None, ControlScheme::Hcapp, 1);
+    let (sys, run) = scenario(None, ControlScheme::Hcapp);
     let base = ResumeOptions::new(dir.join("hcapp.ckpt"))
         .with_checkpoint_every(64)
         .with_trace_sink(dir.join("hcapp.trace"))

@@ -56,7 +56,7 @@ fn main() {
         let sys = SystemConfig::paper_system(combo_suite()[3], seed);
         let run = RunConfig::new(SimDuration::from_millis(ms), scheme, target)
             .with_retarget(SimTime::from_millis(ms / 2), target * 0.8);
-        let (_, report) = run_analyzed(sys, run, None);
+        let (_, report) = run_analyzed(sys, run);
         let path = cfg.out_dir.join(format!("REPORT_{name}.json"));
         std::fs::write(&path, report.to_json()).expect("write report");
         println!("wrote {}", path.display());

@@ -20,7 +20,6 @@
 //! | `scaling` | chiplet-count scaling: HCAPP vs a centralized-aggregation model |
 //! | `robustness` | seed-sensitivity of the §5.1 aggregates |
 //! | `faults` | fault campaign: resilience of each scheme under identical fault plans |
-//! | `profile` | run-loop wall-clock profile: serial vs. worker-pool executors |
 //! | `all` | everything above in sequence |
 //!
 //! Run e.g. `cargo run --release -p hcapp-experiments --bin fig04`.
@@ -35,7 +34,6 @@ pub mod config;
 pub mod faults;
 pub mod figures;
 pub mod plot;
-pub mod profile;
 pub mod robustness;
 pub mod runner;
 pub mod scaling;

@@ -12,8 +12,9 @@
 //! with the domain count so every size is power-constrained to the same
 //! degree.
 
-use hcapp::coordinator::{RunConfig, Simulation};
+use hcapp::coordinator::RunConfig;
 use hcapp::limits::PowerLimit;
+use hcapp::parallel::run_all;
 use hcapp::scheme::ControlScheme;
 use hcapp::system::SystemConfig;
 use hcapp_sim_core::report::Table;
@@ -31,10 +32,12 @@ pub const SIZES: [(usize, usize, usize); 4] = [(1, 1, 1), (2, 2, 2), (4, 4, 4), 
 const CENTRAL_AGGREGATION_PER_DOMAIN: SimDuration = SimDuration::from_micros(2);
 
 /// Run the sweep; rows are `(domains, hcapp max-ratio, hcapp ppe,
-/// centralized max-ratio, centralized ppe)`.
+/// centralized max-ratio, centralized ppe)`. The eight runs are
+/// independent, so they go to the run-level pool as one batch of jobs.
 pub fn compute(cfg: &ExperimentConfig) -> Vec<(usize, f64, f64, f64, f64)> {
     let combo = combo_by_name("Hi-Hi").expect("combo");
-    let mut rows = Vec::with_capacity(SIZES.len());
+    let mut jobs = Vec::with_capacity(2 * SIZES.len());
+    let mut limits = Vec::with_capacity(SIZES.len());
     for &(nc, ng, ns) in &SIZES {
         let n_domains = nc + ng + ns;
         // Budget scales with package size; same per-chiplet pressure.
@@ -44,33 +47,37 @@ pub fn compute(cfg: &ExperimentConfig) -> Vec<(usize, f64, f64, f64, f64)> {
 
         let sys = SystemConfig::scaled_system(combo, nc, ng, ns, cfg.seed)
             .expect("SIZES rows are nonzero");
-        let hcapp = Simulation::new(
+        let central_period =
+            SimDuration::from_micros(1) + CENTRAL_AGGREGATION_PER_DOMAIN * n_domains as u64;
+        jobs.push((
             sys.clone(),
             RunConfig::new(cfg.duration, ControlScheme::Hcapp, target),
-        )
-        .run_parallel(cfg.workers);
-
-        let central_period = SimDuration::from_micros(1)
-            + CENTRAL_AGGREGATION_PER_DOMAIN * n_domains as u64;
-        let central = Simulation::new(
+        ));
+        jobs.push((
             sys,
             RunConfig::new(
                 cfg.duration,
                 ControlScheme::CustomPeriod(central_period),
                 target,
             ),
-        )
-        .run_parallel(cfg.workers);
-
-        rows.push((
-            n_domains,
-            hcapp.max_ratio(&limit).unwrap_or(0.0),
-            hcapp.ppe(budget),
-            central.max_ratio(&limit).unwrap_or(0.0),
-            central.ppe(budget),
         ));
+        limits.push((n_domains, limit));
     }
-    rows
+    let outcomes = run_all(jobs, cfg.workers);
+    limits
+        .into_iter()
+        .zip(outcomes.chunks_exact(2))
+        .map(|((n_domains, limit), pair)| {
+            let (hcapp, central) = (&pair[0], &pair[1]);
+            (
+                n_domains,
+                hcapp.max_ratio(&limit).unwrap_or(0.0),
+                hcapp.ppe(limit.budget),
+                central.max_ratio(&limit).unwrap_or(0.0),
+                central.ppe(limit.budget),
+            )
+        })
+        .collect()
 }
 
 /// Execute, render and write CSV.

@@ -7,8 +7,8 @@
 //! the oracle **bit-exactly** — outcome encoding, JSONL trace stream and
 //! replayed `hcapp.report` — and its over-budget episodes must respect the
 //! same reaction bound the fault campaign enforces. The matrix crosses
-//! fault plans with executors (serial, pooled, pooled + adversarial reply
-//! permutation) so the seams are soaked everywhere determinism is claimed.
+//! fault plans with checkpoint cadences, so the seams are soaked under
+//! every plan preset.
 
 use std::collections::BTreeSet;
 use std::fs;
@@ -40,42 +40,11 @@ const SLEW_STRETCH: u32 = 4;
 /// RNG stream id for kill-quantum selection, decorrelated per cell.
 const KILL_STREAM: u64 = 0x5041_6b69_6c6c; // "PAkill"
 
-/// How a cell executes the run.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Executor {
-    /// The serial coordinator.
-    Serial,
-    /// The pooled executor with this many workers.
-    Pooled(usize),
-    /// Pooled with adversarially permuted reply order (seeded).
-    Permuted(usize, u64),
-}
-
-impl Executor {
-    fn label(self) -> String {
-        match self {
-            Executor::Serial => "serial".to_string(),
-            Executor::Pooled(n) => format!("pooled({n})"),
-            Executor::Permuted(n, s) => format!("permuted({n},seed {s})"),
-        }
-    }
-
-    fn apply(self, opts: ResumeOptions) -> ResumeOptions {
-        match self {
-            Executor::Serial => opts,
-            Executor::Pooled(n) => opts.with_workers(n),
-            Executor::Permuted(n, s) => opts.with_workers(n).with_permute_seed(s),
-        }
-    }
-}
-
 /// One cell's soak verdict.
 #[derive(Debug, Clone)]
 pub struct SoakRow {
     /// Fault-plan preset name (`none` for a clean run).
     pub plan: String,
-    /// Execution strategy.
-    pub executor: Executor,
     /// Checkpoint cadence in control quanta.
     pub every: u64,
     /// Quanta the run was killed at (sorted).
@@ -99,30 +68,22 @@ impl SoakRow {
     }
 }
 
-/// The scenario matrix: plans × executors, two kills per cell.
+/// The scenario matrix: plans × checkpoint cadences, two kills per cell.
 pub fn compute(cfg: &ExperimentConfig) -> Vec<SoakRow> {
-    let cells: [(&str, Executor, u64); 6] = [
-        ("none", Executor::Serial, 32),
-        ("quiet", Executor::Pooled(2), 64),
-        ("moderate", Executor::Serial, 64),
-        ("moderate", Executor::Permuted(3, 9), 48),
-        ("severe", Executor::Pooled(2), 16),
-        ("severe", Executor::Permuted(2, 5), 64),
+    let cells: [(&str, u64); 4] = [
+        ("none", 32),
+        ("quiet", 64),
+        ("moderate", 64),
+        ("severe", 16),
     ];
     cells
         .iter()
-        .map(|&(plan, executor, every)| soak_cell(cfg, plan, executor, every, 2))
+        .map(|&(plan, every)| soak_cell(cfg, plan, every, 2))
         .collect()
 }
 
 /// Run one cell: oracle, kill chain, bit-identity checks.
-fn soak_cell(
-    cfg: &ExperimentConfig,
-    plan: &str,
-    executor: Executor,
-    every: u64,
-    kills: u64,
-) -> SoakRow {
+fn soak_cell(cfg: &ExperimentConfig, plan: &str, every: u64, kills: u64) -> SoakRow {
     let limit = PowerLimit::package_pin();
     let combo = combo_by_name("Hi-Hi").expect("known combo");
     let sys = SystemConfig::paper_system(combo, cfg.seed);
@@ -156,14 +117,12 @@ fn soak_cell(
     let want_trace = jsonl::export(&events, &[("case", "soak"), ("plan", plan)]);
 
     // Kill chain in a per-cell scratch directory.
-    let dir = scratch_dir(cfg, plan, executor, every);
-    let opts = executor.apply(
-        ResumeOptions::new(dir.join("hcapp.ckpt"))
-            .with_checkpoint_every(every)
-            .with_trace_sink(dir.join("hcapp.trace"))
-            .with_trace_extra("case", "soak")
-            .with_trace_extra("plan", plan),
-    );
+    let dir = scratch_dir(cfg, plan, every);
+    let opts = ResumeOptions::new(dir.join("hcapp.ckpt"))
+        .with_checkpoint_every(every)
+        .with_trace_sink(dir.join("hcapp.trace"))
+        .with_trace_extra("case", "soak")
+        .with_trace_extra("plan", plan);
     let mut checkpoints = 0u64;
     for &q in &kill_quanta {
         let link = run_resumable(sys.clone(), run.clone(), &opts.clone().with_stop_at(q))
@@ -195,7 +154,6 @@ fn soak_cell(
         .expect("HCAPP is dynamic");
     SoakRow {
         plan: plan.to_string(),
-        executor,
         every,
         kills: kill_quanta.into_iter().collect(),
         checkpoints,
@@ -212,11 +170,8 @@ fn replay_report(text: &str) -> String {
     a.report().to_json()
 }
 
-fn scratch_dir(cfg: &ExperimentConfig, plan: &str, executor: Executor, every: u64) -> PathBuf {
-    let dir = cfg.out_dir.join(format!(
-        "soak-scratch/{plan}-{}-{every}",
-        executor.label().replace([',', '(', ')', ' '], "_")
-    ));
+fn scratch_dir(cfg: &ExperimentConfig, plan: &str, every: u64) -> PathBuf {
+    let dir = cfg.out_dir.join(format!("soak-scratch/{plan}-{every}"));
     let _ = fs::remove_dir_all(&dir);
     fs::create_dir_all(&dir).expect("create soak scratch dir");
     dir
@@ -232,7 +187,6 @@ pub fn run(cfg: &ExperimentConfig) -> Table {
         ),
         &[
             "plan",
-            "executor",
             "cadence",
             "killed at",
             "ckpts",
@@ -246,7 +200,6 @@ pub fn run(cfg: &ExperimentConfig) -> Table {
     for r in &rows {
         t.add_row(vec![
             r.plan.clone(),
-            r.executor.label(),
             r.every.to_string(),
             r.kills
                 .iter()
@@ -273,21 +226,18 @@ mod tests {
     fn every_cell_is_bit_identical_and_bounded() {
         let cfg = ExperimentConfig::quick(1);
         let rows = compute(&cfg);
-        assert_eq!(rows.len(), 6);
+        assert_eq!(rows.len(), 4);
         for r in &rows {
-            assert_eq!(r.kills.len(), 2, "{}/{}", r.plan, r.executor.label());
+            assert_eq!(r.kills.len(), 2, "{}", r.plan);
             assert!(
                 r.identical,
-                "{} on {} (cadence {}): stitched run diverged from the oracle",
-                r.plan,
-                r.executor.label(),
-                r.every
+                "{} (cadence {}): stitched run diverged from the oracle",
+                r.plan, r.every
             );
             assert!(
                 r.within_bound(),
-                "{} on {}: longest over-budget {} exceeds bound {}",
+                "{}: longest over-budget {} exceeds bound {}",
                 r.plan,
-                r.executor.label(),
                 r.longest_over,
                 r.bound
             );

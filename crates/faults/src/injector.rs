@@ -3,10 +3,10 @@
 //! [`FaultInjector`] answers "is injection point X faulted at time T for
 //! domain D, and how hard?" as a pure function of the plan seed — no
 //! mutable PRNG stream, so the answer does not depend on query order. The
-//! coordinator asks once per control quantum on its own thread and ships
-//! the decisions to the domain executors inside the per-quantum command,
-//! which is what keeps serial and pooled runs byte-identical: workers never
-//! roll dice.
+//! coordinator asks once per control quantum and hands the decisions to
+//! the domains inside the per-quantum command, which is what lets a run
+//! killed and resumed from a checkpoint replay the same faults without
+//! serializing any injector state: domains never roll dice.
 //!
 //! Hashing uses the splitmix64 output finalizer (Steele et al.,
 //! "Fast Splittable Pseudorandom Number Generators", OOPSLA'14) over a key

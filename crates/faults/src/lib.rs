@@ -12,9 +12,8 @@
 //!   classes fire, *how often* and *how hard*, seeded by a single `u64`.
 //! * [`FaultInjector`] — a stateless oracle over a plan. Every decision is
 //!   a pure function of `(seed, injection point, quantum index, domain
-//!   index)` computed with a splitmix64-style finalizer, so the serial and
-//!   pooled executors see byte-identical fault sequences and a run can be
-//!   replayed from its seed alone.
+//!   index)` computed with a splitmix64-style finalizer, so a run can be
+//!   replayed — or resumed from a checkpoint — from its seed alone.
 //!
 //! The *mechanisms* faults act through live where the physics lives
 //! ([`hcapp_pdn::SensorFault`], [`hcapp_pdn::LinkFault`], regulator droop /

@@ -127,14 +127,14 @@ mod tests {
         let cfg = CampaignConfig {
             seed: 5,
             cases: 1,
-            plant: Plant::PooledBitflip,
+            plant: Plant::ResumeBitflip,
         };
         let report = run_campaign(&cfg);
         assert_eq!(report.findings.len(), 1, "log:\n{}", report.log);
         let f = &report.findings[0];
-        assert!(f.failures.iter().all(|x| x.leg == "pooled"));
+        assert!(f.failures.iter().all(|x| x.leg == "resume"));
         assert!(!check_case(&f.shrunk).is_empty(), "shrunk repro passes");
-        assert!(report.log.contains("FAIL pooled"));
+        assert!(report.log.contains("FAIL resume"));
         assert!(report.log.contains("shrunk ->"));
     }
 }

@@ -2,8 +2,7 @@
 //!
 //! A [`FuzzCase`] is the complete, self-contained description of one
 //! oracle evaluation: the system/run configuration under test, the
-//! executor knobs the differential legs exercise (batch size, worker
-//! count, permutation seed, kill point, checkpoint cadence), and any
+//! kill-and-resume leg's knobs (kill point, checkpoint cadence), and any
 //! [`Plant`]ed defect. The text codec round-trips every field exactly
 //! (floats travel as IEEE-754 bit patterns), so `hcapp fuzz --replay`
 //! reruns a shrunk repro bit-for-bit — including reproducing a planted
@@ -11,6 +10,7 @@
 //! is verified end to end.
 
 use hcapp::coordinator::{RunConfig, SoftwareConfig};
+use hcapp::pid::PidGains;
 use hcapp::scheme::ControlScheme;
 use hcapp::software::ComponentKind;
 use hcapp::system::SystemConfig;
@@ -21,7 +21,9 @@ use hcapp_workloads::combos::combo_suite;
 
 /// Schema header of the interchange format; the version suffix gates
 /// decoding, so a future field change cannot silently misparse old files.
-pub const SCHEMA: &str = "hcapp.fuzzcase v1";
+/// v2 dropped v1's executor knobs (batch size, worker count and reply
+/// permutation seed).
+pub const SCHEMA: &str = "hcapp.fuzzcase v2";
 
 /// A deliberately-introduced defect carried by the case. `None` for real
 /// fuzzing; the other variants perturb exactly one oracle leg so the
@@ -31,9 +33,10 @@ pub const SCHEMA: &str = "hcapp.fuzzcase v1";
 pub enum Plant {
     /// No planted defect.
     None,
-    /// Flip the lowest mantissa bit of the pooled leg's average power
-    /// before comparison — the smallest possible executor divergence.
-    PooledBitflip,
+    /// Flip the lowest mantissa bit of the resumed run's average power
+    /// before comparison — the smallest possible divergence across the
+    /// kill/resume seam.
+    ResumeBitflip,
     /// Truncate the encoded outcome before the cache-roundtrip decode —
     /// a torn cache entry.
     CacheTruncate,
@@ -44,7 +47,7 @@ impl Plant {
     pub fn tag(self) -> &'static str {
         match self {
             Plant::None => "none",
-            Plant::PooledBitflip => "pooled-bitflip",
+            Plant::ResumeBitflip => "resume-bitflip",
             Plant::CacheTruncate => "cache-truncate",
         }
     }
@@ -53,7 +56,7 @@ impl Plant {
     pub fn from_tag(tag: &str) -> Option<Self> {
         match tag {
             "none" => Some(Plant::None),
-            "pooled-bitflip" => Some(Plant::PooledBitflip),
+            "resume-bitflip" => Some(Plant::ResumeBitflip),
             "cache-truncate" => Some(Plant::CacheTruncate),
             _ => None,
         }
@@ -91,12 +94,6 @@ pub struct FuzzCase {
     pub record_trace: bool,
     /// Record the global voltage trace.
     pub record_vtrace: bool,
-    /// `batch_quanta` for the batched leg.
-    pub batch: usize,
-    /// Worker count for the pooled/permuted legs.
-    pub workers: usize,
-    /// Adversarial reply-permutation seed for the permuted leg.
-    pub permute_seed: u64,
     /// Quantum to kill at in the kill-and-resume leg (clamped to the run's
     /// total; 0 skips the kill and resumes nothing).
     pub kill_at: u64,
@@ -109,7 +106,7 @@ pub struct FuzzCase {
 impl FuzzCase {
     /// Materialize the `(SystemConfig, RunConfig)` pair this case
     /// describes. The returned run carries no tracer/profiler — the oracle
-    /// legs attach their own hooks per executor.
+    /// legs attach their own hooks.
     pub fn build(&self) -> (SystemConfig, RunConfig) {
         let suite = combo_suite();
         // simlint: allow(L6): the index is reduced modulo the suite length on this line
@@ -124,8 +121,7 @@ impl FuzzCase {
             self.scheme,
             Watt::new(self.target),
         )
-        .with_software(self.software)
-        .with_batch_quanta(self.batch.max(1));
+        .with_software(self.software);
         if self.record_trace {
             run = run.with_trace();
         }
@@ -147,7 +143,7 @@ impl FuzzCase {
     /// case's own fields).
     pub fn brief(&self) -> String {
         format!(
-            "seed={:#018x} combo={} mem={} scheme={} dur={}us target={} sw={} faults={} rt={} batch={} workers={} kill@{} ckpt={} plant={}",
+            "seed={:#018x} combo={} mem={} scheme={} dur={}us target={} sw={} faults={} rt={} kill@{} ckpt={} plant={}",
             self.seed,
             self.combo,
             u8::from(self.memory),
@@ -160,8 +156,6 @@ impl FuzzCase {
                 Some((name, s)) => format!("{name}:{s}"),
             },
             self.retargets.len(),
-            self.batch,
-            self.workers,
             self.kill_at,
             self.checkpoint_every,
             self.plant.tag(),
@@ -187,9 +181,6 @@ impl FuzzCase {
         }
         s.push_str(&format!("record_trace {}\n", u8::from(self.record_trace)));
         s.push_str(&format!("record_vtrace {}\n", u8::from(self.record_vtrace)));
-        s.push_str(&format!("batch {}\n", self.batch));
-        s.push_str(&format!("workers {}\n", self.workers));
-        s.push_str(&format!("permute_seed {}\n", self.permute_seed));
         s.push_str(&format!("kill_at {}\n", self.kill_at));
         s.push_str(&format!("checkpoint_every {}\n", self.checkpoint_every));
         s.push_str(&format!("plant {}\n", self.plant.tag()));
@@ -232,9 +223,6 @@ impl FuzzCase {
         };
         let record_trace = parse_bool(&field(&mut lines, "record_trace")?)?;
         let record_vtrace = parse_bool(&field(&mut lines, "record_vtrace")?)?;
-        let batch = parse_u64(&field(&mut lines, "batch")?)? as usize;
-        let workers = parse_u64(&field(&mut lines, "workers")?)? as usize;
-        let permute_seed = parse_u64(&field(&mut lines, "permute_seed")?)?;
         let kill_at = parse_u64(&field(&mut lines, "kill_at")?)?;
         let checkpoint_every = parse_u64(&field(&mut lines, "checkpoint_every")?)?;
         let plant = Plant::from_tag(&field(&mut lines, "plant")?)
@@ -262,9 +250,6 @@ impl FuzzCase {
             retargets,
             record_trace,
             record_vtrace,
-            batch,
-            workers,
-            permute_seed,
             kill_at,
             checkpoint_every,
             plant,
@@ -283,17 +268,9 @@ impl FuzzCase {
         if !(self.target.is_finite() && self.target > 0.0) {
             return Err("target must be a positive finite wattage".into());
         }
-        if let ControlScheme::FixedVoltage(v) = self.scheme {
-            if !(v.value().is_finite() && v.value() > 0.0) {
-                return Err("fixed scheme voltage must be positive and finite".into());
-            }
-        }
-        if self.batch == 0 {
-            return Err("batch must be at least 1".into());
-        }
-        if self.workers == 0 {
-            return Err("workers must be at least 1".into());
-        }
+        // `build` assembles a paper system, whose rail runs on the paper's
+        // gains.
+        self.scheme.check(&PidGains::paper_default())?;
         if self.checkpoint_every == 0 {
             return Err("checkpoint_every must be at least 1".into());
         }
@@ -414,9 +391,6 @@ mod tests {
             retargets: vec![(0, 90.0), (100_000, 70.5)],
             record_trace: true,
             record_vtrace: false,
-            batch: 32,
-            workers: 3,
-            permute_seed: 0x5EED,
             kill_at: 77,
             checkpoint_every: 16,
             plant: Plant::None,
@@ -459,6 +433,27 @@ mod tests {
     }
 
     #[test]
+    fn off_rail_fixed_voltages_are_rejected_naming_the_range() {
+        for v in [5.0, 0.0, -1.0, f64::NAN, f64::INFINITY] {
+            let mut bad = sample();
+            bad.scheme = ControlScheme::FixedVoltage(Volt::new(v));
+            let e = FuzzCase::decode(&bad.encode()).unwrap_err();
+            assert!(e.contains("0.60..=1.30 V"), "{v}: {e}");
+        }
+        let mut edge = sample();
+        edge.scheme = ControlScheme::FixedVoltage(Volt::new(0.6));
+        assert!(FuzzCase::decode(&edge.encode()).is_ok());
+    }
+
+    #[test]
+    fn a_v1_file_is_rejected_naming_the_schema() {
+        let v1 = sample().encode().replace(SCHEMA, "hcapp.fuzzcase v1");
+        let e = FuzzCase::decode(&v1).unwrap_err();
+        assert!(e.contains("hcapp.fuzzcase v1"), "{e}");
+        assert!(e.contains(SCHEMA), "{e}");
+    }
+
+    #[test]
     fn build_produces_a_valid_simulation_config() {
         let (sys, run) = sample().build();
         assert_eq!(sys.domains.len(), 4, "memory case adds the 4th domain");
@@ -469,7 +464,7 @@ mod tests {
 
     #[test]
     fn plant_tags_round_trip() {
-        for p in [Plant::None, Plant::PooledBitflip, Plant::CacheTruncate] {
+        for p in [Plant::None, Plant::ResumeBitflip, Plant::CacheTruncate] {
             assert_eq!(Plant::from_tag(p.tag()), Some(p));
         }
         assert_eq!(Plant::from_tag("bogus"), None);

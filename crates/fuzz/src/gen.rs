@@ -4,9 +4,8 @@
 //! machine — and every case it emits passes [`FuzzCase::validate`] and
 //! builds a `(SystemConfig, RunConfig)` pair the simulator accepts without
 //! panicking. Boundary bias is deliberate: retargets at `t = 0` and at the
-//! run's end, single-quantum batches, one-worker pools, kill points at the
-//! first and last resumable quantum — the places where off-by-one bugs in
-//! the executors live.
+//! run's end, kill points at the first and last resumable quantum — the
+//! places where off-by-one bugs in the run loop and the resume seam live.
 
 use hcapp::coordinator::SoftwareConfig;
 use hcapp::scheme::ControlScheme;
@@ -28,9 +27,6 @@ const CUSTOM_PERIODS_US: [u64; 4] = [2, 5, 10, 50];
 const TARGETS_W: [f64; 6] = [40.0, 60.0, 80.0, 84.28, 95.0, 110.0];
 /// Boundary-biased run durations in whole microseconds.
 const DURATIONS_US: [u64; 4] = [100, 200, 500, 1000];
-/// Batch sizes: the degenerate 1, a non-divisor 3, the default 32, and an
-/// oversized 64 (more quanta per dispatch than short runs even have).
-const BATCHES: [usize; 4] = [1, 3, 32, 64];
 
 /// Generate the fuzz case for `seed`. Deterministic and panic-free for
 /// every seed; the emitted case always validates.
@@ -60,9 +56,6 @@ pub fn generate(seed: u64) -> FuzzCase {
     let record_trace = r.chance(30);
     let record_vtrace = r.chance(20);
     let retargets = gen_retargets(&mut r, scheme, duration_ns);
-    let batch = *r.pick(&BATCHES);
-    let workers = 1 + r.below(4) as usize;
-    let permute_seed = r.next_u64();
     let checkpoint_every = if r.chance(80) {
         *r.pick(&[16u64, 64])
     } else {
@@ -82,9 +75,6 @@ pub fn generate(seed: u64) -> FuzzCase {
         retargets,
         record_trace,
         record_vtrace,
-        batch,
-        workers,
-        permute_seed,
         kill_at: 0,
         checkpoint_every,
         plant: Plant::None,
@@ -184,9 +174,6 @@ mod tests {
         assert!(cases.iter().any(|c| c.memory));
         assert!(cases.iter().any(|c| c.faults.is_some()));
         assert!(cases.iter().any(|c| !c.retargets.is_empty()));
-        assert!(cases.iter().any(|c| c.batch == 1));
-        assert!(cases.iter().any(|c| c.batch > 1));
-        assert!(cases.iter().any(|c| c.workers == 1));
         assert!(cases
             .iter()
             .any(|c| matches!(c.scheme, ControlScheme::FixedVoltage(_))));

@@ -1,20 +1,16 @@
 //! The differential and metamorphic oracles.
 //!
-//! [`check_case`] runs one [`FuzzCase`] through every executor the repo
-//! ships and diffs three artifacts against the serial reference: the
-//! encoded outcome (`encode_outcome` bytes — every float as its IEEE-754
-//! bit pattern), the JSONL telemetry trace, and the `hcapp.report` replayed
-//! offline from that trace. Six differential legs:
+//! [`check_case`] runs one [`FuzzCase`] and diffs every other way of
+//! obtaining its result against the reference run: the encoded outcome
+//! (`encode_outcome` bytes — every float as its IEEE-754 bit pattern) and
+//! the JSONL telemetry trace. Three differential legs:
 //!
-//! 1. **serial** — the traced reference run.
-//! 2. **pooled** — `run_parallel(workers)`.
-//! 3. **permuted** — `run_parallel_permuted(workers, seed)`, the
-//!    adversarial worker-reply ordering.
-//! 4. **batched** — untraced serial at `batch_quanta = 1` and at the case's
-//!    batch size.
-//! 5. **resume** — kill at the case's quantum, resume from the checkpoint,
+//! 1. **serial** — the traced reference run; its trace must replay into an
+//!    offline `hcapp.report`, and the same run untraced must produce the
+//!    same encoded outcome.
+//! 2. **resume** — kill at the case's quantum, resume from the checkpoint,
 //!    compare the outcome *and* the stitched trace-sink bytes.
-//! 6. **cache** — `encode_outcome` → `decode_outcome` → re-encode, plus a
+//! 3. **cache** — `encode_outcome` → `decode_outcome` → re-encode, plus a
 //!    disk roundtrip through `RunCache`.
 //!
 //! Then three metamorphic invariants derived from the paper, checked on the
@@ -53,8 +49,8 @@ use crate::rng::SplitMix64;
 /// (no paths, no timings — campaign logs must be byte-stable).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Failure {
-    /// The oracle leg that tripped (`pooled`, `permuted`, `batched`,
-    /// `resume`, `cache`, `meta-ppe`, `meta-priority`, `meta-retarget`).
+    /// The oracle leg that tripped (`serial`, `resume`, `cache`,
+    /// `meta-ppe`, `meta-priority`, `meta-retarget`).
     pub leg: &'static str,
     /// What diverged.
     pub detail: String,
@@ -71,48 +67,34 @@ impl std::fmt::Display for Failure {
 pub fn check_case(case: &FuzzCase) -> Vec<Failure> {
     let mut fails = Vec::new();
 
-    // Leg 1: the traced serial reference.
-    let (out_s, trace_s) = run_traced(case, Exec::Serial);
+    // Leg 1: the traced serial reference, whose trace must replay, and
+    // which the same run untraced must reproduce (tracing observes, it
+    // never steers).
+    let (out_s, trace_s) = run_traced(case);
     let enc_s = encode_outcome(&out_s);
-    let report_s = replay(&trace_s, "serial", &mut fails);
-
-    // Leg 2: pooled executor.
-    let (mut out_p, trace_p) = run_traced(case, Exec::Pooled);
-    if case.plant == Plant::PooledBitflip {
-        let bits = out_p.avg_power.value().to_bits();
-        let flipped = bits ^ 1;
-        out_p.avg_power = Watt::new(f64::from_bits(flipped));
+    let mut analyzer = StreamAnalyzer::new();
+    if let Err(e) = analyzer.consume_jsonl(&trace_s) {
+        fails.push(Failure {
+            leg: "serial",
+            detail: format!("trace replay rejected the serial trace: {e}"),
+        });
     }
-    diff_leg(
-        &mut fails, "pooled", &enc_s, &encode_outcome(&out_p), &trace_s, &trace_p, &report_s,
-    );
-
-    // Leg 3: adversarially permuted pooled executor.
-    let (out_m, trace_m) = run_traced(case, Exec::Permuted);
-    diff_leg(
-        &mut fails, "permuted", &enc_s, &encode_outcome(&out_m), &trace_s, &trace_m, &report_s,
-    );
-
-    // Leg 4: untraced serial at batch 1 and at the case's batch size.
-    for batch in [1usize, case.batch] {
-        let (sys, run) = case.build();
-        let out = Simulation::new(sys, run.with_batch_quanta(batch)).run();
-        let enc = encode_outcome(&out);
-        if enc != enc_s {
-            fails.push(Failure {
-                leg: "batched",
-                detail: format!(
-                    "outcome at batch_quanta={batch} diverges from the traced reference ({})",
-                    first_divergence(&enc_s, &enc)
-                ),
-            });
-        }
+    let (sys, run) = case.build();
+    let enc_u = encode_outcome(&Simulation::new(sys, run).run());
+    if enc_u != enc_s {
+        fails.push(Failure {
+            leg: "serial",
+            detail: format!(
+                "untraced outcome diverges from the traced reference ({})",
+                first_divergence(&enc_s, &enc_u)
+            ),
+        });
     }
 
-    // Leg 5: kill-and-resume.
+    // Leg 2: kill-and-resume.
     check_resume(case, &enc_s, &trace_s, &mut fails);
 
-    // Leg 6: cache roundtrip (in-memory codec + disk store).
+    // Leg 3: cache roundtrip (in-memory codec + disk store).
     check_cache(case, &out_s, &enc_s, &mut fails);
 
     // Metamorphic invariants.
@@ -123,89 +105,15 @@ pub fn check_case(case: &FuzzCase) -> Vec<Failure> {
     fails
 }
 
-enum Exec {
-    Serial,
-    Pooled,
-    Permuted,
-}
-
 /// Run the case with a ring tracer attached and export the trace through
 /// the stock JSONL path (same bytes a `--trace` CLI run would write).
-fn run_traced(case: &FuzzCase, exec: Exec) -> (RunOutcome, String) {
+fn run_traced(case: &FuzzCase) -> (RunOutcome, String) {
     let (sys, run) = case.build();
     let ring = Arc::new(Mutex::new(RingTracer::new(1 << 20)));
     let handle: SharedTracer = ring.clone();
-    let run = run.with_tracer(handle);
-    let sim = Simulation::new(sys, run);
-    let out = match exec {
-        Exec::Serial => sim.run(),
-        Exec::Pooled => sim.run_parallel(case.workers),
-        Exec::Permuted => sim.run_parallel_permuted(case.workers, case.permute_seed),
-    };
+    let out = Simulation::new(sys, run.with_tracer(handle)).run();
     let events = ring.lock().expect("ring tracer lock").drain();
     (out, jsonl::export(events.iter(), &[]))
-}
-
-/// Replay a JSONL trace into an offline `hcapp.report`.
-fn replay(trace: &str, leg: &'static str, fails: &mut Vec<Failure>) -> Option<String> {
-    let mut a = StreamAnalyzer::new();
-    if let Err(e) = a.consume_jsonl(trace) {
-        fails.push(Failure {
-            leg,
-            detail: format!("trace replay rejected the {leg} trace: {e}"),
-        });
-        return None;
-    }
-    Some(a.report().to_json())
-}
-
-/// Diff one executor leg's three artifacts against the serial reference.
-fn diff_leg(
-    fails: &mut Vec<Failure>,
-    leg: &'static str,
-    enc_s: &str,
-    enc: &str,
-    trace_s: &str,
-    trace: &str,
-    report_s: &Option<String>,
-) {
-    if enc != enc_s {
-        fails.push(Failure {
-            leg,
-            detail: format!(
-                "encoded outcome diverges from the serial reference ({})",
-                first_divergence(enc_s, enc)
-            ),
-        });
-    }
-    if trace != trace_s {
-        fails.push(Failure {
-            leg,
-            detail: format!(
-                "JSONL trace diverges from the serial reference ({})",
-                first_divergence(trace_s, trace)
-            ),
-        });
-    }
-    if let Some(report_s) = report_s {
-        // Only replay the leg's trace when its report could differ — if the
-        // traces are byte-identical the reports are too.
-        if trace != trace_s {
-            let mut fresh = Vec::new();
-            if let Some(report) = replay(trace, leg, &mut fresh) {
-                if &report != report_s {
-                    fails.push(Failure {
-                        leg,
-                        detail: format!(
-                            "replayed hcapp.report diverges ({})",
-                            first_divergence(report_s, &report)
-                        ),
-                    });
-                }
-            }
-            fails.append(&mut fresh);
-        }
-    }
 }
 
 /// Kill the run at the case's quantum, resume it from the checkpoint, and
@@ -244,7 +152,11 @@ fn check_resume(case: &FuzzCase, enc_s: &str, trace_s: &str, fails: &mut Vec<Fai
     }
     match run_resumable(sys, run, &base) {
         Ok(s) => match s.end {
-            ResumeEnd::Completed(out) => {
+            ResumeEnd::Completed(mut out) => {
+                if case.plant == Plant::ResumeBitflip {
+                    let bits = out.avg_power.value().to_bits();
+                    out.avg_power = Watt::new(f64::from_bits(bits ^ 1));
+                }
                 let enc = encode_outcome(&out);
                 if enc != enc_s {
                     fails.push(Failure {
@@ -448,7 +360,7 @@ mod tests {
 
     #[test]
     fn clean_cases_pass_every_leg() {
-        // A handful of generated seeds; each exercises all six legs plus
+        // A handful of generated seeds; each exercises all three legs plus
         // the metamorphic trio.
         for seed in [3u64, 11, 42] {
             let case = generate(seed);
@@ -458,13 +370,13 @@ mod tests {
     }
 
     #[test]
-    fn planted_pooled_bitflip_is_caught_only_on_the_pooled_leg() {
+    fn planted_resume_bitflip_is_caught_only_on_the_resume_leg() {
         let mut case = generate(7);
-        case.plant = Plant::PooledBitflip;
+        case.plant = Plant::ResumeBitflip;
         let fails = check_case(&case);
         assert!(!fails.is_empty(), "plant went undetected");
         assert!(
-            fails.iter().all(|f| f.leg == "pooled"),
+            fails.iter().all(|f| f.leg == "resume"),
             "plant leaked into other legs: {fails:?}"
         );
     }

@@ -3,8 +3,8 @@
 //! [`shrink`] takes a case the oracle rejects and repeatedly applies
 //! structure-removing passes — drop retargets, halve the duration, strip
 //! the fault plan, the memory domain, the software policy and the trace
-//! flags, collapse the executor knobs to their minima — keeping a
-//! candidate only if it *still* fails. Every pass strictly shrinks a
+//! flags, move the kill point to the first quantum — keeping a candidate
+//! only if it *still* fails. Every pass strictly shrinks a
 //! field, so the loop terminates at a local minimum: the smallest repro
 //! this pass set can reach, emitted as the `hcapp.fuzzcase` the user
 //! actually debugs.
@@ -51,8 +51,6 @@ fn size(c: &FuzzCase) -> u64 {
     s += u64::from(!matches!(c.software, hcapp::coordinator::SoftwareConfig::None)) * 20;
     s += u64::from(c.record_trace) * 10;
     s += u64::from(c.record_vtrace) * 10;
-    s += c.batch as u64;
-    s += c.workers as u64 * 5;
     s += c.kill_at.min(100);
     s
 }
@@ -104,16 +102,6 @@ fn candidates(c: &FuzzCase) -> Vec<FuzzCase> {
         x.record_vtrace = false;
         out.push(x);
     }
-    if c.batch > 1 {
-        let mut x = c.clone();
-        x.batch = 1;
-        out.push(x);
-    }
-    if c.workers > 1 {
-        let mut x = c.clone();
-        x.workers = 1;
-        out.push(x);
-    }
     if c.kill_at > 1 {
         let mut x = c.clone();
         x.kill_at = 1;
@@ -146,7 +134,7 @@ mod tests {
         case.memory = true;
         case.record_trace = true;
         case.duration_ns = 400_000;
-        case.plant = Plant::PooledBitflip;
+        case.plant = Plant::ResumeBitflip;
         assert!(!check_case(&case).is_empty(), "plant must fail pre-shrink");
         let small = shrink(&case);
         assert!(
@@ -160,8 +148,7 @@ mod tests {
         assert!(small.retargets.is_empty());
         assert!(small.faults.is_none());
         assert!(!small.memory);
-        assert_eq!(small.workers, 1);
-        assert_eq!(small.batch, 1);
+        assert_eq!(small.kill_at, 1);
         assert_eq!(small.duration_ns, 20_000);
     }
 }

@@ -1,8 +1,8 @@
 //! Deterministic, splittable pseudo-random number generation.
 //!
-//! Experiments must be reproducible bit-for-bit, and the chiplet-parallel
-//! coordinator must produce exactly the same trace as the serial one. We
-//! therefore avoid any global or thread-local RNG state: every component that
+//! Experiments must be reproducible bit-for-bit, and a run resumed from a
+//! checkpoint must produce exactly the same trace as the uninterrupted one.
+//! We therefore avoid any global or thread-local RNG state: every component that
 //! needs randomness derives its own independent stream from the run seed and
 //! a stable stream identifier via [`DeterministicRng::derive`].
 //!

@@ -90,8 +90,8 @@ impl OnlineStats {
 
     /// Merge another accumulator into this one (parallel reduction).
     ///
-    /// Uses Chan et al.'s parallel update so chiplet-parallel workers can
-    /// each keep a local accumulator and combine at the quantum barrier.
+    /// Uses Chan et al.'s parallel update, so accumulators kept apart (one
+    /// per worker or per run) combine into the statistics of the union.
     pub fn merge(&mut self, other: &OnlineStats) {
         if other.n == 0 {
             return;

@@ -205,9 +205,8 @@ struct OrderEdge {
 ///
 /// Two checks over the worker-pool concurrency surface: (a) no channel
 /// `send`/`recv` while a `Mutex` guard is live — the receiving side may
-/// block on the same lock, and the pinned serial==pooled property only
-/// holds when replies drain independently of the queue lock; (b) every
-/// pair of locks is acquired in one global order.
+/// block on the same lock, so results must drain independently of the
+/// queue lock; (b) every pair of locks is acquired in one global order.
 pub fn l7_lock_discipline(ws: &LoadedWorkspace, findings: &mut Vec<Finding>) {
     let g = &ws.graph;
     let mut edges: Vec<OrderEdge> = Vec::new();

@@ -3,9 +3,8 @@
 //! Every event is keyed by the [`SimTime`] of the control-quantum boundary
 //! it was observed at. The coordinator emits the global events (retarget,
 //! PID step, VR slew) before the per-domain events of the same quantum, and
-//! per-domain events are merged in domain order — so a recorded stream is
-//! totally ordered and bit-identical between the serial and parallel
-//! executors.
+//! per-domain events follow in domain order — so a recorded stream is
+//! totally ordered and a pure function of the run's inputs.
 
 use hcapp_sim_core::time::SimTime;
 use hcapp_sim_core::units::{Volt, Watt};

@@ -23,8 +23,8 @@
 //!   dropped-events counter and exact aggregate [`TraceStats`].
 //! * [`jsonl`] — the versioned self-describing JSONL schema, exporter and
 //!   validator.
-//! * [`Profiler`]/[`ProfSpan`] — wall-clock per-phase timings for the
-//!   serial and worker-pool executors.
+//! * [`Profiler`]/[`ProfSpan`] — wall-clock per-phase timings of the run
+//!   loop.
 //!
 //! [`SimTime`]: hcapp_sim_core::time::SimTime
 

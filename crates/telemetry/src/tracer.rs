@@ -155,8 +155,8 @@ impl Tracer for RingTracer {
 
 /// The shape of the hook carried by the run configuration: shared so the
 /// caller keeps a handle to read the trace back after the run, mutex'd
-/// because the worker-pool executor records from the coordinator thread
-/// while the caller may hold clones.
+/// because a run may execute on a run-level pool thread while the caller
+/// holds clones.
 pub type SharedTracer = Arc<Mutex<dyn Tracer>>;
 
 /// Wrap a concrete tracer into the [`SharedTracer`] handle the run

@@ -5,9 +5,8 @@
 //! control period grows with the package. HCAPP's "wire" is the power rail
 //! itself — its 1 µs loop is set by physics (Table 1), not by fan-in.
 //!
-//! This example builds a 24-chiplet package (8× the paper system), runs
-//! HCAPP against a centralized-aggregation model, and uses the
-//! chiplet-parallel executor (`run_parallel`) to keep the host busy too.
+//! This example builds a 24-chiplet package (8× the paper system) and runs
+//! HCAPP against a centralized-aggregation model.
 //!
 //! ```text
 //! cargo run --release --example many_chiplets
@@ -25,9 +24,6 @@ use hcapp_repro::workloads::combos::combo_by_name;
 fn main() {
     let combo = combo_by_name("Hi-Hi").expect("known combo");
     let duration = SimDuration::from_millis(10);
-    let workers = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(4);
 
     let mut table = Table::new(
         "Scaling a 2.5D package: HCAPP vs centralized aggregation",
@@ -45,7 +41,7 @@ fn main() {
             SystemConfig::scaled_system(combo, n_each, n_each, n_each, 3).expect("nonzero"),
             RunConfig::new(duration, ControlScheme::Hcapp, target),
         )
-        .run_parallel(workers);
+        .run();
 
         // Centralized: +2 µs of telemetry aggregation per domain.
         let central_period = SimDuration::from_micros(1 + 2 * n_domains as u64);
@@ -53,7 +49,7 @@ fn main() {
             SystemConfig::scaled_system(combo, n_each, n_each, n_each, 3).expect("nonzero"),
             RunConfig::new(duration, ControlScheme::CustomPeriod(central_period), target),
         )
-        .run_parallel(workers);
+        .run();
 
         for (name, period, out) in [
             ("HCAPP", SimDuration::from_micros(1), &hcapp),

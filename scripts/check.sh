@@ -34,10 +34,6 @@ long_window=$( (ulimit -v 4000000; exec target/release/hcapp run \
 echo "$long_window" | grep -q "n/a (window longer than run)" \
     || { echo "long-window run did not report its unfilled window" >&2; exit 1; }
 
-echo "==> hcapp sanitize smoke (permuted reply orders vs serial bytes)"
-cargo run --release -p hcapp-cli -q -- sanitize \
-    --combo Low-Low --ms 1 --orderings 8 > /dev/null
-
 echo "==> hcapp trace smoke (Table-3 combo, JSONL validated)"
 smoke=results/trace_smoke.jsonl
 rm -f "$smoke"
@@ -69,16 +65,16 @@ cargo run --release -p hcapp-cli -q -- analyze \
     --assert results/REPORT_checks.json --report "$smoke" > /dev/null
 rm -f "$smoke"
 
-echo "==> hcapp faults smoke (executor determinism + cap bound)"
+echo "==> hcapp faults smoke (valid trace + faults injected + cap bound)"
 cargo run --release -p hcapp-cli -q -- faults --seed 7 --check
 
-echo "==> scaling bench smoke (executors + stepper-kernel {3,64} floors)"
+echo "==> kernel bench smoke (stepper-kernel {3,64} median floors)"
 # Fast variant of scripts/bench_smoke.sh: the kernel sweep runs only the
 # 3- and 64-domain points and must clear the committed throughput floors
-# in results/BENCH_thresholds.json. Smoke mode writes both benches'
-# reports to scratch files, so no committed artifact changes. The full
-# 4-point sweep that refreshes the committed results/BENCH_kernel.json is
-# the script's default mode.
+# in results/BENCH_thresholds.json. Smoke mode writes its report to a
+# scratch file, so no committed artifact changes. The full 4-point sweep
+# that refreshes the committed results/BENCH_kernel.json is the script's
+# default mode.
 HCAPP_BENCH_POINTS=3,64 scripts/bench_smoke.sh
 
 echo "==> hcapp soak smoke (kill-and-resume vs uninterrupted oracle, tolerance 0)"
@@ -92,10 +88,11 @@ cargo run --release -p hcapp-cli -q -- soak \
 rmdir results/soak_smoke 2>/dev/null || true
 
 echo "==> hcapp fuzz smoke (differential + metamorphic oracles, byte-stable)"
-# A fixed-seed bounded corpus through all six differential legs plus the
-# metamorphic invariants. Run twice: the campaign log itself must be
-# byte-identical across invocations, so the gate covers determinism of the
-# fuzzer as well as correctness of the executors.
+# A fixed-seed bounded corpus through the three differential legs (serial,
+# kill-and-resume, cache) plus the metamorphic invariants. Run twice: the
+# campaign log itself must be byte-identical across invocations, so the
+# gate covers determinism of the fuzzer as well as correctness of the run
+# loop and the resume seam.
 fuzz_a=results/fuzz_smoke_a.log
 fuzz_b=results/fuzz_smoke_b.log
 rm -f "$fuzz_a" "$fuzz_b"
@@ -104,12 +101,13 @@ cargo run --release -p hcapp-cli -q -- fuzz --smoke > "$fuzz_b"
 cmp "$fuzz_a" "$fuzz_b" \
     || { echo "fuzz smoke log is not byte-stable across invocations" >&2; exit 1; }
 rm -f "$fuzz_a" "$fuzz_b"
-# The self-test: plant a known executor divergence, require the oracle to
-# catch it, shrink it, and reproduce it from the emitted hcapp.fuzzcase.
+# The self-test: plant a one-bit divergence across the resume seam, require
+# the oracle to catch it, shrink it, and reproduce it from the emitted
+# hcapp.fuzzcase.
 fuzz_case=results/fuzz_smoke_planted.fuzzcase
 rm -f "$fuzz_case"
 cargo run --release -p hcapp-cli -q -- fuzz \
-    --plant pooled --out "$fuzz_case" > /dev/null
+    --plant resume --out "$fuzz_case" > /dev/null
 if cargo run --release -p hcapp-cli -q -- fuzz --replay "$fuzz_case" > /dev/null 2>&1; then
     echo "planted fuzzcase replay did not reproduce the failure" >&2
     exit 1

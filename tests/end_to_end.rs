@@ -47,22 +47,6 @@ fn power_bounded_by_physical_peak() {
 }
 
 #[test]
-fn serial_and_parallel_executors_agree_bitwise() {
-    for combo in ["Burst-Burst", "Low-Hi"] {
-        let (sys, run) = paper_config(testutil::combo(combo), ControlScheme::Hcapp, 9, 3);
-        let serial = Simulation::new(sys.clone(), run.clone()).run();
-        let parallel = Simulation::new(sys, run).run_parallel(3);
-        assert_eq!(serial.avg_power, parallel.avg_power, "{combo}: avg power");
-        assert_eq!(serial.energy_j, parallel.energy_j, "{combo}: energy");
-        assert_eq!(serial.work, parallel.work, "{combo}: work");
-        assert_eq!(
-            serial.windowed_max, parallel.windowed_max,
-            "{combo}: windowed max"
-        );
-    }
-}
-
-#[test]
 fn hcapp_respects_fast_limit_on_every_combo() {
     let limit = PowerLimit::package_pin();
     for combo in combo_suite() {

@@ -3,15 +3,17 @@
 //! The checkpoint text is a format: a checkpoint written by one build must
 //! restore in the next, and the resume oracle only proves that a build
 //! round-trips its *own* checkpoints. This corpus pins the bytes
-//! themselves, at two batch boundaries of each run below, so a change to
+//! themselves, at two quantum boundaries of each run below, so a change to
 //! how state is held in memory (a window ring that grows as samples
-//! arrive, a run-sized batch arena) cannot move the text it serializes to.
+//! arrive, a run-sized scratch arena, the loop owning its domains) cannot
+//! move the text it serializes to.
 //!
 //! The runs cover the window states the codec has to spell out:
 //! - `hcapp_1ms`: the paper's 1 µs loop; the 20 µs ring has wrapped while
 //!   the 1 ms and 10 ms rings are still filling;
-//! - `fixed_batched`: the fixed baseline, checkpointed after multi-quantum
-//!   batches;
+//! - `fixed_batched`: the fixed baseline at its 100 µs quantum (the name
+//!   dates from when this run shipped four quanta per dispatch; it is kept
+//!   so the committed rows do not move);
 //! - `sw_like`: the 10 ms Software-like quantum; the run is 25 ms, because
 //!   a run shorter than one quantum has no mid-run boundary to checkpoint
 //!   at, and its last quantum is cut short by the end of the run;
@@ -56,7 +58,7 @@ fn cases() -> Vec<Case> {
         },
         Case {
             name: "fixed_batched",
-            run: run(1, ControlScheme::fixed_baseline()).with_batch_quanta(4),
+            run: run(1, ControlScheme::fixed_baseline()),
             stops: [4, 8],
         },
         Case {

@@ -37,7 +37,7 @@ fn golden_row(combo_name: &str, scheme: ControlScheme) -> String {
     let (sys, run) = paper_config(combo, scheme, SEED, MS);
     let ring = Arc::new(Mutex::new(RingTracer::new(RING_CAP)));
     let run = run.with_tracer(ring.clone() as SharedTracer);
-    let (outcome, live_report) = run_analyzed(sys, run, None);
+    let (outcome, live_report) = run_analyzed(sys, run);
 
     let events = ring
         .lock()

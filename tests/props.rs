@@ -158,34 +158,4 @@ proptest! {
         };
         prop_assert_eq!(run_with(at_ns), run_with(shifted_ns));
     }
-
-    /// `scaled_system` determinism: the same seed and package shape give
-    /// the same outcome digest whichever executor shape runs it (serial,
-    /// 2-worker pool, 3-worker pool).
-    #[test]
-    fn scaled_system_digest_is_executor_invariant(
-        combo in 0usize..8,
-        seed in 0u64..1_000,
-        nc in 1usize..8,
-        ng in 0usize..8,
-        ns in 0usize..8,
-    ) {
-        use hcapp_repro::hcapp::resume::outcome_digest;
-        let build = || {
-            let sys = SystemConfig::scaled_system(
-                combo_suite()[combo % 8], nc, ng, ns, seed,
-            ).expect("nc >= 1");
-            let run = RunConfig::new(
-                SimDuration::from_micros(200),
-                ControlScheme::Hcapp,
-                Watt::new(84.28),
-            );
-            Simulation::new(sys, run)
-        };
-        let serial = outcome_digest(&build().run());
-        let pooled2 = outcome_digest(&build().run_parallel(2));
-        let pooled3 = outcome_digest(&build().run_parallel(3));
-        prop_assert_eq!(&serial, &pooled2);
-        prop_assert_eq!(&serial, &pooled3);
-    }
 }
