@@ -279,6 +279,13 @@ mod tests {
     }
 
     #[test]
+    fn live_reports_are_byte_identical_across_reruns() {
+        let a = run_cli("--combo Low-Low --ms 2 --retarget 1:70").unwrap();
+        let b = run_cli("--combo Low-Low --ms 2 --retarget 1:70").unwrap();
+        assert_eq!(a, b);
+    }
+
+    #[test]
     fn rejects_bad_flag_combinations() {
         assert!(run_cli("--diff nowhere.json").is_err());
         assert!(run_cli("--assert nowhere.json").is_err());

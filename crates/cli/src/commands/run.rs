@@ -118,6 +118,13 @@ mod tests {
     }
 
     #[test]
+    fn parallel_is_not_a_run_flag() {
+        // A run is single-threaded; only `sweep` sizes a worker pool.
+        let e = run_cli("--combo Mid-Mid --ms 2 --parallel 3").unwrap_err();
+        assert!(e.to_string().contains("--parallel"), "{e}");
+    }
+
+    #[test]
     fn trace_written_to_disk() {
         let path = std::env::temp_dir().join("hcapp_cli_trace_test.csv");
         let _ = std::fs::remove_file(&path);

@@ -30,6 +30,15 @@ fn bad(flag: &str, value: String, expected: &'static str) -> ArgError {
     }
 }
 
+/// Decode a count flag that must be at least 1, such as `--ms` or
+/// `--window-us`: zero is a flag error, not silently read as 1.
+pub fn positive_u64(args: &Args, flag: &str, default: u64) -> Result<u64, ArgError> {
+    match args.u64(flag, default)? {
+        0 => Err(bad(flag, "0".into(), "a positive integer")),
+        n => Ok(n),
+    }
+}
+
 /// Decode `--scheme` (`hcapp | rapl | sw | fixed[:volts] | custom:<us>`).
 /// A fixed voltage outside the global rail, or a zero custom period, is a
 /// flag error naming the rail range ([`ControlScheme::check`]).
@@ -97,7 +106,7 @@ pub fn combo(args: &Args) -> Result<Combo, ArgError> {
 /// Decode the power limit flags.
 pub fn limit(args: &Args) -> Result<PowerLimit, ArgError> {
     let budget = args.f64("budget", 100.0)?;
-    let window_us = args.u64("window-us", 20)?;
+    let window_us = positive_u64(args, "window-us", 20)?;
     if !(budget > 0.0 && budget.is_finite()) {
         return Err(bad(
             "budget",
@@ -107,7 +116,7 @@ pub fn limit(args: &Args) -> Result<PowerLimit, ArgError> {
     }
     Ok(PowerLimit::new(
         Watt::new(budget),
-        SimDuration::from_micros(window_us.max(1)),
+        SimDuration::from_micros(window_us),
     ))
 }
 
@@ -146,7 +155,7 @@ pub fn build(args: &Args) -> Result<(SystemConfig, RunConfig, PowerLimit), ArgEr
     let combo = combo(args)?;
     let scheme = scheme(args)?;
     let limit = limit(args)?;
-    let ms = args.u64("ms", 50)?.max(1);
+    let ms = positive_u64(args, "ms", 50)?;
     let seed = args.u64("seed", 11)?;
 
     let mut sys = if args.switch("memory")? {
@@ -387,6 +396,23 @@ mod tests {
         )
         .unwrap_err();
         assert!(e.contains("outside the rail range"), "{e}");
+    }
+
+    #[test]
+    fn zero_duration_and_zero_window_are_flag_errors() {
+        for (flags, flag) in [
+            ("--combo Hi-Hi --ms 0", "ms"),
+            ("--combo Hi-Hi --window-us 0", "window-us"),
+        ] {
+            match build(&parse(flags)) {
+                Err(ArgError::BadValue { flag: f, value, .. }) => {
+                    assert_eq!((f.as_str(), value.as_str()), (flag, "0"), "{flags}");
+                }
+                other => panic!("{flags}: expected a flag error, got {:?}", other.map(|_| ())),
+            }
+        }
+        assert_eq!(positive_u64(&parse("--ms 3"), "ms", 50).unwrap(), 3);
+        assert_eq!(positive_u64(&parse(""), "ms", 50).unwrap(), 50);
     }
 
     #[test]

@@ -34,7 +34,7 @@ fn parse_schemes(list: &str) -> Result<Vec<ControlScheme>, ArgError> {
 /// Execute `hcapp sweep`.
 pub fn execute(args: &Args) -> Result<String, ArgError> {
     let limit = shared::limit(args)?;
-    let ms = args.u64("ms", 50)?.max(1);
+    let ms = shared::positive_u64(args, "ms", 50)?;
     let seed = args.u64("seed", 11)?;
     let scheme_list = args.string("scheme", "hcapp,rapl,sw")?;
     // `--parallel N` sizes the run-level pool; absent or 0 means one worker

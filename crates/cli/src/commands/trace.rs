@@ -150,6 +150,21 @@ mod tests {
     }
 
     #[test]
+    fn trace_files_match_across_reruns() {
+        let dir = std::env::temp_dir();
+        let a = dir.join("hcapp_cli_trace_rerun_a.jsonl");
+        let b = dir.join("hcapp_cli_trace_rerun_b.jsonl");
+        for path in [&a, &b] {
+            run_cli(&format!("--combo Mid-Mid --ms 2 --out {}", path.display())).unwrap();
+        }
+        let ta = std::fs::read_to_string(&a).unwrap();
+        let tb = std::fs::read_to_string(&b).unwrap();
+        assert_eq!(ta, tb, "reruns must write byte-identical traces");
+        let _ = std::fs::remove_file(&a);
+        let _ = std::fs::remove_file(&b);
+    }
+
+    #[test]
     fn small_ring_reports_drops() {
         let path = std::env::temp_dir().join("hcapp_cli_trace_small.jsonl");
         let out = run_cli(&format!(

@@ -1301,6 +1301,65 @@ mod tests {
         );
         let _ = Simulation::new(sys, run);
     }
+
+    #[test]
+    #[should_panic(expected = "invalid control scheme")]
+    fn off_rail_fixed_voltage_panics_at_construction() {
+        let sys = SystemConfig::paper_system(combo_suite()[0], 1);
+        let run = RunConfig::new(
+            SimDuration::from_millis(1),
+            ControlScheme::FixedVoltage(Volt::new(5.0)),
+            Watt::new(86.0),
+        );
+        let _ = Simulation::new(sys, run);
+    }
+
+    #[test]
+    #[should_panic(expected = "invalid control scheme")]
+    fn zero_custom_period_panics_at_construction() {
+        let sys = SystemConfig::paper_system(combo_suite()[0], 1);
+        let run = RunConfig::new(
+            SimDuration::from_millis(1),
+            ControlScheme::CustomPeriod(SimDuration::ZERO),
+            Watt::new(86.0),
+        );
+        let _ = Simulation::new(sys, run);
+    }
+
+    /// The run loop walks every domain beside its lane: a scaled package
+    /// reports work for each of its domains, in package order.
+    #[test]
+    fn scaled_package_reports_work_for_every_domain() {
+        let sys = SystemConfig::scaled_system(combo_suite()[3], 4, 3, 2, 11).unwrap();
+        let target = PowerLimit::package_pin().guardbanded_target();
+        let run = RunConfig::new(SimDuration::from_micros(500), ControlScheme::Hcapp, target);
+        let out = Simulation::new(sys, run).run();
+        let kinds: Vec<ComponentKind> = out.work.iter().map(|(k, _)| *k).collect();
+        let mut want = vec![ComponentKind::Cpu; 4];
+        want.extend([ComponentKind::Gpu; 3]);
+        want.extend([ComponentKind::Sha; 2]);
+        assert_eq!(kinds, want);
+        for (i, (_, w)) in out.work.iter().enumerate() {
+            assert!(*w > 0.0, "domain {i} did no work");
+        }
+    }
+
+    #[test]
+    fn dynamic_backlog_policy_is_deterministic() {
+        let mk = || {
+            let sys = SystemConfig::paper_system(combo_suite()[3], 11);
+            let target = PowerLimit::package_pin().guardbanded_target();
+            let run = RunConfig::new(SimDuration::from_millis(2), ControlScheme::Hcapp, target)
+                .with_software(SoftwareConfig::DynamicBacklog)
+                .with_trace();
+            Simulation::new(sys, run).run()
+        };
+        let (a, b) = (mk(), mk());
+        assert_eq!(a.avg_power, b.avg_power);
+        assert_eq!(a.energy_j.to_bits(), b.energy_j.to_bits());
+        assert_eq!(a.work, b.work);
+        assert_eq!(a.trace, b.trace);
+    }
 }
 
 #[cfg(test)]

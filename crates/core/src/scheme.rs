@@ -172,4 +172,36 @@ mod tests {
     fn all_contains_four() {
         assert_eq!(ControlScheme::all().len(), 4);
     }
+
+    #[test]
+    fn check_accepts_the_rail_endpoints_and_every_named_scheme() {
+        let gains = PidGains::paper_default();
+        for s in ControlScheme::all() {
+            assert_eq!(s.check(&gains), Ok(()), "{s}");
+        }
+        for v in [gains.out_min, gains.out_max] {
+            assert_eq!(ControlScheme::FixedVoltage(Volt::new(v)).check(&gains), Ok(()));
+        }
+        let one_us = ControlScheme::CustomPeriod(SimDuration::from_micros(1));
+        assert_eq!(one_us.check(&gains), Ok(()));
+    }
+
+    #[test]
+    fn check_rejects_off_rail_and_non_finite_voltages() {
+        let gains = PidGains::paper_default();
+        for v in [0.59, 1.31, 0.0, -1.0, f64::NAN, f64::INFINITY] {
+            let e = ControlScheme::FixedVoltage(Volt::new(v))
+                .check(&gains)
+                .unwrap_err();
+            assert!(e.contains("0.60..=1.30 V"), "{v}: {e}");
+        }
+    }
+
+    #[test]
+    fn check_rejects_a_zero_custom_period() {
+        let e = ControlScheme::CustomPeriod(SimDuration::ZERO)
+            .check(&PidGains::paper_default())
+            .unwrap_err();
+        assert!(e.contains("at least 1 us"), "{e}");
+    }
 }

@@ -4,9 +4,10 @@
 //! past L3 with something genuinely nondeterministic, these fail.
 
 use hcapp::cache::{decode_outcome, encode_outcome, job_key, run_all_cached, RunCache};
-use hcapp::coordinator::{RunConfig, Simulation};
+use hcapp::coordinator::{RunConfig, Simulation, SoftwareConfig};
 use hcapp::outcome::RunOutcome;
 use hcapp::scheme::ControlScheme;
+use hcapp::software::ComponentKind;
 use hcapp::system::SystemConfig;
 use hcapp_sim_core::time::SimDuration;
 use hcapp_sim_core::units::Watt;
@@ -131,4 +132,48 @@ fn warm_table3_sweep_hits_every_job_bit_identically() {
         assert_eq!(encode_outcome(c), encode_outcome(w));
     }
     let _ = std::fs::remove_dir_all(&cache_dir);
+}
+
+/// Every named scheme and a custom period rerun to the same bits, so each
+/// quantum length the run loop steps by is covered, not only HCAPP's 1 µs.
+#[test]
+fn every_scheme_reruns_bit_identically() {
+    let mut schemes = ControlScheme::all().to_vec();
+    schemes.push(ControlScheme::CustomPeriod(SimDuration::from_micros(10)));
+    for scheme in schemes {
+        let (sys, run) = config(scheme);
+        let a = Simulation::new(sys.clone(), run.clone()).run();
+        let b = Simulation::new(sys, run).run();
+        assert_outcomes_identical(&a, &b, &format!("{scheme:?}"));
+    }
+}
+
+/// A 16-domain package: the domain walk and the in-order power sum must
+/// not depend on anything but the inputs when there are many domains.
+#[test]
+fn scaled_package_reruns_bit_identically() {
+    let sys = SystemConfig::scaled_system(combo_suite()[3], 6, 6, 4, 7).expect("nonempty");
+    let run = RunConfig::new(SimDuration::from_micros(500), ControlScheme::Hcapp, Watt::new(84.0))
+        .with_trace()
+        .with_voltage_trace();
+    let a = Simulation::new(sys.clone(), run.clone()).run();
+    let b = Simulation::new(sys, run).run();
+    assert_eq!(a.work.len(), 16);
+    assert_outcomes_identical(&a, &b, "16 domains");
+}
+
+/// The software policy feeds priorities back into every domain each
+/// quantum; with it on, reruns must still agree bit for bit.
+#[test]
+fn software_policy_reruns_bit_identically() {
+    for sw in [
+        SoftwareConfig::StaticPriority(ComponentKind::Gpu),
+        SoftwareConfig::DynamicBacklog,
+    ] {
+        let (sys, run) = config(ControlScheme::Hcapp);
+        let run = run.with_software(sw);
+        let a = Simulation::new(sys.clone(), run.clone()).run();
+        let b = Simulation::new(sys, run).run();
+        assert_outcomes_identical(&a, &b, &format!("{sw:?}"));
+    }
 }

@@ -97,3 +97,30 @@ fn quiet_plan_changes_nothing_measurable() {
     assert_eq!(clean.work, quiet.work);
     assert_eq!(quiet.resilience.faults_injected, 0);
 }
+
+#[test]
+fn faulted_outcome_is_identical_across_reruns() {
+    let a = faulted_run(Some(FaultPlan::severe(13)));
+    let b = faulted_run(Some(FaultPlan::severe(13)));
+    assert!(a.resilience.faults_injected > 0, "severe plan injected nothing");
+    assert_eq!(a.avg_power, b.avg_power);
+    assert_eq!(a.energy_j, b.energy_j);
+    assert_eq!(a.work, b.work);
+    assert_eq!(a.resilience, b.resilience);
+    assert_eq!(
+        a.trace.as_ref().map(|t| t.values().to_vec()),
+        b.trace.as_ref().map(|t| t.values().to_vec())
+    );
+}
+
+#[test]
+fn fault_plan_seed_steers_the_campaign() {
+    // The plan's seed is the only input that differs; two seeds must not
+    // collapse onto the same fault sequence.
+    let a = faulted_run(Some(FaultPlan::severe(13)));
+    let b = faulted_run(Some(FaultPlan::severe(14)));
+    assert_ne!(
+        (a.resilience, a.energy_j.to_bits()),
+        (b.resilience, b.energy_j.to_bits())
+    );
+}

@@ -216,6 +216,17 @@ fn serial_quiet_plan_double_kill_chain() {
 }
 
 #[test]
+fn serial_severe_plan_killed_late() {
+    assert_equivalent(
+        "serial_severe_late",
+        Some(FaultPlan::severe(42)),
+        ControlScheme::Hcapp,
+        64,
+        &[613],
+    );
+}
+
+#[test]
 fn serial_kill_before_first_checkpoint_restarts_fresh() {
     // Killed at quantum 10 < every 64: no checkpoint exists, the final
     // link starts fresh — and must still match the oracle exactly.
@@ -265,6 +276,42 @@ fn assert_fixed_equivalent(tag: &str, kills: &[u64]) {
 #[test]
 fn fixed_voltage_killed_mid_run() {
     assert_fixed_equivalent("fixed_voltage", &[40]);
+}
+
+#[test]
+fn fixed_voltage_killed_between_checkpoints() {
+    // Checkpoints land on even quanta; an odd kill resumes from the one
+    // before it and replays a quantum.
+    assert_fixed_equivalent("fixed_voltage_odd", &[41]);
+}
+
+#[test]
+fn fixed_voltage_double_kill_chain() {
+    assert_fixed_equivalent("fixed_voltage_double", &[13, 77]);
+}
+
+/// The traced matrix at the 100 µs quanta: 1 ms is 10 quanta, so
+/// checkpoints every 2 quanta put one on each side of the 400 µs retarget.
+#[test]
+fn rapl_like_moderate_plan_killed_mid_run() {
+    assert_equivalent(
+        "rapl_moderate_mid",
+        Some(FaultPlan::moderate(7)),
+        ControlScheme::RaplLike,
+        2,
+        &[5],
+    );
+}
+
+#[test]
+fn fixed_voltage_traced_run_killed_mid_run() {
+    assert_equivalent(
+        "fixed_traced_mid",
+        None,
+        ControlScheme::FixedVoltage(Volt::new(1.0)),
+        2,
+        &[5],
+    );
 }
 
 #[test]

@@ -149,3 +149,33 @@ fn saturated_ring_counts_drops_and_keeps_newest() {
     let times: Vec<u64> = guard.events().map(|e| e.time().as_nanos()).collect();
     assert!(times.windows(2).all(|w| w[0] <= w[1]));
 }
+
+#[test]
+fn faulted_rerun_traces_are_identical() {
+    let a = traced_events(Some(FaultPlan::moderate(9)));
+    let b = traced_events(Some(FaultPlan::moderate(9)));
+    assert!(a.iter().any(|e| e.kind() == "fault_injected"));
+    assert_eq!(canonical(&a), canonical(&b));
+}
+
+/// The fixed-voltage baseline runs no controllers (§4): a traced run
+/// emits no PID or local-controller decisions.
+#[test]
+fn fixed_baseline_emits_no_controller_events() {
+    let ring = Arc::new(Mutex::new(RingTracer::new(1 << 16)));
+    let sys = SystemConfig::paper_system(combo_suite()[3], 7);
+    let run = RunConfig::new(
+        SimDuration::from_millis(2),
+        ControlScheme::fixed_baseline(),
+        Watt::new(84.0),
+    )
+    .with_tracer(ring.clone() as SharedTracer);
+    Simulation::new(sys, run).run();
+    let events = ring.lock().expect("ring lock").drain();
+    for kind in ["global_pid", "local_decision"] {
+        assert!(
+            !events.iter().any(|e| e.kind() == kind),
+            "{kind} event in a fixed-voltage run"
+        );
+    }
+}
