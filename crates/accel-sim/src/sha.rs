@@ -157,14 +157,9 @@ impl ShaAccelerator {
         if !repeats {
             return 0;
         }
-        let mut ticks = 0;
-        for slot in power_acc.iter_mut() {
-            if self.workload.remaining_gbits() < gbits {
-                break;
-            }
-            self.workload.drain(gbits);
+        let ticks = self.workload.drain_span(gbits, power_acc.len());
+        for slot in power_acc.iter_mut().take(ticks) {
             *slot += p;
-            ticks += 1;
         }
         ticks
     }

@@ -18,7 +18,7 @@ use hcapp_workloads::benchmarks::Benchmark;
 use hcapp_telemetry::json::{self, JsonValue, Obj};
 use hcapp_workloads::combos::{combo_by_name, Combo};
 use hcapp_workloads::phase::Phase;
-use hcapp_workloads::trace::PhaseTrace;
+use hcapp_workloads::trace::{PhaseTrace, MIN_PHASE_WORK_NS};
 
 use crate::args::{ArgError, Args};
 
@@ -341,8 +341,11 @@ pub fn phase_trace_from_jsonl(name: &str, text: &str) -> Result<PhaseTrace, Stri
                 .ok_or_else(|| format!("line {}: missing numeric {k:?}", i + 1))
         };
         let work_ns = field("work_ns")?;
-        if !(work_ns > 0.0) {
-            return Err(format!("line {}: non-positive work_ns {work_ns}", i + 1));
+        if !(work_ns >= MIN_PHASE_WORK_NS) {
+            return Err(format!(
+                "line {}: work_ns {work_ns:?} is below the {MIN_PHASE_WORK_NS} ns phase floor",
+                i + 1
+            ));
         }
         phases.push(Phase::new(field("activity")?, field("mem_intensity")?, work_ns));
     }
@@ -549,6 +552,17 @@ mod tests {
             "{{\"schema\":\"{PHASE_TRACE_SCHEMA}\",\"version\":1}}\n{{\"activity\":1,\"mem_intensity\":0,\"work_ns\":0}}\n"
         );
         assert!(phase_trace_from_jsonl("x", &bad_work).is_err());
+    }
+
+    #[test]
+    fn phase_trace_jsonl_rejects_phases_below_one_ns() {
+        let text = format!(
+            "{{\"schema\":\"{PHASE_TRACE_SCHEMA}\",\"version\":1}}\n{{\"activity\":0.5,\"mem_intensity\":0.2,\"work_ns\":40}}\n{{\"activity\":0.5,\"mem_intensity\":0.2,\"work_ns\":1e-300}}\n"
+        );
+        let err = phase_trace_from_jsonl("x", &text).unwrap_err();
+        assert!(err.starts_with("line 3: work_ns 1e-300"), "{err}");
+        let at_floor = text.replace("1e-300", "1");
+        assert_eq!(phase_trace_from_jsonl("x", &at_floor).map(|t| t.phases().len()), Ok(2));
     }
 
     #[test]

@@ -293,11 +293,6 @@ impl Simulation {
         }
     }
 
-    /// The domains (for inspection in tests).
-    pub fn domains(&self) -> &[Domain] {
-        &self.domains
-    }
-
     /// Run to completion.
     pub fn run(self) -> RunOutcome {
         let mut driver = LoopDriver::new(self);
@@ -723,9 +718,11 @@ impl LoopDriver {
         // The quantum's slices of the arena: the last quantum of a run may
         // be cut short by the end of the run.
         let (v_sched, _) = self.arena.v_sched.split_at_mut(n);
+        let (flat_runs, _) = self.arena.flat_runs.split_at_mut(n);
         let (power_acc, _) = self.arena.power_acc.split_at_mut(n);
 
-        // Precompute the global voltage schedule for this quantum.
+        // Precompute the global voltage schedule for this quantum, and its
+        // flat-run table once for every domain.
         {
             let _span = self.profiler.as_deref().map(|p| p.span("vr-schedule"));
             self.vr.schedule_into(t0, self.tick, v_sched);
@@ -737,6 +734,7 @@ impl LoopDriver {
                     self.v_ceil,
                 );
             }
+            crate::kernel::flat_runs_into(v_sched, flat_runs);
         }
         if self.tracing {
             if let (Some(&start), Some(&end)) = (v_sched.first(), v_sched.last()) {
@@ -836,6 +834,7 @@ impl LoopDriver {
                 *beat = d.run_quantum(
                     t0,
                     v_sched,
+                    flat_runs,
                     self.dynamic,
                     c,
                     self.tick,
@@ -882,19 +881,26 @@ impl LoopDriver {
             }
         }
 
-        // Aggregate package-level signals, tick by tick.
+        // Aggregate package-level signals: one pass per signal over the
+        // quantum's slices. The accumulators are independent of each
+        // other, and each pass folds its own in tick order, so the bits
+        // are those of a tick-by-tick loop (DESIGN §6j, obligation 11).
         let _agg_span = self.profiler.as_deref().map(|p| p.span("aggregate"));
+        let seen = self.sensor.sample_slice(power_acc).value();
+        if seen > self.peak_hold {
+            self.peak_hold = seen;
+        }
+        for tr in &mut self.trackers {
+            tr.push_slice(power_acc);
+        }
+        let (mut energy, mut voltage_sum) = (self.energy, self.voltage_sum);
         for (&p, &v) in power_acc.iter().zip(v_sched.iter()) {
-            let seen = self.sensor.sample(Watt::new(p)).value();
-            if seen > self.peak_hold {
-                self.peak_hold = seen;
-            }
-            for tr in &mut self.trackers {
-                tr.push(p);
-            }
-            self.energy += p * self.tick_s;
-            self.voltage_sum += v;
-            if self.trace.is_some() || self.voltage_trace.is_some() {
+            energy += p * self.tick_s;
+            voltage_sum += v;
+        }
+        (self.energy, self.voltage_sum) = (energy, voltage_sum);
+        if self.trace.is_some() || self.voltage_trace.is_some() {
+            for (&p, &v) in power_acc.iter().zip(v_sched.iter()) {
                 self.trace_sum += p;
                 self.vtrace_sum += v;
                 self.trace_count += 1;

@@ -24,7 +24,8 @@
 //! never checkpointed. Through a flat stretch of the VR schedule a domain
 //! skips even the per-tick call: `Domain::run_quantum` proves the
 //! stretch steady and hands it to the chiplet's `replay_span` in one
-//! call. See `DESIGN.md` §6j for the proof obligations of both.
+//! call, reading the stretch's length off the quantum's flat-run table
+//! ([`flat_runs_into`]). See `DESIGN.md` §6j for the proof obligations.
 
 use crate::coordinator::QuantumCtl;
 use crate::health::DomainHealth;
@@ -82,8 +83,35 @@ impl DomainLanes {
 pub(crate) struct BatchArena {
     /// Global voltage schedule, one slot per tick of the quantum.
     pub(crate) v_sched: Vec<f64>,
+    /// The schedule's flat-run table ([`flat_runs_into`]), one slot per
+    /// tick of the quantum, shared by every domain.
+    pub(crate) flat_runs: Vec<u32>,
     /// Package power accumulator, one slot per tick of the quantum.
     pub(crate) power_acc: Vec<f64>,
+}
+
+/// Fill `runs` with the suffix run lengths of the voltage schedule
+/// `v_sched`: `runs[k]` counts the ticks from `k` on whose voltage repeats
+/// `v_sched[k]` bit-for-bit, `k` itself included, so the ticks after `k`
+/// that a steady span starting at `k + 1` may cover number `runs[k] - 1`.
+/// One backward pass per quantum; every domain then reads its spans off
+/// the table instead of rescanning the schedule after each early span
+/// stop. A run longer than `u32::MAX` saturates, which only shortens the
+/// span it reports. Slots past the shorter of the two slices are left
+/// alone.
+pub fn flat_runs_into(v_sched: &[f64], runs: &mut [u32]) {
+    let mut next: Option<u64> = None;
+    let mut len = 0u32;
+    for (run, v) in runs.iter_mut().zip(v_sched).rev() {
+        let bits = v.to_bits();
+        len = if next == Some(bits) {
+            len.saturating_add(1)
+        } else {
+            1
+        };
+        next = Some(bits);
+        *run = len;
+    }
 }
 
 impl BatchArena {
@@ -95,6 +123,7 @@ impl BatchArena {
         let ticks = quantum_ticks.min(total_ticks);
         BatchArena {
             v_sched: vec![0.0f64; ticks],
+            flat_runs: vec![0u32; ticks],
             power_acc: vec![0.0f64; ticks],
         }
     }
@@ -102,7 +131,27 @@ impl BatchArena {
 
 #[cfg(test)]
 mod tests {
-    use super::BatchArena;
+    use super::{flat_runs_into, BatchArena};
+
+    #[test]
+    fn flat_run_table_matches_the_take_while_count() {
+        // Held stretches, single ticks, ±0 (distinct bit patterns), NaN
+        // and a stretch to the end of the quantum, for every prefix length.
+        let v = [
+            0.9, 0.9, 0.9, 1.0, 0.9, -0.0, 0.0, 0.0, f64::NAN, f64::NAN, 1.1, 1.1, 1.1, 1.1,
+        ];
+        for n in 0..=v.len() {
+            let sched = &v[..n];
+            let mut runs = vec![0u32; n];
+            flat_runs_into(sched, &mut runs);
+            for i in 1..n {
+                let bits = sched[i - 1].to_bits();
+                let scanned = sched[i..].iter().take_while(|x| x.to_bits() == bits).count();
+                assert_eq!(runs[i - 1] as usize - 1, scanned, "tick {i} of {n}");
+            }
+            assert!(runs.iter().all(|&r| r >= 1));
+        }
+    }
 
     #[test]
     fn arena_holds_one_quantum_cut_to_the_run() {
@@ -117,6 +166,7 @@ mod tests {
         ] {
             let arena = BatchArena::new(quantum, total);
             assert_eq!(arena.v_sched.len(), slots, "{quantum} in {total}");
+            assert_eq!(arena.flat_runs.len(), slots);
             assert_eq!(arena.power_acc.len(), slots);
         }
     }

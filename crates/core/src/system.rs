@@ -531,7 +531,8 @@ impl Domain {
     /// Run one control quantum under the coordinator's command `ctl`.
     ///
     /// `v_global` holds the global VR output for each tick of the quantum
-    /// (precomputed by the coordinator). If `update_local` is set, the local
+    /// (precomputed by the coordinator), and `flat_runs` its flat-run table
+    /// from [`crate::kernel::flat_runs_into`]. If `update_local` is set, the local
     /// controller is updated once at the quantum boundary (from the IPC
     /// fractions of the previous quantum, matching the paper's control
     /// ordering). Per-tick chiplet powers are *added into* `power_acc`
@@ -561,6 +562,7 @@ impl Domain {
         &mut self,
         t0: hcapp_sim_core::time::SimTime,
         v_global: &[f64],
+        flat_runs: &[u32],
         update_local: bool,
         ctl: &QuantumCtl,
         tick: SimDuration,
@@ -568,6 +570,7 @@ impl Domain {
         events: Option<&mut Vec<TraceEvent>>,
     ) -> bool {
         debug_assert_eq!(v_global.len(), power_acc.len());
+        debug_assert_eq!(v_global.len(), flat_runs.len());
         let thermal_derate = self.quantum_boundary(t0, v_global.len(), update_local, ctl, tick, events);
         // Ripple and link faults perturb individual ticks; without them a
         // tick whose inputs repeat the previous tick's may join a span.
@@ -577,7 +580,7 @@ impl Domain {
         let mut i = 0;
         while i < v_global.len() {
             if spans_allowed {
-                let span = self.steady_span(v_global, i, prev_ir_power);
+                let span = self.steady_span(v_global, flat_runs, i, prev_ir_power);
                 if let Some(slots) = power_acc.get_mut(i..i + span).filter(|s| !s.is_empty()) {
                     let ticks = self.sim.replay_span(&self.unit_voltages, tick, slots);
                     if ticks > 0 {
@@ -637,12 +640,19 @@ impl Domain {
     ///   keeps holding through the span.
     ///
     /// The span then runs while `v_global` repeats `v_global[i - 1]`
-    /// bit-for-bit. Returns 0 when any obligation fails.
-    fn steady_span(&self, v_global: &[f64], i: usize, prev_ir_power: Watt) -> usize {
-        let (Some(prev), Some(rest)) = (
-            i.checked_sub(1).and_then(|p| v_global.get(p)),
-            v_global.get(i..),
-        ) else {
+    /// bit-for-bit, which the flat-run table holds as
+    /// `flat_runs[i - 1] - 1` ticks. Returns 0 when any obligation fails.
+    fn steady_span(
+        &self,
+        v_global: &[f64],
+        flat_runs: &[u32],
+        i: usize,
+        prev_ir_power: Watt,
+    ) -> usize {
+        let Some(p) = i.checked_sub(1) else {
+            return 0;
+        };
+        let (Some(prev), Some(run)) = (v_global.get(p), flat_runs.get(p)) else {
             return 0;
         };
         let ir_repeats = !self.network.has_ir_drop()
@@ -650,8 +660,7 @@ impl Domain {
         if !ir_repeats || !self.network.settled_at(Volt::new(*prev)) {
             return 0;
         }
-        let bits = prev.to_bits();
-        rest.iter().take_while(|v| v.to_bits() == bits).count()
+        run.saturating_sub(1) as usize
     }
 
     /// The quantum-boundary control work that precedes the tick loop:
@@ -811,6 +820,12 @@ mod tests {
     use super::*;
     use hcapp_workloads::combos::combo_suite;
 
+    fn flat_runs(v: &[f64]) -> Vec<u32> {
+        let mut runs = vec![0; v.len()];
+        crate::kernel::flat_runs_into(v, &mut runs);
+        runs
+    }
+
     fn cfg() -> SystemConfig {
         SystemConfig::paper_system(combo_suite()[3], 7) // Hi-Hi
     }
@@ -853,10 +868,12 @@ mod tests {
         let c = cfg();
         let mut d = Domain::build(&c.domains[0], &c, 0);
         let v_global = vec![0.95; 10];
+        let runs = flat_runs(&v_global);
         let mut acc = vec![0.0; 10];
         let ok = d.run_quantum(
             hcapp_sim_core::time::SimTime::ZERO,
             &v_global,
+            &runs,
             true,
             &QuantumCtl::clean(1.0),
             c.tick,
@@ -877,11 +894,11 @@ mod tests {
         let v = vec![0.92; 20];
         let mut acc_whole = vec![0.0; 20];
         let clean = QuantumCtl::clean(1.0);
-        whole.run_quantum(hcapp_sim_core::time::SimTime::ZERO, &v, false, &clean, c.tick, &mut acc_whole, None);
+        whole.run_quantum(hcapp_sim_core::time::SimTime::ZERO, &v, &flat_runs(&v), false, &clean, c.tick, &mut acc_whole, None);
         let mut acc_a = vec![0.0; 10];
         let mut acc_b = vec![0.0; 10];
-        split.run_quantum(hcapp_sim_core::time::SimTime::ZERO, &v[..10], false, &clean, c.tick, &mut acc_a, None);
-        split.run_quantum(hcapp_sim_core::time::SimTime::from_nanos(1_000), &v[10..], false, &clean, c.tick, &mut acc_b, None);
+        split.run_quantum(hcapp_sim_core::time::SimTime::ZERO, &v[..10], &flat_runs(&v[..10]), false, &clean, c.tick, &mut acc_a, None);
+        split.run_quantum(hcapp_sim_core::time::SimTime::from_nanos(1_000), &v[10..], &flat_runs(&v[10..]), false, &clean, c.tick, &mut acc_b, None);
         let rejoined: Vec<f64> = acc_a.into_iter().chain(acc_b).collect();
         assert_eq!(acc_whole, rejoined);
         assert_eq!(whole.sim.work_done(), split.sim.work_done());

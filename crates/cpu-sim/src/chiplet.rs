@@ -253,7 +253,10 @@ impl CpuChiplet {
     /// core's jitter resample, and so repeats the memo'd sums (and the
     /// chiplet power, which the span never changes) tick after tick. Per
     /// tick only the program cursor, the breakdown and the power slot
-    /// advance; the jitter clocks advance once for the whole span.
+    /// advance, each in its own loop (`WorkloadProgram::advance_span`,
+    /// `PowerBreakdown::record_ticks`), the cursor's loop deciding how
+    /// many ticks the span covers; the jitter clocks advance once for the
+    /// whole span.
     /// Pinned by `replay_span_matches_step_into` below.
     pub fn replay_span(
         &mut self,
@@ -272,32 +275,26 @@ impl CpuChiplet {
             .map(Core::replayable_ticks)
             .min()
             .unwrap_or(0);
-        let phase_bits = phase.map(f64::to_bits);
+        let max_ticks = power_acc
+            .len()
+            .min(usize::try_from(budget).unwrap_or(usize::MAX));
         let work_ns = sums.avg_rate * dt.as_nanos() as f64;
+        let ticks = self.program.advance_span(work_ns, max_ticks);
+        if ticks == 0 {
+            return 0;
+        }
         let leakage = sums.unit_power - sums.unit_dynamic;
+        self.breakdown
+            .record_ticks(sums.unit_dynamic, leakage, sums.uncore, dt, ticks);
         let power = sums.unit_power + sums.uncore;
-        let mut ticks = 0;
-        for slot in power_acc
-            .iter_mut()
-            .take(usize::try_from(budget).unwrap_or(usize::MAX))
-        {
-            let s = self.program.sample();
-            if [s.activity.to_bits(), s.mem_intensity.to_bits()] != phase_bits {
-                break;
-            }
-            self.program.advance(work_ns);
-            self.breakdown
-                .record(sums.unit_dynamic, leakage, sums.uncore, dt);
+        for slot in power_acc.iter_mut().take(ticks) {
             *slot += power.value();
-            ticks += 1;
         }
-        if ticks > 0 {
-            self.last_power = power;
-            for core in &mut self.cores {
-                core.replay_ticks(ticks);
-            }
+        self.last_power = power;
+        for core in &mut self.cores {
+            core.replay_ticks(ticks as u64);
         }
-        ticks as usize
+        ticks
     }
 
     /// Per-core measured IPC fractions from the last step (local-controller

@@ -238,32 +238,26 @@ impl GpuChiplet {
             .map(StreamingMultiprocessor::replayable_ticks)
             .min()
             .unwrap_or(0);
-        let phase_bits = phase.map(f64::to_bits);
+        let max_ticks = power_acc
+            .len()
+            .min(usize::try_from(budget).unwrap_or(usize::MAX));
         let work_ns = sums.avg_rate * dt.as_nanos() as f64;
+        let ticks = self.program.advance_span(work_ns, max_ticks);
+        if ticks == 0 {
+            return 0;
+        }
         let leakage = sums.unit_power - sums.unit_dynamic;
+        self.breakdown
+            .record_ticks(sums.unit_dynamic, leakage, sums.uncore, dt, ticks);
         let power = sums.unit_power + sums.uncore;
-        let mut ticks = 0;
-        for slot in power_acc
-            .iter_mut()
-            .take(usize::try_from(budget).unwrap_or(usize::MAX))
-        {
-            let s = self.program.sample();
-            if [s.activity.to_bits(), s.mem_intensity.to_bits()] != phase_bits {
-                break;
-            }
-            self.program.advance(work_ns);
-            self.breakdown
-                .record(sums.unit_dynamic, leakage, sums.uncore, dt);
+        for slot in power_acc.iter_mut().take(ticks) {
             *slot += power.value();
-            ticks += 1;
         }
-        if ticks > 0 {
-            self.last_power = power;
-            for sm in &mut self.sms {
-                sm.replay_ticks(ticks);
-            }
+        self.last_power = power;
+        for sm in &mut self.sms {
+            sm.replay_ticks(ticks as u64);
         }
-        ticks as usize
+        ticks
     }
 
     /// Per-SM measured IPC fractions from the last step.

@@ -40,13 +40,59 @@ pub struct PowerSensor {
     /// Delay in whole simulation ticks between a sample entering the sensor
     /// and being visible at the output.
     delay_ticks: usize,
+    /// Never longer than `delay_ticks` between samples.
+    line: VecDeque<Watt>,
+    /// The output register and its quantizer.
+    out: OutputStage,
+}
+
+/// The sensor's output stage: quantizes the sample leaving the delay line
+/// into the output register. `Copy`, so a slice of samples runs through a
+/// copy held in locals and is written back once.
+#[derive(Debug, Clone, Copy)]
+struct OutputStage {
     /// Quantization step in watts (0 disables quantization).
     resolution: f64,
-    line: VecDeque<Watt>,
-    latest_output: Watt,
+    latest: Watt,
     /// The last quantized sample: `(input bits, quantize(input))`. A cache,
     /// not state: never checkpointed.
     memo: Option<(u64, Watt)>,
+}
+
+impl OutputStage {
+    /// Latch `p` (the sample leaving the delay line, or the held output
+    /// while the line fills) into the output register, quantized.
+    #[inline]
+    fn emit(&mut self, p: Watt) -> Watt {
+        self.latest = match self.memo {
+            Some((bits, q)) if bits == p.value().to_bits() => q,
+            _ => {
+                let q = self.quantize(p);
+                self.memo = Some((p.value().to_bits(), q));
+                q
+            }
+        };
+        self.latest
+    }
+
+    /// [`OutputStage::emit`], folding the output into the running `peak`
+    /// (strictly greater wins, so the first of equal maxima is kept and a
+    /// NaN output never is).
+    #[inline]
+    fn emit_peak(&mut self, p: Watt, peak: &mut f64) {
+        let q = self.emit(p).value();
+        if q > *peak {
+            *peak = q;
+        }
+    }
+
+    fn quantize(&self, p: Watt) -> Watt {
+        if self.resolution > 0.0 {
+            Watt::new((p.value() / self.resolution).round() * self.resolution)
+        } else {
+            p
+        }
+    }
 }
 
 impl PowerSensor {
@@ -56,10 +102,12 @@ impl PowerSensor {
         assert!(resolution >= 0.0, "negative resolution");
         PowerSensor {
             delay_ticks,
-            resolution,
             line: VecDeque::with_capacity(delay_ticks + 1),
-            latest_output: Watt::ZERO,
-            memo: None,
+            out: OutputStage {
+                resolution,
+                latest: Watt::ZERO,
+                memo: None,
+            },
         }
     }
 
@@ -78,26 +126,59 @@ impl PowerSensor {
     /// sensor output visible to the controller this tick.
     pub fn sample(&mut self, p: Watt) -> Watt {
         self.line.push_back(p);
-        let out = if self.line.len() > self.delay_ticks {
-            self.line.pop_front().expect("non-empty line")
+        let leaving = if self.line.len() > self.delay_ticks {
+            self.line.pop_front()
         } else {
-            // Pipeline still filling: hold the last output (zero at reset).
-            self.latest_output
+            None
         };
-        self.latest_output = match self.memo {
-            Some((bits, q)) if bits == out.value().to_bits() => q,
-            _ => {
-                let q = self.quantize(out);
-                self.memo = Some((out.value().to_bits(), q));
-                q
-            }
-        };
-        self.latest_output
+        // Pipeline still filling: hold the last output (zero at reset).
+        let out = leaving.unwrap_or(self.out.latest);
+        self.out.emit(out)
+    }
+
+    /// Feed one tick's package power per sample, in order, and return the
+    /// peak sensor output over those ticks (`-inf` for an empty slice or
+    /// all-NaN outputs); [`PowerSensor::read`] then holds the last tick's
+    /// output. Bit-identical to [`PowerSensor::sample`] on each sample in
+    /// turn, with the peak taken as `if out > peak { peak = out }` in tick
+    /// order (DESIGN §6j, obligation 12).
+    ///
+    /// With `c` the delay line followed by `samples`, the first ticks (up
+    /// to `delay_ticks - line.len()`) only fill the line and re-latch the
+    /// held output; every later tick outputs the next element of `c`. So
+    /// the outputs are a few held values, then the line's front, then a
+    /// prefix of `samples` itself, and the line ends holding the rest —
+    /// no per-tick queue traffic and no allocation.
+    pub fn sample_slice(&mut self, samples: &[f64]) -> Watt {
+        let filling = self
+            .delay_ticks
+            .saturating_sub(self.line.len())
+            .min(samples.len());
+        let flowing = samples.len() - filling;
+        let from_line = flowing.min(self.line.len());
+        let (direct, stays) = samples
+            .split_at_checked(flowing - from_line)
+            .unwrap_or((samples, &[]));
+        let mut out = self.out;
+        let mut peak = f64::NEG_INFINITY;
+        for _ in 0..filling {
+            let held = out.latest;
+            out.emit_peak(held, &mut peak);
+        }
+        for p in self.line.drain(..from_line) {
+            out.emit_peak(p, &mut peak);
+        }
+        for &p in direct {
+            out.emit_peak(Watt::new(p), &mut peak);
+        }
+        self.line.extend(stays.iter().map(|&p| Watt::new(p)));
+        self.out = out;
+        Watt::new(peak)
     }
 
     /// The most recent sensor output without feeding a new sample.
     pub fn read(&self) -> Watt {
-        self.latest_output
+        self.out.latest
     }
 
     /// Sensor pipeline delay in ticks.
@@ -108,7 +189,7 @@ impl PowerSensor {
     /// Clear the pipeline.
     pub fn reset(&mut self) {
         self.line.clear();
-        self.latest_output = Watt::ZERO;
+        self.out.latest = Watt::ZERO;
     }
 
     /// What the controller sees when `fault` corrupts a true reading of
@@ -126,27 +207,25 @@ impl PowerSensor {
             SensorFault::Dropout => Watt::ZERO,
         }
     }
-
-    fn quantize(&self, p: Watt) -> Watt {
-        if self.resolution > 0.0 {
-            Watt::new((p.value() / self.resolution).round() * self.resolution)
-        } else {
-            p
-        }
-    }
 }
 
 impl hcapp_sim_core::state::Snapshot for PowerSensor {
     fn save_state(&self, w: &mut hcapp_sim_core::state::StateWriter) {
         let line: Vec<f64> = self.line.iter().map(|p| p.0).collect();
         w.f64_slice("sensor.line", &line);
-        w.f64("sensor.latest", self.latest_output.0);
+        w.f64("sensor.latest", self.out.latest.0);
     }
 
+    /// `None` on a line longer than the sensor's delay: installing it
+    /// would silently lengthen the restored run's sensor delay.
     fn load_state(&mut self, r: &mut hcapp_sim_core::state::StateReader<'_>) -> Option<()> {
-        self.line = r.f64_vec("sensor.line")?.into_iter().map(Watt).collect();
-        self.latest_output = Watt(r.f64("sensor.latest")?);
-        self.memo = None;
+        let line = r.f64_vec("sensor.line")?;
+        if line.len() > self.delay_ticks {
+            return None;
+        }
+        self.line = line.into_iter().map(Watt).collect();
+        self.out.latest = Watt(r.f64("sensor.latest")?);
+        self.out.memo = None;
         Some(())
     }
 }
@@ -235,10 +314,10 @@ mod tests {
                     restored
                         .load_state(&mut StateReader::new(&w.finish()))
                         .expect("restore");
-                    assert!(restored.memo.is_none(), "load_state kept the memo");
+                    assert!(restored.out.memo.is_none(), "load_state kept the memo");
                     memoized = restored;
                 }
-                fresh.memo = None;
+                fresh.out.memo = None;
                 let want = fresh.sample(Watt::new(p));
                 let got = memoized.sample(Watt::new(p));
                 assert_eq!(
@@ -248,6 +327,79 @@ mod tests {
                 );
             }
         }
+    }
+
+    fn saved(s: &PowerSensor) -> String {
+        use hcapp_sim_core::state::{Snapshot, StateWriter};
+        let mut w = StateWriter::new();
+        s.save_state(&mut w);
+        w.finish()
+    }
+
+    #[test]
+    fn sample_slice_matches_per_tick_sample() {
+        use hcapp_sim_core::state::{Snapshot, StateReader};
+        // Repeats, a NaN, ±0 and ramps, cut into slices of 0 to 7 ticks
+        // (shorter and longer than every delay), with a reset and a
+        // restore into a fresh sensor while the line is part full.
+        let stream: Vec<f64> = (0..300u32)
+            .map(|i| match i % 17 {
+                0..=5 => 80.0,
+                6 => f64::NAN,
+                7 => -0.0,
+                8 => 0.0,
+                9 => 79.96,
+                _ => 55.0 + f64::from(i) * 0.031,
+            })
+            .collect();
+        for (delay, resolution) in [(0, 0.1), (1, 0.1), (3, 0.5), (3, 0.0)] {
+            let mut sliced = PowerSensor::new(delay, resolution);
+            let mut ticked = PowerSensor::new(delay, resolution);
+            let mut at = 0;
+            for (k, len) in (0..).map(|k| (k, k % 8)) {
+                let Some(chunk) = stream.get(at..at + len) else { break };
+                if k == 20 {
+                    sliced.reset();
+                    ticked.reset();
+                }
+                if k == 31 {
+                    let text = saved(&sliced);
+                    let mut restored = PowerSensor::new(delay, resolution);
+                    restored
+                        .load_state(&mut StateReader::new(&text))
+                        .expect("restore");
+                    sliced = restored;
+                }
+                let mut want = f64::NEG_INFINITY;
+                for &p in chunk {
+                    let out = ticked.sample(Watt::new(p)).value();
+                    if out > want {
+                        want = out;
+                    }
+                }
+                let got = sliced.sample_slice(chunk).value();
+                let ctx = format!("slice {k} at {at} delay {delay} resolution {resolution}");
+                assert_eq!(got.to_bits(), want.to_bits(), "peak, {ctx}");
+                assert_eq!(sliced.read().value().to_bits(), ticked.read().value().to_bits(), "read, {ctx}");
+                assert_eq!(saved(&sliced), saved(&ticked), "state, {ctx}");
+                at += len;
+            }
+        }
+    }
+
+    #[test]
+    fn restore_rejects_a_line_longer_than_the_delay() {
+        use hcapp_sim_core::state::{Snapshot, StateReader};
+        let mut long = PowerSensor::new(3, 0.1);
+        for p in [10.0, 20.0, 30.0] {
+            long.sample(Watt::new(p));
+        }
+        let text = saved(&long);
+        let mut shorter = PowerSensor::new(1, 0.1);
+        assert!(shorter.load_state(&mut StateReader::new(&text)).is_none());
+        let mut same = PowerSensor::new(3, 0.1);
+        assert!(same.load_state(&mut StateReader::new(&text)).is_some());
+        assert_eq!(saved(&same), text);
     }
 
     #[test]

@@ -38,6 +38,22 @@ impl PowerBreakdown {
         self.uncore.accumulate(uncore, dt);
     }
 
+    /// Record the same powers for `ticks` consecutive ticks: bit-identical
+    /// to `ticks` calls of [`PowerBreakdown::record`] (the three accounts
+    /// are independent, so each folds its own ticks in order).
+    pub fn record_ticks(
+        &mut self,
+        unit_dynamic: Watt,
+        unit_leakage: Watt,
+        uncore: Watt,
+        dt: SimDuration,
+        ticks: usize,
+    ) {
+        self.unit_dynamic.accumulate_ticks(unit_dynamic, dt, ticks);
+        self.unit_leakage.accumulate_ticks(unit_leakage, dt, ticks);
+        self.uncore.accumulate_ticks(uncore, dt, ticks);
+    }
+
     /// Total energy across all blocks in joules.
     pub fn total_joules(&self) -> f64 {
         self.unit_dynamic.joules() + self.unit_leakage.joules() + self.uncore.joules()
@@ -97,6 +113,28 @@ mod tests {
     #[test]
     fn empty_fraction_is_zero() {
         assert_eq!(PowerBreakdown::new().dynamic_fraction(), 0.0);
+    }
+
+    #[test]
+    fn record_ticks_matches_per_tick_record() {
+        let dt = SimDuration::from_nanos(100);
+        let (dynamic, leakage, uncore) = (Watt::new(13.7), Watt::new(2.9), Watt::new(5.1));
+        let mut spanned = PowerBreakdown::new();
+        let mut ticked = PowerBreakdown::new();
+        for ticks in [0, 1, 7, 40, 3, 1_000] {
+            spanned.record_ticks(dynamic, leakage, uncore, dt, ticks);
+            for _ in 0..ticks {
+                ticked.record(dynamic, leakage, uncore, dt);
+            }
+            for (a, b) in [
+                (&spanned.unit_dynamic, &ticked.unit_dynamic),
+                (&spanned.unit_leakage, &ticked.unit_leakage),
+                (&spanned.uncore, &ticked.uncore),
+            ] {
+                assert_eq!(a.joules().to_bits(), b.joules().to_bits(), "after {ticks}");
+                assert_eq!(a.elapsed(), b.elapsed(), "after {ticks}");
+            }
+        }
     }
 
     #[test]

@@ -31,6 +31,20 @@ impl EnergyAccount {
         self.elapsed_ns += dt.as_nanos();
     }
 
+    /// Record `power` held constant for `ticks` consecutive ticks of `dt`:
+    /// bit-identical to `ticks` calls of [`EnergyAccount::accumulate`],
+    /// adding the same product once per tick, in a local.
+    #[inline]
+    pub fn accumulate_ticks(&mut self, power: Watt, dt: SimDuration, ticks: usize) {
+        let e = power.value() * dt.as_secs_f64();
+        let mut joules = self.joules;
+        for _ in 0..ticks {
+            joules += e;
+        }
+        self.joules = joules;
+        self.elapsed_ns += dt.as_nanos() * ticks as u64;
+    }
+
     /// Total accumulated energy in joules.
     #[inline]
     pub fn joules(&self) -> f64 {

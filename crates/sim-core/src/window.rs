@@ -120,10 +120,25 @@ impl SlidingWindowAvg {
         // A running +=/-= sum accumulates rounding error over hundreds of
         // millions of pushes; recompute exactly once per ~64 window turnovers.
         self.since_resync += 1;
-        if self.since_resync >= cap.saturating_mul(64).max(1 << 16) {
+        if self.since_resync >= self.resync_every() {
             self.sum = self.buf.iter().take(self.filled).sum();
             self.since_resync = 0;
         }
+    }
+
+    /// Pushes between exact-sum recomputations.
+    #[inline]
+    fn resync_every(&self) -> usize {
+        self.capacity.saturating_mul(64).max(1 << 16)
+    }
+
+    /// How many of the next pushes are guaranteed not to recompute the
+    /// sum (0 when the very next push does).
+    #[inline]
+    fn pushes_before_resync(&self) -> usize {
+        self.resync_every()
+            .saturating_sub(self.since_resync)
+            .saturating_sub(1)
     }
 
     /// Average over the samples currently held (partial window at startup).
@@ -213,6 +228,96 @@ impl WindowedMaxTracker {
                 self.max = avg;
             }
         }
+    }
+
+    /// Push `samples` in order. The tracker ends in exactly the state, bit
+    /// for bit, that [`WindowedMaxTracker::push`] on each sample in turn
+    /// leaves (DESIGN §6j, obligation 11), at a few adds per sample:
+    ///
+    /// * while the ring grows, the samples are appended and folded into the
+    ///   running sum in one pass (a growing window is never full, so only
+    ///   its last push can move the max);
+    /// * once the ring is full, a tight loop walks the ring from `head`
+    ///   with the sum and the max in locals, one contiguous stretch at a
+    ///   time, up to the wrap or to the push before the next exact-sum
+    ///   recomputation;
+    /// * the push that recomputes the sum, and every push into a restored
+    ///   ring that is still filling in place, go through `push` itself.
+    pub fn push_slice(&mut self, samples: &[f64]) {
+        let mut rest = samples;
+        while let Some((&first, tail)) = rest.split_first() {
+            let free = self.window.pushes_before_resync();
+            let w = &self.window;
+            let taken = if free == 0 || (w.buf.len() == w.capacity && w.filled < w.capacity) {
+                0
+            } else if w.buf.len() < w.capacity {
+                self.grow(rest, free)
+            } else {
+                self.push_wrapped(rest, free)
+            };
+            rest = match taken {
+                0 => {
+                    self.push(first);
+                    tail
+                }
+                k => rest.get(k..).unwrap_or_default(),
+            };
+        }
+    }
+
+    /// Append up to `free` samples to a growing ring (`head == filled ==
+    /// buf.len() < capacity`), stopping when it fills; returns how many.
+    fn grow(&mut self, samples: &[f64], free: usize) -> usize {
+        let w = &mut self.window;
+        let k = (w.capacity - w.buf.len()).min(free).min(samples.len());
+        let chunk = samples.get(..k).unwrap_or_default();
+        w.buf.extend_from_slice(chunk);
+        w.sum = chunk.iter().fold(w.sum, |sum, &s| sum + s);
+        w.filled += k;
+        w.head += k;
+        if w.head == w.capacity {
+            w.head = 0;
+        }
+        w.since_resync += k;
+        if let Some(avg) = w.full_average() {
+            self.seen_full = true;
+            if avg > self.max {
+                self.max = avg;
+            }
+        }
+        k
+    }
+
+    /// Push up to `free` samples into a full ring, from `head` to at most
+    /// the wrap, with the sum and the max in locals; returns how many.
+    fn push_wrapped(&mut self, samples: &[f64], free: usize) -> usize {
+        let w = &mut self.window;
+        let cap = w.capacity;
+        let k = (cap - w.head).min(free).min(samples.len());
+        let (Some(ring), Some(chunk)) = (w.buf.get_mut(w.head..w.head + k), samples.get(..k))
+        else {
+            return 0;
+        };
+        let cap_f = cap as f64;
+        let (mut sum, mut max) = (w.sum, self.max);
+        for (slot, &s) in ring.iter_mut().zip(chunk) {
+            sum -= *slot;
+            *slot = s;
+            sum += s;
+            let avg = sum / cap_f;
+            if avg > max {
+                max = avg;
+            }
+        }
+        w.sum = sum;
+        w.head += k;
+        if w.head == cap {
+            w.head = 0;
+        }
+        w.since_resync += k;
+        self.max = max;
+        self.seen_full |= k > 0;
+        k
     }
 
     /// Maximum full-window average observed, or `None` if the stream was
@@ -564,6 +669,100 @@ mod tests {
         }
         assert_eq!(t.max(), None);
         assert!(t.window.buf.capacity() < 2_048);
+    }
+
+    /// [`WindowedMaxTracker`] over the full-capacity oracle ring.
+    struct MaxOracle {
+        ring: FullRing,
+        max: f64,
+        seen_full: bool,
+    }
+
+    impl MaxOracle {
+        fn new(capacity: usize) -> Self {
+            MaxOracle {
+                ring: FullRing::new(capacity),
+                max: f64::NEG_INFINITY,
+                seen_full: false,
+            }
+        }
+
+        fn push(&mut self, sample: f64) {
+            self.ring.push(sample);
+            let cap = self.ring.buf.len();
+            if self.ring.filled == cap {
+                self.seen_full = true;
+                let avg = self.ring.sum / cap as f64;
+                if avg > self.max {
+                    self.max = avg;
+                }
+            }
+        }
+
+        fn reset(&mut self) {
+            self.ring.reset();
+            self.max = f64::NEG_INFINITY;
+            self.seen_full = false;
+        }
+    }
+
+    fn save_tracker(t: &WindowedMaxTracker) -> String {
+        use crate::state::Snapshot;
+        let mut sw = crate::state::StateWriter::new();
+        t.save_state(&mut sw);
+        sw.finish()
+    }
+
+    #[test]
+    fn push_slice_matches_per_sample_push() {
+        use crate::state::{Snapshot, StateReader};
+        // Capacities below and above the 65 536-push resync floor. Slices
+        // of random length (empty ones included) run through fill, wrap,
+        // at least one resync, a reset, and a restore taken mid-growth
+        // after the reset, which leaves a full-size ring filling in place.
+        for (cap, run_len) in [(1, 0), (7, 3), (300, 300), (2_000, 100_000)] {
+            let resync = (cap * 64).max(1 << 16);
+            let reset_at = resync + cap;
+            let restore_at = reset_at + cap / 2 + 1;
+            let end = restore_at + 3 * cap + 5;
+            let mut t = WindowedMaxTracker::with_run_len(cap, run_len);
+            let mut oracle = MaxOracle::new(cap);
+            let mut rng = crate::rng::DeterministicRng::new(cap as u64 + 17);
+            let mut chunk = Vec::new();
+            let mut pushed = 0;
+            while pushed < end {
+                let next_event = [reset_at, restore_at, end]
+                    .into_iter()
+                    .find(|&e| e > pushed)
+                    .unwrap_or(end);
+                let len = (rng.below(2 * cap as u64 + 3) as usize).min(next_event - pushed);
+                chunk.clear();
+                chunk.extend((0..len).map(|_| rng.uniform(0.0, 150.0)));
+                t.push_slice(&chunk);
+                for &x in &chunk {
+                    oracle.push(x);
+                }
+                pushed += len;
+                assert_eq!(t.seen_full, oracle.seen_full, "seen_full after {pushed}");
+                assert_eq!(t.max.to_bits(), oracle.max.to_bits(), "max after {pushed}");
+                assert_eq!(t.window.since_resync, oracle.ring.since_resync, "resync at {pushed}");
+                assert_same(&t.window, &oracle.ring, pushed);
+                if len > 0 && (pushed % 7 == 0 || pushed == next_event) {
+                    assert_eq!(save(&t.window), oracle.ring.save_state(), "text after {pushed}");
+                }
+                if pushed == reset_at {
+                    t.reset();
+                    oracle.reset();
+                } else if pushed == restore_at {
+                    let text = save_tracker(&t);
+                    let mut restored = WindowedMaxTracker::new(cap);
+                    restored
+                        .load_state(&mut StateReader::new(&text))
+                        .expect("restore");
+                    t = restored;
+                }
+            }
+        }
     }
 
     #[test]

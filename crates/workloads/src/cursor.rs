@@ -95,6 +95,35 @@ impl PhaseCursor {
         self.remaining -= left;
     }
 
+    /// Advance by `work_ns` once per tick for up to `max_ticks` ticks,
+    /// stopping after the first tick that enters a phase whose sample
+    /// differs bit-for-bit from the current one; returns how many ticks
+    /// it advanced. Bit-identical to that many [`PhaseCursor::advance`]
+    /// calls: a tick inside the phase is the same add and subtract, kept
+    /// in locals, and a tick that reaches the boundary is `advance`
+    /// itself (DESIGN §6j, obligation 13).
+    pub fn advance_span(&mut self, work_ns: f64, max_ticks: usize) -> usize {
+        let bits = self.sample().bits();
+        let (mut consumed, mut remaining) = (self.consumed, self.remaining);
+        let mut ticks = 0;
+        while ticks < max_ticks {
+            ticks += 1;
+            if work_ns < remaining {
+                consumed += work_ns;
+                remaining -= work_ns;
+                continue;
+            }
+            (self.consumed, self.remaining) = (consumed, remaining);
+            self.advance(work_ns);
+            (consumed, remaining) = (self.consumed, self.remaining);
+            if self.sample().bits() != bits {
+                break;
+            }
+        }
+        (self.consumed, self.remaining) = (consumed, remaining);
+        ticks
+    }
+
     /// Total work consumed (nominal ns) — proportional to instructions
     /// retired, the numerator of every speedup in the paper.
     #[inline]
@@ -242,6 +271,52 @@ mod tests {
         let mut c = PhaseCursor::new(osc_spec(), 9, 0);
         c.advance(50_000_000.0); // 50 ms over 10 µs phases = 5000 crossings
         assert!(c.phases_started() > 4000);
+    }
+
+    fn saved(c: &PhaseCursor) -> String {
+        use hcapp_sim_core::state::{Snapshot, StateWriter};
+        let mut w = StateWriter::new();
+        c.save_state(&mut w);
+        w.finish()
+    }
+
+    /// The per-tick loop `advance_span` replaces: check the sample before
+    /// each tick, stop once it differs from the span's first.
+    fn advance_per_tick(c: &mut PhaseCursor, work_ns: f64, max_ticks: usize) -> usize {
+        let bits = c.sample().bits();
+        let mut ticks = 0;
+        while ticks < max_ticks && c.sample().bits() == bits {
+            c.advance(work_ns);
+            ticks += 1;
+        }
+        ticks
+    }
+
+    #[test]
+    fn advance_span_matches_per_tick_advance() {
+        // Steady phases crossed into phases with the same sample, short
+        // oscillating phases, and a jittered benchmark; steps from a
+        // fraction of a phase to many phases per tick, and every fifth
+        // span a step that lands exactly on the phase boundary; spans of
+        // 0 to 40 ticks.
+        let specs = [steady_spec(), osc_spec(), crate::benchmarks::Benchmark::Ferret.spec()];
+        for (s, spec) in specs.into_iter().enumerate() {
+            let mut spanned = PhaseCursor::new(spec, 7, s as u64);
+            let mut ticked = spanned.clone();
+            let mut rng = DeterministicRng::new(40 + s as u64);
+            for k in 0..3_000 {
+                let work_ns = if k % 5 == 0 {
+                    spanned.remaining_in_phase()
+                } else {
+                    [37.5, 110.0, 2_500.0, 25_000.0][k % 4] * rng.uniform(0.5, 1.5)
+                };
+                let max_ticks = rng.below(41) as usize;
+                let got = spanned.advance_span(work_ns, max_ticks);
+                let want = advance_per_tick(&mut ticked, work_ns, max_ticks);
+                assert_eq!(got, want, "span {k} of spec {s}");
+                assert_eq!(saved(&spanned), saved(&ticked), "state after span {k} of spec {s}");
+            }
+        }
     }
 
     #[test]

@@ -49,6 +49,13 @@ pub struct PhaseSample {
 }
 
 impl PhaseSample {
+    /// The bit patterns of `activity` and `mem_intensity`: two samples
+    /// with equal bits drive a chiplet identically.
+    #[inline]
+    pub fn bits(&self) -> [u64; 2] {
+        [self.activity.to_bits(), self.mem_intensity.to_bits()]
+    }
+
     /// A fully idle sample (workload complete).
     pub const IDLE: PhaseSample = PhaseSample {
         activity: 0.0,

@@ -85,6 +85,18 @@ impl WorkloadProgram {
         }
     }
 
+    /// Advance by `work_ns` once per tick for up to `max_ticks` ticks,
+    /// stopping after the first tick that enters a phase with a different
+    /// sample; returns the ticks advanced (see
+    /// [`PhaseCursor::advance_span`]).
+    #[inline]
+    pub fn advance_span(&mut self, work_ns: f64, max_ticks: usize) -> usize {
+        match self {
+            WorkloadProgram::Generated(c) => c.advance_span(work_ns, max_ticks),
+            WorkloadProgram::Recorded(p) => p.advance_span(work_ns, max_ticks),
+        }
+    }
+
     /// Total work consumed (nominal ns).
     #[inline]
     pub fn work_done(&self) -> f64 {

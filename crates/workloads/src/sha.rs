@@ -69,6 +69,28 @@ impl ShaWorkload {
         done
     }
 
+    /// Drain `gbits` once per tick for up to `max_ticks` ticks, while the
+    /// current backlog still holds at least `gbits`; returns how many
+    /// ticks it drained. Each tick is the [`ShaWorkload::drain`] that takes
+    /// exactly `gbits` in one step without a refill, so the span is
+    /// bit-identical to the per-tick calls; it stops before the tick that
+    /// would refill a looping backlog or run a one-shot backlog dry.
+    /// Drains nothing unless `gbits > 0`.
+    pub fn drain_span(&mut self, gbits: f64, max_ticks: usize) -> usize {
+        if !(gbits > 0.0) {
+            return 0;
+        }
+        let (mut remaining, mut completed) = (self.remaining_gbits, self.completed_gbits);
+        let mut ticks = 0;
+        while ticks < max_ticks && remaining >= gbits {
+            remaining -= gbits;
+            completed += gbits;
+            ticks += 1;
+        }
+        (self.remaining_gbits, self.completed_gbits) = (remaining, completed);
+        ticks
+    }
+
     /// True when a one-shot backlog is exhausted (the idle state of §4.4).
     pub fn is_idle(&self) -> bool {
         !self.looping && self.remaining_gbits <= 0.0
@@ -102,6 +124,41 @@ impl hcapp_sim_core::state::Snapshot for ShaWorkload {
 mod tests {
     use super::*;
     use hcapp_sim_core::assert_close;
+
+    #[test]
+    fn drain_span_matches_per_tick_drain() {
+        // A looping and a one-shot backlog, spans of 0 to 40 ticks, steps
+        // that divide the backlog exactly and steps that do not; the
+        // per-tick loop is the one `drain_span` replaces.
+        for (looping, gbits) in [(true, 0.25), (true, 0.3), (false, 0.25), (false, 0.7)] {
+            let mut spanned = if looping {
+                ShaWorkload::looping(10.0)
+            } else {
+                ShaWorkload::fixed(100.0)
+            };
+            let mut ticked = spanned.clone();
+            for k in 0..400 {
+                let max_ticks = (k * 7) % 41;
+                let got = spanned.drain_span(gbits, max_ticks);
+                let mut want = 0;
+                while want < max_ticks && ticked.remaining_gbits() >= gbits {
+                    ticked.drain(gbits);
+                    want += 1;
+                }
+                assert_eq!(got, want, "span {k}, looping {looping}, step {gbits}");
+                assert_eq!(spanned, ticked, "span {k}, looping {looping}, step {gbits}");
+                if got < max_ticks {
+                    // The tick a span refuses: a refill or the last crumb.
+                    spanned.drain(gbits);
+                    ticked.drain(gbits);
+                }
+            }
+        }
+        let mut w = ShaWorkload::looping(1.0);
+        assert_eq!(w.drain_span(0.0, 10), 0);
+        assert_eq!(w.drain_span(f64::NAN, 10), 0);
+        assert_eq!(w, ShaWorkload::looping(1.0));
+    }
 
     #[test]
     fn fixed_drains_to_idle() {

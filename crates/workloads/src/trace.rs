@@ -14,6 +14,13 @@ use std::fmt::Write as _;
 
 use crate::phase::{Phase, PhaseSample};
 
+/// The shortest phase a trace may hold, in nominal nanoseconds. Playback
+/// crosses one phase per loop turn, so a phase far shorter than a tick's
+/// work (`1e-300`) would make one tick spin through the trace without end;
+/// at 1 ns a tick crosses at most its own work in phases.
+/// [`PhaseTrace::record`] floors recorded phases at this length.
+pub const MIN_PHASE_WORK_NS: f64 = 1.0;
+
 /// A recorded sequence of phases.
 #[derive(Debug, Clone, PartialEq)]
 pub struct PhaseTrace {
@@ -33,6 +40,13 @@ pub enum TraceParseError {
         /// The offending row.
         row: String,
     },
+    /// A data row's `work_ns` is below [`MIN_PHASE_WORK_NS`] (or NaN).
+    ShortPhase {
+        /// 1-based line number.
+        line: usize,
+        /// The offending row.
+        row: String,
+    },
     /// The trace contains no phases.
     Empty,
 }
@@ -44,6 +58,10 @@ impl std::fmt::Display for TraceParseError {
                 write!(f, "bad header '{h}' (expected activity,mem_intensity,work_ns)")
             }
             TraceParseError::BadRow { line, row } => write!(f, "bad row at line {line}: '{row}'"),
+            TraceParseError::ShortPhase { line, row } => write!(
+                f,
+                "row at line {line}: '{row}': work_ns must be at least {MIN_PHASE_WORK_NS} ns"
+            ),
             TraceParseError::Empty => write!(f, "trace has no phases"),
         }
     }
@@ -55,11 +73,16 @@ impl PhaseTrace {
     /// Build a trace from phases.
     ///
     /// # Panics
-    /// Panics if `phases` is empty or contains a non-positive-work phase.
+    /// Panics if `phases` is empty or holds a phase shorter than
+    /// [`MIN_PHASE_WORK_NS`].
     pub fn new(name: impl Into<String>, phases: Vec<Phase>) -> Self {
         assert!(!phases.is_empty(), "empty trace");
-        for p in &phases {
-            assert!(p.work_ns > 0.0, "phase with non-positive work");
+        for (i, p) in phases.iter().enumerate() {
+            assert!(
+                p.work_ns >= MIN_PHASE_WORK_NS,
+                "phase {i} has work_ns {:?}, below the {MIN_PHASE_WORK_NS} ns floor",
+                p.work_ns
+            );
         }
         PhaseTrace {
             name: name.into(),
@@ -86,7 +109,7 @@ impl PhaseTrace {
         while recorded < total_work_ns {
             let sample = cursor.sample();
             let remaining = cursor.remaining_in_phase();
-            let take = remaining.max(1.0);
+            let take = remaining.max(MIN_PHASE_WORK_NS);
             phases.push(Phase::new(sample.activity, sample.mem_intensity, take));
             cursor.advance(take);
             recorded += take;
@@ -140,12 +163,18 @@ impl PhaseTrace {
                 },
                 _ => None,
             };
-            let Some((a, m, w)) = parsed.filter(|&(_, _, w)| w > 0.0) else {
+            let Some((a, m, w)) = parsed else {
                 return Err(TraceParseError::BadRow {
                     line: i + 2,
                     row: line.to_string(),
                 });
             };
+            if !(w >= MIN_PHASE_WORK_NS) {
+                return Err(TraceParseError::ShortPhase {
+                    line: i + 2,
+                    row: line.to_string(),
+                });
+            }
             phases.push(Phase::new(a, m, w));
         }
         if phases.is_empty() {
@@ -198,6 +227,33 @@ impl TracePlayer {
             self.remaining = self.trace.phases[self.index].work_ns;
         }
         self.remaining -= left;
+    }
+
+    /// Advance by `work_ns` once per tick for up to `max_ticks` ticks,
+    /// stopping after the first tick that enters a phase whose sample
+    /// differs bit-for-bit from the current one; returns how many ticks
+    /// it advanced. Bit-identical to that many [`TracePlayer::advance`]
+    /// calls (see `PhaseCursor::advance_span`).
+    pub fn advance_span(&mut self, work_ns: f64, max_ticks: usize) -> usize {
+        let bits = self.sample().bits();
+        let (mut consumed, mut remaining) = (self.consumed, self.remaining);
+        let mut ticks = 0;
+        while ticks < max_ticks {
+            ticks += 1;
+            if work_ns < remaining {
+                consumed += work_ns;
+                remaining -= work_ns;
+                continue;
+            }
+            (self.consumed, self.remaining) = (consumed, remaining);
+            self.advance(work_ns);
+            (consumed, remaining) = (self.consumed, self.remaining);
+            if self.sample().bits() != bits {
+                break;
+            }
+        }
+        (self.consumed, self.remaining) = (consumed, remaining);
+        ticks
     }
 
     /// Total work consumed.
@@ -272,6 +328,43 @@ mod tests {
     }
 
     #[test]
+    fn parse_rejects_phases_below_one_ns() {
+        // A 1e-300 ns phase used to hang playback: one tick's work crossed
+        // it without ever using it up.
+        let csv = "activity,mem_intensity,work_ns\n0.5,0.2,20\n0.5,0.2,1e-300\n";
+        let err = PhaseTrace::from_csv("x", csv).unwrap_err();
+        assert_eq!(
+            err,
+            TraceParseError::ShortPhase {
+                line: 3,
+                row: "0.5,0.2,1e-300".into()
+            }
+        );
+        assert!(err.to_string().contains("line 3: '0.5,0.2,1e-300'"), "{err}");
+        for w in ["0.999", "NaN", "-5"] {
+            let csv = format!("activity,mem_intensity,work_ns\n0.5,0.2,{w}\n");
+            assert!(
+                matches!(
+                    PhaseTrace::from_csv("x", &csv),
+                    Err(TraceParseError::ShortPhase { line: 2, .. })
+                ),
+                "work_ns {w}"
+            );
+        }
+        let at_floor = PhaseTrace::from_csv("x", "activity,mem_intensity,work_ns\n0.5,0.2,1\n");
+        assert_eq!(at_floor.map(|t| t.total_work_ns()), Ok(1.0));
+    }
+
+    #[test]
+    #[should_panic(expected = "phase 1 has work_ns")]
+    fn new_rejects_phases_below_one_ns() {
+        let _ = PhaseTrace::new(
+            "x",
+            vec![Phase::new(0.5, 0.2, 10.0), Phase::new(0.5, 0.2, 0.5)],
+        );
+    }
+
+    #[test]
     fn player_wraps_cyclically() {
         let mut p = TracePlayer::new(Arc::new(small_trace()));
         assert_close!(p.sample().activity, 0.2, 1e-12);
@@ -311,6 +404,53 @@ mod tests {
             assert_close!(s.activity, phase.activity, 1e-12);
             assert_close!(s.mem_intensity, phase.mem_intensity, 1e-12);
             player.advance(phase.work_ns);
+        }
+    }
+
+    #[test]
+    fn advance_span_matches_per_tick_advance() {
+        use hcapp_sim_core::state::{Snapshot, StateWriter};
+        let saved = |p: &TracePlayer| {
+            let mut w = StateWriter::new();
+            p.save_state(&mut w);
+            w.finish()
+        };
+        // Two phases with equal samples back to back (a span crosses
+        // them), a 1 ns phase, and the wrap to the start.
+        let trace = Arc::new(PhaseTrace::new(
+            "span",
+            vec![
+                Phase::new(0.2, 0.1, 1_000.0),
+                Phase::new(0.2, 0.1, 300.0),
+                Phase::new(0.9, 0.5, 1.0),
+                Phase::new(0.6, 0.3, 2_750.0),
+            ],
+        ));
+        let mut spanned = TracePlayer::new(trace.clone());
+        let mut ticked = TracePlayer::new(trace);
+        let mut rng = hcapp_sim_core::rng::DeterministicRng::new(3);
+        for k in 0..2_000 {
+            // The first span steps exactly onto the boundary into the
+            // equal phase (tick 10) and then into a different one (tick
+            // 13, where it stops).
+            let work_ns = match k {
+                0 => 100.0,
+                _ if k % 3 == 0 => 250.0,
+                _ => rng.uniform(0.25, 400.0),
+            };
+            let max_ticks = if k == 0 { 40 } else { rng.below(41) as usize };
+            let got = spanned.advance_span(work_ns, max_ticks);
+            let bits = ticked.sample().bits();
+            let mut want = 0;
+            while want < max_ticks && ticked.sample().bits() == bits {
+                ticked.advance(work_ns);
+                want += 1;
+            }
+            assert_eq!(got, want, "span {k}");
+            assert_eq!(saved(&spanned), saved(&ticked), "state after span {k}");
+            if k == 0 {
+                assert_eq!(got, 13);
+            }
         }
     }
 

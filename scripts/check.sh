@@ -114,4 +114,21 @@ if cargo run --release -p hcapp-cli -q -- fuzz --replay "$fuzz_case" > /dev/null
 fi
 rm -f "$fuzz_case"
 
+echo "==> perfbench smoke (offline build, every workload, --trace 0 and 1)"
+# perfbench is a Cargo workspace of its own on path dependencies, so an API
+# change in the crates that it does not follow breaks only its build: build
+# it here, and require every workload, plain and instrumented, to verify
+# its outputs ("correct": true on the result line).
+cargo build --release --offline --quiet --manifest-path perfbench/Cargo.toml
+for workload in paper3 scaled256 sweep; do
+    for trace in 0 1; do
+        result=$(cargo run --release --offline --quiet --manifest-path perfbench/Cargo.toml -- \
+            --workload "$workload" --seed 1 --seconds 1 --trace "$trace" 2>/dev/null | tail -n 1)
+        case $result in
+            *'"correct": true'*) ;;
+            *) echo "perfbench $workload --trace $trace: ${result:-no result line}" >&2; exit 1 ;;
+        esac
+    done
+done
+
 echo "==> all checks passed"
