@@ -82,7 +82,7 @@ impl ShaAccelerator {
     }
 
     /// Advance one tick through a borrowed [`StepFrame`] — the
-    /// quantum-stepper kernel's entry point (`frame.voltages[0]` is the
+    /// quantum-stepper kernel's entry point (`frame.voltages` holds the one
     /// lane voltage; the accelerator is a single controllable unit).
     ///
     /// Bit-identical to [`ShaAccelerator::step`] (pinned by
@@ -92,7 +92,12 @@ impl ShaAccelerator {
     ///
     /// [`StepFrame`]: hcapp_sim_core::frame::StepFrame
     pub fn step_into(&mut self, frame: &mut hcapp_sim_core::frame::StepFrame<'_>) {
-        let v = frame.voltages[0].clamp(self.cfg.v_min, self.cfg.v_max);
+        let &[v] = frame.voltages else {
+            // The arity contract, as the CPU and GPU chiplets assert theirs.
+            assert_eq!(frame.voltages.len(), 1, "need one voltage for the lane");
+            return;
+        };
+        let v = v.clamp(self.cfg.v_min, self.cfg.v_max);
         let bits = v.value().to_bits();
         let (busy_power, tp_gbps) = match self.memo {
             Some((b, bp, tp)) if b == bits => (bp, tp),

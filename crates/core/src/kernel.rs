@@ -21,11 +21,12 @@
 //! across units at one voltage and replays the previous tick's sums while
 //! its inputs repeat bit-for-bit (`hcapp_sim_core::frame::TickMemo`); that
 //! memo lives inside the chiplet, not in the lanes or the arena, and is
-//! never checkpointed. Through a flat stretch of the VR schedule a domain
-//! skips even the per-tick call: `Domain::run_quantum` proves the
-//! stretch steady and hands it to the chiplet's `replay_span` in one
-//! call, reading the stretch's length off the quantum's flat-run table
-//! ([`flat_runs_into`]). See `DESIGN.md` §6j for the proof obligations.
+//! never checkpointed. Through a stretch of constant delivered voltage a
+//! domain skips even the per-tick call: `Domain::run_quantum` walks the
+//! quantum stretch by stretch and hands each stretch to the chiplet's
+//! `replay_span` in one call, reading the stretch's length off the
+//! quantum's flat-run table ([`flat_runs_into`]) shifted by the branch
+//! delay. See `DESIGN.md` §6j for the proof obligations.
 
 use crate::coordinator::QuantumCtl;
 use crate::health::DomainHealth;
@@ -92,11 +93,9 @@ pub(crate) struct BatchArena {
 
 /// Fill `runs` with the suffix run lengths of the voltage schedule
 /// `v_sched`: `runs[k]` counts the ticks from `k` on whose voltage repeats
-/// `v_sched[k]` bit-for-bit, `k` itself included, so the ticks after `k`
-/// that a steady span starting at `k + 1` may cover number `runs[k] - 1`.
-/// One backward pass per quantum; every domain then reads its spans off
-/// the table instead of rescanning the schedule after each early span
-/// stop. A run longer than `u32::MAX` saturates, which only shortens the
+/// `v_sched[k]` bit-for-bit, `k` itself included. One backward pass per
+/// quantum; every domain then reads its stretches off the table, shifted
+/// by its branch delay and link lag, instead of rescanning the schedule. A run longer than `u32::MAX` saturates, which only shortens the
 /// span it reports. Slots past the shorter of the two slices are left
 /// alone.
 pub fn flat_runs_into(v_sched: &[f64], runs: &mut [u32]) {

@@ -8,10 +8,9 @@
 //! The runtime [`Domain`] bundles one chiplet simulator with its level-2
 //! domain controller, its level-3 local controller, and its branch of the
 //! supply network. [`Domain::run_quantum`] advances the domain through one
-//! control quantum against a precomputed global-voltage schedule; because
-//! the global voltage is the *only* coupling between domains inside a
-//! quantum, the serial and parallel coordinators share this code and produce
-//! bit-identical results.
+//! control quantum against a precomputed global-voltage schedule, one
+//! stretch of constant delivered voltage at a time; the global voltage is
+//! the *only* coupling between domains inside a quantum.
 
 use hcapp_accel_sim::{ShaAccelerator, ShaConfig};
 use hcapp_power_model::MemoryStack;
@@ -414,8 +413,8 @@ pub struct Domain {
     pub ripple: Option<RippleInjector>,
     /// Optional thermal guard (§3.3 extension).
     pub thermal: Option<ThermalGuard>,
-    /// Per-unit voltages of the last stepped tick; a steady span replays
-    /// them (written by tick 0 of every quantum before any read).
+    /// Per-unit voltages of the current stretch (scratch: written at the
+    /// start of every stretch before any read).
     unit_voltages: Vec<Volt>,
     /// Chiplet power from the previous tick (IR-drop input).
     pub last_power: Watt,
@@ -538,10 +537,18 @@ impl Domain {
     /// ordering). Per-tick chiplet powers are *added into* `power_acc`
     /// (which the coordinators pre-zero or share across domains).
     ///
-    /// Ticks step in steady spans where [`Domain::steady_span`] and the
-    /// chiplet can prove them (one `replay_span` call for a flat stretch
-    /// of `v_global`), and one at a time otherwise; both give the same
-    /// bits.
+    /// The quantum is one walk over stretches of constant delivered
+    /// voltage (DESIGN §6j, stretch walk). The link and the supply branch
+    /// describe the quantum's raw delivered voltages up front
+    /// ([`BroadcastLink::receive_quantum`], [`SupplyNetwork::delivery`]);
+    /// a stretch is a run of equal raw voltages, read off `flat_runs`
+    /// shifted by the branch delay. The domain computes the unit voltages
+    /// once per stretch, hands the stretch to the chiplet's `replay_span`
+    /// and steps with `step_into` only a tick the span refuses. Ripple
+    /// perturbs every tick, so under ripple a stretch is one tick; with IR
+    /// drop the delivered voltage depends on the last tick's power, so it
+    /// is recomputed after every stepped tick (a replayed tick never
+    /// changes the power).
     ///
     /// `ctl` carries the priority write, the degradation throttle and any
     /// active faults: a `DomainStuck` fault makes the priority register
@@ -555,8 +562,7 @@ impl Domain {
     ///
     /// When `events` is `Some`, the boundary-time level-2/level-3 control
     /// observations (`DomainScale`, `LocalDecision`) are appended to it —
-    /// the coordinators then merge per-domain buffers in domain order so
-    /// serial and parallel traces are identical.
+    /// the coordinator then merges per-domain buffers in domain order.
     #[allow(clippy::too_many_arguments)]
     pub fn run_quantum(
         &mut self,
@@ -571,96 +577,68 @@ impl Domain {
     ) -> bool {
         debug_assert_eq!(v_global.len(), power_acc.len());
         debug_assert_eq!(v_global.len(), flat_runs.len());
-        let thermal_derate = self.quantum_boundary(t0, v_global.len(), update_local, ctl, tick, events);
-        // Ripple and link faults perturb individual ticks; without them a
-        // tick whose inputs repeat the previous tick's may join a span.
-        let spans_allowed = self.ripple.is_none() && ctl.link_fault.is_none();
-        // The IR-drop input of the previous tick.
-        let mut prev_ir_power = self.last_power;
+        let n = v_global.len().min(power_acc.len());
+        let thermal_derate = self.quantum_boundary(t0, n, update_local, ctl, tick, events);
+        let rx = self.link.receive_quantum(v_global, ctl.link_fault);
+        let delivery = self.network.delivery(rx, v_global, flat_runs);
+        let ir_drop = self.network.has_ir_drop();
         let mut i = 0;
-        while i < v_global.len() {
-            if spans_allowed {
-                let span = self.steady_span(v_global, flat_runs, i, prev_ir_power);
-                if let Some(slots) = power_acc.get_mut(i..i + span).filter(|s| !s.is_empty()) {
-                    let ticks = self.sim.replay_span(&self.unit_voltages, tick, slots);
-                    if ticks > 0 {
-                        prev_ir_power = self.last_power;
-                        i += ticks;
-                        continue;
+        while i < n {
+            let raw = delivery.at(i);
+            let end = if self.ripple.is_some() {
+                i + 1
+            } else {
+                delivery.stretch_end(i).min(n)
+            };
+            // One delivered voltage per pass; only a stepped tick under IR
+            // drop ends a pass before the stretch does.
+            while i < end {
+                let mut delivered = self.network.ir_drop(raw, self.last_power);
+                if let Some(injector) = self.ripple.as_mut() {
+                    delivered = injector.perturb(delivered, t0 + tick * i as u64);
+                }
+                self.last_delivered = delivered;
+                // The throttle multiply is a bitwise identity at 1.0, so
+                // clean runs are unperturbed by the degradation layer.
+                let v_dom =
+                    self.ctl.domain_voltage(delivered).value() * thermal_derate * ctl.throttle;
+                if let [r] = self.local.ratios() {
+                    self.unit_voltages.fill(Volt::new(v_dom * r));
+                } else {
+                    for (uv, &r) in self.unit_voltages.iter_mut().zip(self.local.ratios()) {
+                        *uv = Volt::new(v_dom * r);
+                    }
+                }
+                loop {
+                    // A one-tick stretch goes straight to `step_into`,
+                    // which replays a steady tick itself.
+                    if end - i > 1 {
+                        if let Some(slots) = power_acc.get_mut(i..end) {
+                            i += self.sim.replay_span(&self.unit_voltages, tick, slots);
+                        }
+                    }
+                    let Some(slot) = power_acc.get_mut(i).filter(|_| i < end) else {
+                        break;
+                    };
+                    // The chiplet adds its tick power into a fresh
+                    // accumulator, so `last_power` holds this tick's power
+                    // alone (`0.0 + p` is bitwise `p` for the non-negative
+                    // powers the models produce).
+                    let mut p = 0.0f64;
+                    let mut frame =
+                        hcapp_sim_core::frame::StepFrame::new(&self.unit_voltages, tick, &mut p);
+                    self.sim.step_into(&mut frame);
+                    self.last_power = Watt::new(p);
+                    *slot += p;
+                    i += 1;
+                    if ir_drop {
+                        break;
                     }
                 }
             }
-            let vg = self.link.receive(v_global, i, ctl.link_fault);
-            let mut delivered = self.network.deliver(Volt::new(vg), self.last_power);
-            if let Some(injector) = self.ripple.as_mut() {
-                delivered = injector.perturb(delivered, t0 + tick * i as u64);
-            }
-            self.last_delivered = delivered;
-            // The throttle multiply is a bitwise identity at 1.0, so clean
-            // runs are unperturbed by the degradation layer.
-            let v_dom = Volt::new(
-                self.ctl.domain_voltage(delivered).value() * thermal_derate * ctl.throttle,
-            );
-            if let [r] = self.local.ratios() {
-                self.unit_voltages.fill(Volt::new(v_dom.value() * r));
-            } else {
-                for (uv, &r) in self.unit_voltages.iter_mut().zip(self.local.ratios()) {
-                    *uv = Volt::new(v_dom.value() * r);
-                }
-            }
-            // The chiplet adds its tick power into a fresh accumulator, so
-            // `last_power` holds this tick's power alone (`0.0 + p` is
-            // bitwise `p` for the non-negative powers the models produce).
-            let mut p = 0.0f64;
-            let mut frame =
-                hcapp_sim_core::frame::StepFrame::new(&self.unit_voltages, tick, &mut p);
-            self.sim.step_into(&mut frame);
-            prev_ir_power = self.last_power;
-            self.last_power = Watt::new(p);
-            if let Some(slot) = power_acc.get_mut(i) {
-                *slot += p;
-            }
-            i += 1;
         }
+        self.network.advance(rx, v_global);
         ctl.ctl_fault.is_none()
-    }
-
-    /// How many ticks from tick `i` on provably hand the chiplet the unit
-    /// voltages it got at tick `i - 1`, which `unit_voltages` still holds
-    /// (DESIGN §6j, steady spans). `prev_ir_power` is the IR-drop input of
-    /// tick `i - 1`. The caller has ruled out ripple and link faults, so
-    /// tick `j` receives `v_global[j]`; the ratios, the thermal derate and
-    /// the throttle are fixed for the quantum. What is left to prove:
-    ///
-    /// * `i >= 1`, so `unit_voltages` belongs to this quantum;
-    /// * the supply branch is settled at `v_global[i - 1]`, so delivering
-    ///   it again reproduces the last raw delivered voltage;
-    /// * with IR drop, the last two tick powers are bit-equal, so the drop
-    ///   repeats too; a span never changes the chiplet's power, so this
-    ///   keeps holding through the span.
-    ///
-    /// The span then runs while `v_global` repeats `v_global[i - 1]`
-    /// bit-for-bit, which the flat-run table holds as
-    /// `flat_runs[i - 1] - 1` ticks. Returns 0 when any obligation fails.
-    fn steady_span(
-        &self,
-        v_global: &[f64],
-        flat_runs: &[u32],
-        i: usize,
-        prev_ir_power: Watt,
-    ) -> usize {
-        let Some(p) = i.checked_sub(1) else {
-            return 0;
-        };
-        let (Some(prev), Some(run)) = (v_global.get(p), flat_runs.get(p)) else {
-            return 0;
-        };
-        let ir_repeats = !self.network.has_ir_drop()
-            || self.last_power.value().to_bits() == prev_ir_power.value().to_bits();
-        if !ir_repeats || !self.network.settled_at(Volt::new(*prev)) {
-            return 0;
-        }
-        run.saturating_sub(1) as usize
     }
 
     /// The quantum-boundary control work that precedes the tick loop:
@@ -769,8 +747,8 @@ impl hcapp_sim_core::state::Snapshot for ChipletSim {
 impl hcapp_sim_core::state::Snapshot for Domain {
     /// Everything `run_quantum` mutates, in declaration order. Deliberately
     /// *not* saved: `index`/`kind`/`nominal_rate` (configuration) and
-    /// `unit_voltages` (scratch that tick 0 of every quantum overwrites
-    /// before anything reads it; spans start at tick 1 at the earliest).
+    /// `unit_voltages` (scratch that the first stretch of every quantum
+    /// overwrites before anything reads it).
     fn save_state(&self, w: &mut hcapp_sim_core::state::StateWriter) {
         self.ctl.save_state(w);
         self.local.save_state(w);
@@ -929,6 +907,201 @@ mod tests {
         let c = cfg().with_adversarial_accel();
         let d = Domain::build(&c.domains[2], &c, 2);
         assert_eq!(d.local.name(), "adversarial");
+    }
+}
+
+#[cfg(test)]
+mod stretch_walk_tests {
+    use super::*;
+    use hcapp_pdn::LinkFault;
+    use hcapp_sim_core::frame::StepFrame;
+    use hcapp_sim_core::state::{Snapshot, StateReader, StateWriter};
+    use hcapp_sim_core::time::SimTime;
+    use hcapp_workloads::combos::combo_suite;
+
+    const TICKS: usize = 10;
+
+    /// The per-tick reference for [`Domain::run_quantum`]: receive →
+    /// deliver → ripple → domain voltage → `step_into`, every tick.
+    fn per_tick_quantum(
+        d: &mut Domain,
+        t0: SimTime,
+        v_global: &[f64],
+        update_local: bool,
+        ctl: &QuantumCtl,
+        tick: SimDuration,
+        power_acc: &mut [f64],
+    ) {
+        let derate = d.quantum_boundary(t0, v_global.len(), update_local, ctl, tick, None);
+        for (i, slot) in power_acc.iter_mut().enumerate() {
+            let vg = d.link.receive(v_global, i, ctl.link_fault);
+            let mut delivered = d.network.deliver(Volt::new(vg), d.last_power);
+            if let Some(injector) = d.ripple.as_mut() {
+                delivered = injector.perturb(delivered, t0 + tick * i as u64);
+            }
+            d.last_delivered = delivered;
+            let v_dom = Volt::new(d.ctl.domain_voltage(delivered).value() * derate * ctl.throttle);
+            let volts: Vec<Volt> = match d.local.ratios() {
+                [r] => vec![Volt::new(v_dom.value() * r); d.sim.units()],
+                ratios => ratios
+                    .iter()
+                    .map(|r| Volt::new(v_dom.value() * r))
+                    .collect(),
+            };
+            let mut p = 0.0f64;
+            d.sim.step_into(&mut StepFrame::new(&volts, tick, &mut p));
+            d.last_power = Watt::new(p);
+            *slot += p;
+        }
+    }
+
+    /// Quantum `q`'s global schedule: the previous quantum's last value on
+    /// tick 0 (the setpoint matures a tick in), then a one- or two-tick
+    /// slew to the quantum's target and a hold, with a one-tick blip in
+    /// some quanta and whole quanta that repeat the last value.
+    fn schedule(q: usize, prev: f64) -> Vec<f64> {
+        let target = [0.95, 0.95, 0.97, 0.93, 0.93, 0.93, 1.02, 0.9, 0.9][q % 9];
+        (0..TICKS)
+            .map(|i| match (q % 5, i) {
+                (_, 0) => prev,
+                (1, 1) => (prev + target) / 2.0,
+                (4, 6) => target + 0.01,
+                _ => target,
+            })
+            .collect()
+    }
+
+    fn flat_runs(v: &[f64]) -> Vec<u32> {
+        let mut runs = vec![0; v.len()];
+        crate::kernel::flat_runs_into(v, &mut runs);
+        runs
+    }
+
+    fn save(d: &Domain) -> String {
+        let mut w = StateWriter::new();
+        d.save_state(&mut w);
+        w.finish()
+    }
+
+    /// Link faults by quantum: delays of 1 and 3 ticks and losses, one of
+    /// them on the first quantum, before the link has heard anything.
+    fn link_fault(q: usize) -> Option<LinkFault> {
+        match q % 7 {
+            0 if q == 0 => Some(LinkFault::Loss),
+            2 => Some(LinkFault::Delay { ticks: 1 }),
+            3 => Some(LinkFault::Delay { ticks: 3 }),
+            5 => Some(LinkFault::Loss),
+            _ => None,
+        }
+    }
+
+    /// Run every domain kind of the paper package plus a memory stack
+    /// through `quanta` quanta from run start, once through the stretch
+    /// walk and once through the per-tick reference, restoring the walk's
+    /// domain from a checkpoint into a fresh one halfway. Power slots,
+    /// `last_power`, `last_delivered` and the checkpoint text must match
+    /// bit for bit after every quantum. Returns how many quanta changed a
+    /// local ratio at their boundary.
+    fn check(what: &str, sys: &SystemConfig, faults: bool, quanta: usize) -> usize {
+        let mut ratio_changes = 0;
+        for (idx, spec) in sys.domains.iter().enumerate() {
+            let mut walk = Domain::build(spec, sys, idx);
+            let mut reference = Domain::build(spec, sys, idx);
+            let mut prev = sys.v_init.value();
+            for q in 0..quanta {
+                if q == quanta / 2 {
+                    let mut fresh = Domain::build(spec, sys, idx);
+                    fresh
+                        .load_state(&mut StateReader::new(&save(&walk)))
+                        .expect("checkpoint round trip");
+                    walk = fresh;
+                }
+                let v = schedule(q, prev);
+                prev = v[TICKS - 1];
+                let ctl = QuantumCtl {
+                    link_fault: if faults { link_fault(q) } else { None },
+                    ..QuantumCtl::clean(1.0)
+                };
+                let update_local = q % 3 == 0;
+                let t0 = SimTime::ZERO + sys.tick * (q * TICKS) as u64;
+                let ratios = reference.local.ratios().to_vec();
+                let (mut got, mut want) = (vec![0.0; TICKS], vec![0.0; TICKS]);
+                walk.run_quantum(
+                    t0,
+                    &v,
+                    &flat_runs(&v),
+                    update_local,
+                    &ctl,
+                    sys.tick,
+                    &mut got,
+                    None,
+                );
+                per_tick_quantum(
+                    &mut reference,
+                    t0,
+                    &v,
+                    update_local,
+                    &ctl,
+                    sys.tick,
+                    &mut want,
+                );
+                ratio_changes += usize::from(reference.local.ratios() != ratios.as_slice());
+                let at = format!("{what}: domain {idx}, quantum {q}");
+                for (t, (g, w)) in got.iter().zip(&want).enumerate() {
+                    assert_eq!(g.to_bits(), w.to_bits(), "{at}, tick {t}: power slot");
+                }
+                assert_eq!(
+                    walk.last_power.value().to_bits(),
+                    reference.last_power.value().to_bits(),
+                    "{at}: last_power"
+                );
+                assert_eq!(
+                    walk.last_delivered.value().to_bits(),
+                    reference.last_delivered.value().to_bits(),
+                    "{at}: last_delivered"
+                );
+                assert_eq!(save(&walk), save(&reference), "{at}: checkpoint");
+            }
+        }
+        ratio_changes
+    }
+
+    fn package() -> SystemConfig {
+        SystemConfig::paper_system_with_memory(combo_suite()[3], 11)
+    }
+
+    #[test]
+    fn stretch_walk_matches_per_tick_reference_across_delays() {
+        for delay in [0, 1, 3] {
+            let mut sys = package();
+            sys.network_delay_ticks = delay;
+            let changes = check(&format!("delay {delay}"), &sys, false, 60);
+            assert!(
+                changes > 0,
+                "delay {delay}: no local ratio changed at a boundary"
+            );
+        }
+    }
+
+    #[test]
+    fn stretch_walk_matches_per_tick_reference_under_ir_drop_and_ripple() {
+        let mut ir = package();
+        ir.network_resistance = 0.05;
+        check("IR drop", &ir, false, 60);
+        ir.network_delay_ticks = 3;
+        check("IR drop, delay 3", &ir, false, 60);
+        let mut ripple = package();
+        ripple.ripple = Some(hcapp_pdn::RippleSpec::severe());
+        check("severe ripple", &ripple, false, 60);
+    }
+
+    #[test]
+    fn stretch_walk_matches_per_tick_reference_under_link_faults() {
+        for delay in [0, 1, 3] {
+            let mut sys = package();
+            sys.network_delay_ticks = delay;
+            check(&format!("link faults, delay {delay}"), &sys, true, 60);
+        }
     }
 }
 

@@ -6,23 +6,36 @@
 //! breakdown. The chiplet is stepped with one supply voltage per core (the
 //! local controllers in `hcapp` compute those) and exposes the per-core IPC
 //! fractions those controllers need next cycle.
+//!
+//! The cores are lanes, not objects: one [`CoreModel`] for the chiplet,
+//! the cores' jitter and random streams in [`JitterLanes`] on one resample
+//! clock, and per-core activity, operating-point and IPC lanes that a
+//! full-evaluation tick fills one loop at a time.
 
 use hcapp_power_model::ComponentPowerModel;
 use hcapp_sim_core::frame::{StepFrame, TickMemo, TickSums, UnitPoint};
+use hcapp_sim_core::jitter::JitterLanes;
 use hcapp_sim_core::rng::DeterministicRng;
 use hcapp_sim_core::time::SimDuration;
 use hcapp_sim_core::units::{Volt, Watt};
 use hcapp_workloads::program::{WorkloadProgram, WorkloadSource};
 
 use crate::config::CpuConfig;
-use crate::core::Core;
+use crate::core::CoreModel;
 use crate::mcpat::PowerBreakdown;
 
 /// The CPU chiplet simulator.
 #[derive(Debug, Clone)]
 pub struct CpuChiplet {
     cfg: CpuConfig,
-    cores: Vec<Core>,
+    /// The model every core shares.
+    core: CoreModel,
+    /// Per-core activity jitter and random streams on one resample clock.
+    jitter: JitterLanes,
+    /// Per-core jittered activity of the last evaluated tick (scratch).
+    activity: Vec<f64>,
+    /// Per-core operating point of the last evaluated tick (scratch).
+    points: Vec<UnitPoint>,
     uncore: ComponentPowerModel,
     program: WorkloadProgram,
     workload_name: String,
@@ -68,23 +81,24 @@ impl CpuChiplet {
         // assuming the canonical tick; any tick works, the period just
         // shifts.
         let jitter_ticks = (cfg.jitter_resample_ns / 100).max(1);
-        let cores = (0..cfg.cores)
-            .map(|i| {
-                Core::new(
-                    core_model.clone(),
-                    f_nominal,
-                    cfg.core_jitter_std,
-                    jitter_ticks,
-                    DeterministicRng::derive(seed, stream_base + 1 + i as u64),
-                )
-            })
+        let rngs = (0..cfg.cores)
+            .map(|i| DeterministicRng::derive(seed, stream_base + 1 + i as u64))
             .collect();
+        let jitter = JitterLanes::new(
+            cfg.core_jitter_std,
+            jitter_ticks,
+            rngs,
+            ["core.jitter", "core.jitter_countdown"],
+        );
         let program = workload.instantiate(seed, stream_base);
         CpuChiplet {
             last_ipc: vec![0.0; cfg.cores],
+            activity: vec![0.0; cfg.cores],
+            points: vec![UnitPoint::default(); cfg.cores],
             memo: TickMemo::new(cfg.cores),
             cfg,
-            cores,
+            core: CoreModel::new(core_model, f_nominal),
+            jitter,
             uncore,
             workload_name: workload.name().to_string(),
             program,
@@ -95,7 +109,7 @@ impl CpuChiplet {
 
     /// Number of locally-controllable units (cores).
     pub fn units(&self) -> usize {
-        self.cores.len()
+        self.jitter.len()
     }
 
     /// The chiplet configuration.
@@ -114,25 +128,30 @@ impl CpuChiplet {
     pub fn step(&mut self, core_voltages: &[Volt], dt: SimDuration) -> Watt {
         assert_eq!(
             core_voltages.len(),
-            self.cores.len(),
+            self.units(),
             "need one voltage per core"
         );
         let sample = self.program.sample();
+        self.jitter.tick();
         let mut total_core_power = Watt::ZERO;
         let mut total_dynamic = Watt::ZERO;
         let mut total_rate = 0.0;
         let dt_ns = dt.as_nanos() as f64;
-        for (i, core) in self.cores.iter_mut().enumerate() {
-            let v = core_voltages[i].clamp(self.cfg.v_min, self.cfg.v_max);
-            let out = core.step(v, sample, dt);
+        let cores = core_voltages
+            .iter()
+            .zip(self.jitter.values())
+            .zip(&mut self.last_ipc);
+        for ((v, &jitter), ipc) in cores {
+            let v = v.clamp(self.cfg.v_min, self.cfg.v_max);
+            let out = self.core.step(v, jitter, sample, dt);
             total_core_power += out.power;
-            total_dynamic += out.power - core.model().leakage_power(v);
+            total_dynamic += out.power - self.core.model().leakage_power(v);
             total_rate += out.work_ns / dt_ns;
-            self.last_ipc[i] = out.ipc_fraction;
+            *ipc = out.ipc_fraction;
         }
         // The shared program advances at the average core rate (barrier-
         // coupled data parallelism).
-        let avg_rate = total_rate / self.cores.len() as f64;
+        let avg_rate = total_rate / self.units() as f64;
         self.program.advance(avg_rate * dt_ns);
 
         // Uncore runs at the mean core voltage; its switching tracks memory
@@ -143,7 +162,7 @@ impl CpuChiplet {
                 .iter()
                 .map(|v| v.clamp(self.cfg.v_min, self.cfg.v_max).value())
                 .sum::<f64>()
-                / self.cores.len() as f64,
+                / self.units() as f64,
         );
         let uncore_activity = sample.mem_intensity * sample.activity;
         let uncore_power = self.uncore.power(mean_v, uncore_activity);
@@ -168,22 +187,23 @@ impl CpuChiplet {
     ///   tick's outputs, so the tick is a one-tick
     ///   [`CpuChiplet::replay_span`]: it replays the [`TickMemo`]'d sums
     ///   (and `last_ipc` already holds last tick's IPCs). Only the jitter
-    ///   clocks, the program cursor, the breakdown and the power output
+    ///   clock, the program cursor, the breakdown and the power output
     ///   advance.
-    /// * **Shared operating points.** Otherwise the per-voltage inputs
-    ///   (a [`UnitPoint`]: frequency, leakage, `f / f_nominal`, progress
-    ///   rate) are computed once per *distinct consecutive* core voltage
-    ///   and shared across cores holding that voltage — under uniform
-    ///   local-controller ratios that is one evaluation per tick instead
-    ///   of one per core ([`Core::step`] also evaluates the frequency
-    ///   curve twice and the leakage curve twice per call).
+    /// * **Hoisted lanes.** Otherwise the unit-independent terms (a
+    ///   [`UnitPoint`]: `c_eff·v·v·f`, leakage, `1 + m·f_ratio`,
+    ///   `rate·dt`) are computed once per *distinct consecutive* core
+    ///   voltage into the point lane, the jittered activities into the
+    ///   activity lane, and then one loop sums power, dynamic power and
+    ///   rate in core order and one loop writes the IPC lane. Each core's
+    ///   outputs are [`CoreModel::step`]'s operations on the same
+    ///   operands, so the sums match bit for bit.
     ///
     /// # Panics
     /// Panics if `frame.voltages.len() != units()`.
     pub fn step_into(&mut self, frame: &mut StepFrame<'_>) {
         assert_eq!(
             frame.voltages.len(),
-            self.cores.len(),
+            self.units(),
             "need one voltage per core"
         );
         let dt = frame.dt;
@@ -193,33 +213,47 @@ impl CpuChiplet {
         let sample = self.program.sample();
         self.memo
             .key(frame.voltages, [sample.activity, sample.mem_intensity], dt);
+        self.jitter.tick();
+        let dt_ns = dt.as_nanos() as f64;
+        // Point lane, with a one-entry memo keyed on the voltage's bit
+        // pattern: the point is a pure function of the voltage and the
+        // tick's sample, so reuse is value-identical to recomputation.
+        let mut v_sum = 0.0;
+        let mut memo_v = f64::NAN.to_bits();
+        let mut op = UnitPoint::default();
+        for (point, v) in self.points.iter_mut().zip(frame.voltages) {
+            let v = v.clamp(self.cfg.v_min, self.cfg.v_max);
+            v_sum += v.value();
+            if v.value().to_bits() != memo_v {
+                op = self.core.point(v, sample, dt_ns);
+                memo_v = v.value().to_bits();
+            }
+            *point = op;
+        }
+        for (a, &jitter) in self.activity.iter_mut().zip(self.jitter.values()) {
+            *a = (sample.activity * jitter).clamp(0.0, 1.0);
+        }
         let mut total_core_power = Watt::ZERO;
         let mut total_dynamic = Watt::ZERO;
         let mut total_rate = 0.0;
-        let mut v_sum = 0.0;
-        let dt_ns = dt.as_nanos() as f64;
-        // One-entry operating-point memo, keyed on the voltage's bit
-        // pattern: the point is a pure function of the voltage and the
-        // tick's sample, so reuse is value-identical to recomputation.
-        let mut memo_v = f64::NAN.to_bits();
-        let mut op = UnitPoint::default();
-        for (i, core) in self.cores.iter_mut().enumerate() {
-            let v = frame.voltages[i].clamp(self.cfg.v_min, self.cfg.v_max);
-            v_sum += v.value();
-            if v.value().to_bits() != memo_v {
-                op = core.operating_point(v, sample);
-                memo_v = v.value().to_bits();
-            }
-            let out = core.step_at(v, &op, sample, dt);
-            total_core_power += out.power;
-            total_dynamic += out.power - op.leak;
-            total_rate += out.work_ns / dt_ns;
-            self.last_ipc[i] = out.ipc_fraction;
+        for (op, &a) in self.points.iter().zip(&self.activity) {
+            let power = Watt::new(op.switched * a) + op.leak;
+            total_core_power += power;
+            total_dynamic += power - op.leak;
+            total_rate += op.work_per_tick * if a > 0.0 { 1.0 } else { 0.0 } / dt_ns;
         }
-        let mean_v = Volt::new(v_sum / self.cores.len() as f64);
+        for ((ipc, op), &a) in self
+            .last_ipc
+            .iter_mut()
+            .zip(&self.points)
+            .zip(&self.activity)
+        {
+            *ipc = a / op.ipc_denom;
+        }
+        let mean_v = Volt::new(v_sum / self.units() as f64);
         let uncore_activity = sample.mem_intensity * sample.activity;
         let sums = TickSums {
-            avg_rate: total_rate / self.cores.len() as f64,
+            avg_rate: total_rate / self.units() as f64,
             unit_dynamic: total_dynamic,
             unit_power: total_core_power,
             uncore: self.uncore.power(mean_v, uncore_activity),
@@ -255,8 +289,8 @@ impl CpuChiplet {
     /// tick only the program cursor, the breakdown and the power slot
     /// advance, each in its own loop (`WorkloadProgram::advance_span`,
     /// `PowerBreakdown::record_ticks`), the cursor's loop deciding how
-    /// many ticks the span covers; the jitter clocks advance once for the
-    /// whole span.
+    /// many ticks the span covers; the budget is the shared jitter clock's
+    /// countdown, and the clock advances once for the whole span.
     /// Pinned by `replay_span_matches_step_into` below.
     pub fn replay_span(
         &mut self,
@@ -269,12 +303,7 @@ impl CpuChiplet {
         let Some(sums) = self.memo.peek(voltages, phase, dt) else {
             return 0;
         };
-        let budget = self
-            .cores
-            .iter()
-            .map(Core::replayable_ticks)
-            .min()
-            .unwrap_or(0);
+        let budget = self.jitter.replayable_ticks();
         let max_ticks = power_acc
             .len()
             .min(usize::try_from(budget).unwrap_or(usize::MAX));
@@ -291,9 +320,7 @@ impl CpuChiplet {
             *slot += power.value();
         }
         self.last_power = power;
-        for core in &mut self.cores {
-            core.replay_ticks(ticks as u64);
-        }
+        self.jitter.replay_ticks(ticks as u64);
         ticks
     }
 
@@ -326,9 +353,7 @@ impl CpuChiplet {
 
 impl hcapp_sim_core::state::Snapshot for CpuChiplet {
     fn save_state(&self, w: &mut hcapp_sim_core::state::StateWriter) {
-        for core in &self.cores {
-            core.save_state(w);
-        }
+        self.jitter.save_state(w);
         self.program.save_state(w);
         w.f64_slice("cpu.last_ipc", &self.last_ipc);
         w.f64("cpu.last_power", self.last_power.0);
@@ -339,9 +364,7 @@ impl hcapp_sim_core::state::Snapshot for CpuChiplet {
         // The memo describes the pre-restore tick; even a failed partial
         // load must not replay it.
         self.memo.forget();
-        for core in &mut self.cores {
-            core.load_state(r)?;
-        }
+        self.jitter.load_state(r)?;
         self.program.load_state(r)?;
         let ipc = r.f64_vec("cpu.last_ipc")?;
         if ipc.len() != self.last_ipc.len() {
@@ -470,6 +493,71 @@ mod tests {
             reference.breakdown().total_joules().to_bits(),
             kernel.breakdown().total_joules().to_bits()
         );
+    }
+
+    #[test]
+    fn lanes_match_per_unit_step_with_spread_voltages() {
+        // A new voltage for every core on every tick, equal for
+        // neighbouring pairs, so each tick is a full evaluation whose point
+        // lane both shares and recomputes points; 1 300 ticks cross two
+        // jitter resamples (every 500 ticks). The hoisted lanes must match
+        // the per-unit reference bit for bit: power, IPCs and cursor every
+        // tick, the checkpoint text around each resample.
+        use hcapp_sim_core::state::{Snapshot, StateWriter};
+        let save = |c: &CpuChiplet| {
+            let mut w = StateWriter::new();
+            c.save_state(&mut w);
+            w.finish()
+        };
+        let mut reference = chiplet(Benchmark::Ferret);
+        let mut kernel = chiplet(Benchmark::Ferret);
+        let n = reference.units();
+        for t in 0..1_300 {
+            let volts: Vec<Volt> = (0..n)
+                .map(|i| Volt::new(0.8 + 0.002 * ((t + i / 2 * 7) % 97) as f64))
+                .collect();
+            assert_lockstep(t, &mut reference, &mut kernel, &volts);
+            if t % 500 >= 498 || t % 500 <= 1 {
+                assert_eq!(save(&reference), save(&kernel), "tick {t}");
+            }
+        }
+    }
+
+    #[test]
+    fn restore_rejects_a_jitter_countdown_above_the_period() {
+        use hcapp_sim_core::state::{Snapshot, StateReader, StateWriter};
+        let c = chiplet(Benchmark::Ferret);
+        let mut w = StateWriter::new();
+        c.save_state(&mut w);
+        let text = w.finish();
+        let tag = "core.jitter_countdown";
+        let full = format!("{tag} 500");
+        assert_eq!(
+            text.matches(&full).count(),
+            c.units(),
+            "fixture: a fresh clock is full"
+        );
+        let mut fresh = chiplet(Benchmark::Ferret);
+        assert!(fresh.load_state(&mut StateReader::new(&text)).is_some());
+        let over = text.replace(&full, &format!("{tag} 501"));
+        assert!(fresh.load_state(&mut StateReader::new(&over)).is_none());
+    }
+
+    #[test]
+    fn restore_rejects_units_whose_jitter_countdowns_differ() {
+        use hcapp_sim_core::state::{Snapshot, StateReader, StateWriter};
+        let c = chiplet(Benchmark::Ferret);
+        let mut w = StateWriter::new();
+        c.save_state(&mut w);
+        let text = w.finish();
+        let tag = "core.jitter_countdown";
+        // The last unit alone falls one tick behind the shared clock.
+        let at = text
+            .rfind(&format!("{tag} 500"))
+            .expect("fixture names the countdown");
+        let skewed = format!("{}{tag} 499{}", &text[..at], &text[at + tag.len() + 4..]);
+        let mut fresh = chiplet(Benchmark::Ferret);
+        assert!(fresh.load_state(&mut StateReader::new(&skewed)).is_none());
     }
 
     #[test]

@@ -29,5 +29,5 @@ pub mod mcpat;
 
 pub use chiplet::CpuChiplet;
 pub use config::CpuConfig;
-pub use core::{Core, CoreStep};
+pub use core::{CoreModel, CoreStep};
 pub use mcpat::PowerBreakdown;

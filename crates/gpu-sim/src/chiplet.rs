@@ -2,25 +2,36 @@
 //!
 //! Structure mirrors `hcapp_cpu_sim::chiplet`: a shared workload program
 //! (Rodinia kernels launch across all SMs), per-SM jitter, an uncore (L2 +
-//! memory controllers) and a GPUWattch-style energy breakdown.
+//! memory controllers) and a GPUWattch-style energy breakdown. The SMs are
+//! lanes, as the CPU's cores are: one [`SmModel`], the SMs' jitter in
+//! [`JitterLanes`] on one resample clock, and per-SM utilization,
+//! operating-point and IPC lanes.
 
 use hcapp_power_model::breakdown::PowerBreakdown;
 use hcapp_power_model::ComponentPowerModel;
 use hcapp_sim_core::frame::{StepFrame, TickMemo, TickSums, UnitPoint};
+use hcapp_sim_core::jitter::JitterLanes;
 use hcapp_sim_core::rng::DeterministicRng;
 use hcapp_sim_core::time::SimDuration;
 use hcapp_sim_core::units::{Volt, Watt};
 use hcapp_workloads::program::{WorkloadProgram, WorkloadSource};
 
 use crate::config::GpuConfig;
-use crate::sm::StreamingMultiprocessor;
+use crate::sm::SmModel;
 use crate::warp::WarpModel;
 
 /// The GPU chiplet simulator.
 #[derive(Debug, Clone)]
 pub struct GpuChiplet {
     cfg: GpuConfig,
-    sms: Vec<StreamingMultiprocessor>,
+    /// The model every SM shares.
+    sm: SmModel,
+    /// Per-SM activity jitter and random streams on one resample clock.
+    jitter: JitterLanes,
+    /// Per-SM issue utilization of the last evaluated tick (scratch).
+    utilization: Vec<f64>,
+    /// Per-SM operating point of the last evaluated tick (scratch).
+    points: Vec<UnitPoint>,
     uncore: ComponentPowerModel,
     program: WorkloadProgram,
     workload_name: String,
@@ -62,24 +73,24 @@ impl GpuChiplet {
         let f_nominal = sm_model.frequency(cfg.v_nominal).value();
         let warp = WarpModel::new(cfg.max_warps, cfg.warp_half_occupancy);
         let jitter_ticks = (cfg.jitter_resample_ns / 100).max(1);
-        let sms = (0..cfg.sms)
-            .map(|i| {
-                StreamingMultiprocessor::new(
-                    sm_model.clone(),
-                    warp,
-                    f_nominal,
-                    cfg.sm_jitter_std,
-                    jitter_ticks,
-                    DeterministicRng::derive(seed, stream_base + 1 + i as u64),
-                )
-            })
+        let rngs = (0..cfg.sms)
+            .map(|i| DeterministicRng::derive(seed, stream_base + 1 + i as u64))
             .collect();
+        let jitter = JitterLanes::new(
+            cfg.sm_jitter_std,
+            jitter_ticks,
+            rngs,
+            ["sm.jitter", "sm.jitter_countdown"],
+        );
         let program = workload.instantiate(seed, stream_base);
         GpuChiplet {
             last_ipc: vec![0.0; cfg.sms],
+            utilization: vec![0.0; cfg.sms],
+            points: vec![UnitPoint::default(); cfg.sms],
             memo: TickMemo::new(cfg.sms),
             cfg,
-            sms,
+            sm: SmModel::new(sm_model, warp, f_nominal),
+            jitter,
             uncore,
             workload_name: workload.name().to_string(),
             program,
@@ -90,7 +101,7 @@ impl GpuChiplet {
 
     /// Number of locally-controllable units (SMs).
     pub fn units(&self) -> usize {
-        self.sms.len()
+        self.jitter.len()
     }
 
     /// The chiplet configuration.
@@ -104,25 +115,26 @@ impl GpuChiplet {
     /// # Panics
     /// Panics if `sm_voltages.len() != units()`.
     pub fn step(&mut self, sm_voltages: &[Volt], dt: SimDuration) -> Watt {
-        assert_eq!(
-            sm_voltages.len(),
-            self.sms.len(),
-            "need one voltage per SM"
-        );
+        assert_eq!(sm_voltages.len(), self.units(), "need one voltage per SM");
         let sample = self.program.sample();
+        self.jitter.tick();
         let mut total_sm_power = Watt::ZERO;
         let mut total_dynamic = Watt::ZERO;
         let mut total_rate = 0.0;
         let dt_ns = dt.as_nanos() as f64;
-        for (i, sm) in self.sms.iter_mut().enumerate() {
-            let v = sm_voltages[i].clamp(self.cfg.v_min, self.cfg.v_max);
-            let out = sm.step(v, sample, dt);
+        let sms = sm_voltages
+            .iter()
+            .zip(self.jitter.values())
+            .zip(&mut self.last_ipc);
+        for ((v, &jitter), ipc) in sms {
+            let v = v.clamp(self.cfg.v_min, self.cfg.v_max);
+            let out = self.sm.step(v, jitter, sample, dt);
             total_sm_power += out.power;
-            total_dynamic += out.power - sm.model().leakage_power(v);
+            total_dynamic += out.power - self.sm.model().leakage_power(v);
             total_rate += out.work_ns / dt_ns;
-            self.last_ipc[i] = out.ipc_fraction;
+            *ipc = out.ipc_fraction;
         }
-        let avg_rate = total_rate / self.sms.len() as f64;
+        let avg_rate = total_rate / self.units() as f64;
         self.program.advance(avg_rate * dt_ns);
 
         let mean_v = Volt::new(
@@ -130,7 +142,7 @@ impl GpuChiplet {
                 .iter()
                 .map(|v| v.clamp(self.cfg.v_min, self.cfg.v_max).value())
                 .sum::<f64>()
-                / self.sms.len() as f64,
+                / self.units() as f64,
         );
         let uncore_activity = sample.mem_intensity * sample.activity;
         let uncore_power = self.uncore.power(mean_v, uncore_activity);
@@ -149,16 +161,19 @@ impl GpuChiplet {
     /// `step_into_matches_step` below and the golden-digest corpus), with
     /// the same two hot-loop savings as the CPU chiplet: a steady tick
     /// (SM voltages, phase sample and `dt` bit-identical to the previous
-    /// tick, no SM due to resample its jitter) is a one-tick
-    /// [`GpuChiplet::replay_span`] of the [`TickMemo`]'d sums, and otherwise the per-voltage inputs (a `UnitPoint`) are
-    /// computed once per distinct consecutive SM voltage.
+    /// tick, the SMs not due to resample their jitter) is a one-tick
+    /// [`GpuChiplet::replay_span`] of the [`TickMemo`]'d sums, and
+    /// otherwise the tick runs on hoisted lanes: a [`UnitPoint`] per
+    /// distinct consecutive SM voltage, the utilization lane, one loop
+    /// summing in SM order and one loop writing the IPC lane, each SM's
+    /// outputs being [`SmModel::step`]'s operations on the same operands.
     ///
     /// # Panics
     /// Panics if `frame.voltages.len() != units()`.
     pub fn step_into(&mut self, frame: &mut StepFrame<'_>) {
         assert_eq!(
             frame.voltages.len(),
-            self.sms.len(),
+            self.units(),
             "need one voltage per SM"
         );
         let dt = frame.dt;
@@ -168,30 +183,45 @@ impl GpuChiplet {
         let sample = self.program.sample();
         self.memo
             .key(frame.voltages, [sample.activity, sample.mem_intensity], dt);
+        self.jitter.tick();
+        let dt_ns = dt.as_nanos() as f64;
+        let mut v_sum = 0.0;
+        let mut memo_v = f64::NAN.to_bits();
+        let mut op = UnitPoint::default();
+        for (point, v) in self.points.iter_mut().zip(frame.voltages) {
+            let v = v.clamp(self.cfg.v_min, self.cfg.v_max);
+            v_sum += v.value();
+            if v.value().to_bits() != memo_v {
+                op = self.sm.point(v, sample, dt_ns);
+                memo_v = v.value().to_bits();
+            }
+            *point = op;
+        }
+        for (u, &jitter) in self.utilization.iter_mut().zip(self.jitter.values()) {
+            *u = self.sm.utilization(sample.activity, jitter);
+        }
         let mut total_sm_power = Watt::ZERO;
         let mut total_dynamic = Watt::ZERO;
         let mut total_rate = 0.0;
-        let mut v_sum = 0.0;
-        let dt_ns = dt.as_nanos() as f64;
-        let mut memo_v = f64::NAN.to_bits();
-        let mut op = UnitPoint::default();
-        for (i, sm) in self.sms.iter_mut().enumerate() {
-            let v = frame.voltages[i].clamp(self.cfg.v_min, self.cfg.v_max);
-            v_sum += v.value();
-            if v.value().to_bits() != memo_v {
-                op = sm.operating_point(v, sample);
-                memo_v = v.value().to_bits();
-            }
-            let out = sm.step_at(v, &op, sample, dt);
-            total_sm_power += out.power;
-            total_dynamic += out.power - op.leak;
-            total_rate += out.work_ns / dt_ns;
-            self.last_ipc[i] = out.ipc_fraction;
+        for (op, &u) in self.points.iter().zip(&self.utilization) {
+            let power = Watt::new(op.switched * u.clamp(0.0, 1.0)) + op.leak;
+            total_sm_power += power;
+            total_dynamic += power - op.leak;
+            let work_ns = if u > 0.0 { op.work_per_tick * u } else { 0.0 };
+            total_rate += work_ns / dt_ns;
         }
-        let mean_v = Volt::new(v_sum / self.sms.len() as f64);
+        for ((ipc, op), &u) in self
+            .last_ipc
+            .iter_mut()
+            .zip(&self.points)
+            .zip(&self.utilization)
+        {
+            *ipc = u / op.ipc_denom;
+        }
+        let mean_v = Volt::new(v_sum / self.units() as f64);
         let uncore_activity = sample.mem_intensity * sample.activity;
         let sums = TickSums {
-            avg_rate: total_rate / self.sms.len() as f64,
+            avg_rate: total_rate / self.units() as f64,
             unit_dynamic: total_dynamic,
             unit_power: total_sm_power,
             uncore: self.uncore.power(mean_v, uncore_activity),
@@ -219,7 +249,7 @@ impl GpuChiplet {
     /// replayed (0 when the span's preconditions fail). Same contract as
     /// `CpuChiplet::replay_span`: a full [`TickMemo`] key match to start,
     /// a stop before any phase change or SM jitter resample, the memo'd
-    /// sums replayed per tick and the jitter clocks advanced once. Pinned
+    /// sums replayed per tick and the shared jitter clock advanced once. Pinned
     /// by `replay_span_matches_step_into` below.
     pub fn replay_span(
         &mut self,
@@ -232,12 +262,7 @@ impl GpuChiplet {
         let Some(sums) = self.memo.peek(voltages, phase, dt) else {
             return 0;
         };
-        let budget = self
-            .sms
-            .iter()
-            .map(StreamingMultiprocessor::replayable_ticks)
-            .min()
-            .unwrap_or(0);
+        let budget = self.jitter.replayable_ticks();
         let max_ticks = power_acc
             .len()
             .min(usize::try_from(budget).unwrap_or(usize::MAX));
@@ -254,9 +279,7 @@ impl GpuChiplet {
             *slot += power.value();
         }
         self.last_power = power;
-        for sm in &mut self.sms {
-            sm.replay_ticks(ticks as u64);
-        }
+        self.jitter.replay_ticks(ticks as u64);
         ticks
     }
 
@@ -288,9 +311,7 @@ impl GpuChiplet {
 
 impl hcapp_sim_core::state::Snapshot for GpuChiplet {
     fn save_state(&self, w: &mut hcapp_sim_core::state::StateWriter) {
-        for sm in &self.sms {
-            sm.save_state(w);
-        }
+        self.jitter.save_state(w);
         self.program.save_state(w);
         w.f64_slice("gpu.last_ipc", &self.last_ipc);
         w.f64("gpu.last_power", self.last_power.0);
@@ -301,9 +322,7 @@ impl hcapp_sim_core::state::Snapshot for GpuChiplet {
         // The memo describes the pre-restore tick; even a failed partial
         // load must not replay it.
         self.memo.forget();
-        for sm in &mut self.sms {
-            sm.load_state(r)?;
-        }
+        self.jitter.load_state(r)?;
         self.program.load_state(r)?;
         let ipc = r.f64_vec("gpu.last_ipc")?;
         if ipc.len() != self.last_ipc.len() {
@@ -431,6 +450,71 @@ mod tests {
             reference.breakdown().total_joules().to_bits(),
             kernel.breakdown().total_joules().to_bits()
         );
+    }
+
+    #[test]
+    fn lanes_match_per_unit_step_with_spread_voltages() {
+        // A new voltage for every SM on every tick, equal for
+        // neighbouring pairs, so each tick is a full evaluation whose point
+        // lane both shares and recomputes points; 1 300 ticks cross two
+        // jitter resamples (every 500 ticks). The hoisted lanes must match
+        // the per-unit reference bit for bit: power, IPCs and cursor every
+        // tick, the checkpoint text around each resample.
+        use hcapp_sim_core::state::{Snapshot, StateWriter};
+        let save = |c: &GpuChiplet| {
+            let mut w = StateWriter::new();
+            c.save_state(&mut w);
+            w.finish()
+        };
+        let mut reference = chiplet(Benchmark::Bfs);
+        let mut kernel = chiplet(Benchmark::Bfs);
+        let n = reference.units();
+        for t in 0..1_300 {
+            let volts: Vec<Volt> = (0..n)
+                .map(|i| Volt::new(0.55 + 0.002 * ((t + i / 2 * 7) % 97) as f64))
+                .collect();
+            assert_lockstep(t, &mut reference, &mut kernel, &volts);
+            if t % 500 >= 498 || t % 500 <= 1 {
+                assert_eq!(save(&reference), save(&kernel), "tick {t}");
+            }
+        }
+    }
+
+    #[test]
+    fn restore_rejects_a_jitter_countdown_above_the_period() {
+        use hcapp_sim_core::state::{Snapshot, StateReader, StateWriter};
+        let c = chiplet(Benchmark::Bfs);
+        let mut w = StateWriter::new();
+        c.save_state(&mut w);
+        let text = w.finish();
+        let tag = "sm.jitter_countdown";
+        let full = format!("{tag} 500");
+        assert_eq!(
+            text.matches(&full).count(),
+            c.units(),
+            "fixture: a fresh clock is full"
+        );
+        let mut fresh = chiplet(Benchmark::Bfs);
+        assert!(fresh.load_state(&mut StateReader::new(&text)).is_some());
+        let over = text.replace(&full, &format!("{tag} 501"));
+        assert!(fresh.load_state(&mut StateReader::new(&over)).is_none());
+    }
+
+    #[test]
+    fn restore_rejects_units_whose_jitter_countdowns_differ() {
+        use hcapp_sim_core::state::{Snapshot, StateReader, StateWriter};
+        let c = chiplet(Benchmark::Bfs);
+        let mut w = StateWriter::new();
+        c.save_state(&mut w);
+        let text = w.finish();
+        let tag = "sm.jitter_countdown";
+        // The last unit alone falls one tick behind the shared clock.
+        let at = text
+            .rfind(&format!("{tag} 500"))
+            .expect("fixture names the countdown");
+        let skewed = format!("{}{tag} 499{}", &text[..at], &text[at + tag.len() + 4..]);
+        let mut fresh = chiplet(Benchmark::Bfs);
+        assert!(fresh.load_state(&mut StateReader::new(&skewed)).is_none());
     }
 
     #[test]

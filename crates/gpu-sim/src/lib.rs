@@ -24,5 +24,5 @@ pub mod warp;
 
 pub use chiplet::GpuChiplet;
 pub use config::GpuConfig;
-pub use sm::{StreamingMultiprocessor, SmStep};
+pub use sm::{SmModel, SmStep};
 pub use warp::WarpModel;

@@ -8,7 +8,6 @@
 
 use hcapp_power_model::ComponentPowerModel;
 use hcapp_sim_core::frame::UnitPoint;
-use hcapp_sim_core::rng::DeterministicRng;
 use hcapp_sim_core::time::SimDuration;
 use hcapp_sim_core::units::{Volt, Watt};
 use hcapp_workloads::phase::{progress_rate, PhaseSample};
@@ -26,64 +25,39 @@ pub struct SmStep {
     pub ipc_fraction: f64,
 }
 
-/// A single streaming multiprocessor.
+/// The model every SM of a chiplet shares: the power model, the warp
+/// model and the nominal frequency. An SM's own state is its activity
+/// jitter and its random stream, which the chiplet keeps in lanes
+/// ([`JitterLanes`](hcapp_sim_core::jitter::JitterLanes)).
 #[derive(Debug, Clone)]
-pub struct StreamingMultiprocessor {
+pub struct SmModel {
     model: ComponentPowerModel,
     warp: WarpModel,
     f_nominal: f64,
-    jitter: f64,
-    jitter_std: f64,
-    jitter_countdown: u64,
-    jitter_period_ticks: u64,
-    rng: DeterministicRng,
 }
 
-impl StreamingMultiprocessor {
-    /// Create an SM.
-    pub fn new(
-        model: ComponentPowerModel,
-        warp: WarpModel,
-        f_nominal_hz: f64,
-        jitter_std: f64,
-        jitter_period_ticks: u64,
-        rng: DeterministicRng,
-    ) -> Self {
+impl SmModel {
+    /// The shared SM model.
+    ///
+    /// # Panics
+    /// Panics on a non-positive nominal frequency.
+    pub fn new(model: ComponentPowerModel, warp: WarpModel, f_nominal_hz: f64) -> Self {
         assert!(f_nominal_hz > 0.0, "non-positive nominal frequency");
-        assert!(jitter_period_ticks > 0, "zero jitter period");
-        let mut sm = StreamingMultiprocessor {
+        SmModel {
             model,
             warp,
             f_nominal: f_nominal_hz,
-            jitter: 1.0,
-            jitter_std,
-            jitter_countdown: 0,
-            jitter_period_ticks,
-            rng,
-        };
-        sm.resample_jitter();
-        sm
-    }
-
-    fn resample_jitter(&mut self) {
-        self.jitter = if self.jitter_std > 0.0 {
-            self.rng.normal(1.0, self.jitter_std).clamp(0.5, 1.5)
-        } else {
-            1.0
-        };
-        self.jitter_countdown = self.jitter_period_ticks;
-    }
-
-    /// Advance one tick at supply voltage `v` running `sample`.
-    pub fn step(&mut self, v: Volt, sample: PhaseSample, dt: SimDuration) -> SmStep {
-        if self.jitter_countdown == 0 {
-            self.resample_jitter();
         }
-        self.jitter_countdown -= 1;
+    }
 
+    /// One SM's tick at supply voltage `v` running `sample` with activity
+    /// jitter `jitter`: the per-unit arithmetic, evaluated in full. It is
+    /// the reference the chiplet's hoisted lanes are pinned against
+    /// (`step_into_matches_step`).
+    pub fn step(&self, v: Volt, jitter: f64, sample: PhaseSample, dt: SimDuration) -> SmStep {
         let f = self.model.frequency(v);
         let f_ratio = f.value() / self.f_nominal;
-        let activity = (sample.activity * self.jitter).clamp(0.0, 1.0);
+        let activity = (sample.activity * jitter).clamp(0.0, 1.0);
         let utilization = self.warp.utilization_from_activity(activity);
         let effective = PhaseSample {
             activity: utilization,
@@ -103,99 +77,36 @@ impl StreamingMultiprocessor {
         }
     }
 
-    /// The voltage-dependent inputs of a tick at `v` running `sample`,
-    /// for [`StreamingMultiprocessor::step_at`]. Every SM of a chiplet
-    /// shares the same model and nominal frequency, so the chiplet
-    /// computes this once per distinct voltage and shares it across the
-    /// SMs at that voltage.
+    /// Issue utilization of an SM whose jittered activity is
+    /// `(activity · jitter)` clamped to `[0, 1]`.
     #[inline]
-    pub fn operating_point(&self, v: Volt, sample: PhaseSample) -> UnitPoint {
+    pub fn utilization(&self, activity: f64, jitter: f64) -> f64 {
+        self.warp
+            .utilization_from_activity((activity * jitter).clamp(0.0, 1.0))
+    }
+
+    /// The unit-independent terms of a tick at `v` running `sample`
+    /// (`dt_ns` long), shared by every SM at that voltage. With them an
+    /// SM's [`SmModel::step`] is `power = switched · clamp(u) + leak`,
+    /// `work = work_per_tick · u` (0 when idle) and `ipc = u / ipc_denom`
+    /// for its utilization `u`: the same operations on the same operands.
+    /// `progress_rate` reads only the memory intensity, which the warp
+    /// model leaves unchanged.
+    #[inline]
+    pub fn point(&self, v: Volt, sample: PhaseSample, dt_ns: f64) -> UnitPoint {
         let (f, leak) = self.model.operating_point(v);
         let f_ratio = f.value() / self.f_nominal;
         UnitPoint {
-            f,
-            f_ratio,
+            switched: self.model.dynamic.switched(v, f),
             leak,
-            // `progress_rate` reads only the memory intensity, which the
-            // warp model leaves unchanged.
-            rate: progress_rate(sample, f_ratio),
+            ipc_denom: 1.0 + sample.mem_intensity * f_ratio,
+            work_per_tick: progress_rate(sample, f_ratio) * dt_ns,
         }
     }
 
-    /// Advance one tick at `v` with `op = self.operating_point(v, sample)`
-    /// precomputed.
-    ///
-    /// Must stay bit-identical to [`StreamingMultiprocessor::step`]
-    /// (pinned by the `step_into_matches_step` test), so changes to
-    /// `step` have to be mirrored here.
-    pub fn step_at(
-        &mut self,
-        v: Volt,
-        op: &UnitPoint,
-        sample: PhaseSample,
-        dt: SimDuration,
-    ) -> SmStep {
-        if self.jitter_countdown == 0 {
-            self.resample_jitter();
-        }
-        self.jitter_countdown -= 1;
-
-        let activity = (sample.activity * self.jitter).clamp(0.0, 1.0);
-        let utilization = self.warp.utilization_from_activity(activity);
-        let power = self.model.power_at(v, op.f, op.leak, utilization);
-        let work_ns = if utilization > 0.0 {
-            op.rate * dt.as_nanos() as f64 * utilization
-        } else {
-            0.0
-        };
-        let ipc_fraction = utilization / (1.0 + sample.mem_intensity * op.f_ratio);
-        SmStep {
-            power,
-            work_ns,
-            ipc_fraction,
-        }
-    }
-
-    /// Ticks this unit can replay before its next jitter resample (0
-    /// when the next step resamples it). Until then the unit's outputs
-    /// depend only on `(v, sample, dt)`.
-    #[inline]
-    pub fn replayable_ticks(&self) -> u64 {
-        self.jitter_countdown
-    }
-
-    /// Account `ticks` ticks without evaluating the model: the chiplet
-    /// replays an identical previous tick's outputs (see
-    /// `GpuChiplet::step_into` and `GpuChiplet::replay_span`). Only valid
-    /// for `ticks <= self.replayable_ticks()`; the jitter clock then
-    /// advances exactly as `ticks` calls of
-    /// [`StreamingMultiprocessor::step`] would advance it.
-    #[inline]
-    pub fn replay_ticks(&mut self, ticks: u64) {
-        debug_assert!(
-            ticks <= self.jitter_countdown,
-            "replayed a jitter resample tick"
-        );
-        self.jitter_countdown -= ticks;
-    }
-
-    /// The SM's power model (for reporting).
+    /// The SM power model (for reporting).
     pub fn model(&self) -> &ComponentPowerModel {
         &self.model
-    }
-}
-
-impl hcapp_sim_core::state::Snapshot for StreamingMultiprocessor {
-    fn save_state(&self, w: &mut hcapp_sim_core::state::StateWriter) {
-        w.f64("sm.jitter", self.jitter);
-        w.u64("sm.jitter_countdown", self.jitter_countdown);
-        self.rng.save_state(w);
-    }
-
-    fn load_state(&mut self, r: &mut hcapp_sim_core::state::StateReader<'_>) -> Option<()> {
-        self.jitter = r.f64("sm.jitter")?;
-        self.jitter_countdown = r.u64("sm.jitter_countdown")?;
-        self.rng.load_state(r)
     }
 }
 
@@ -206,7 +117,7 @@ mod tests {
     use hcapp_power_model::ComponentPowerModel;
     use hcapp_sim_core::assert_close;
 
-    fn test_sm(jitter_std: f64) -> StreamingMultiprocessor {
+    fn test_sm() -> SmModel {
         let cfg = GpuConfig::default();
         let model = ComponentPowerModel::calibrated(
             cfg.frequency_model(),
@@ -215,13 +126,10 @@ mod tests {
             cfg.sm_leakage,
         );
         let f_nom = model.frequency(cfg.v_nominal).value();
-        StreamingMultiprocessor::new(
+        SmModel::new(
             model,
             WarpModel::new(cfg.max_warps, cfg.warp_half_occupancy),
             f_nom,
-            jitter_std,
-            500,
-            DeterministicRng::new(9),
         )
     }
 
@@ -234,27 +142,28 @@ mod tests {
 
     #[test]
     fn full_occupancy_hits_calibration() {
-        let mut sm = test_sm(0.0);
+        let sm = test_sm();
         let cfg = GpuConfig::default();
-        let s = sm.step(cfg.v_nominal, full(), SimDuration::from_nanos(100));
+        let s = sm.step(cfg.v_nominal, 1.0, full(), SimDuration::from_nanos(100));
         assert_close!(s.power.value(), 2.6 + 0.3, 1e-9);
         assert_close!(s.ipc_fraction, 1.0, 1e-9);
     }
 
     #[test]
     fn low_parallelism_draws_less_and_reports_low_ipc() {
-        let mut sm = test_sm(0.0);
+        let sm = test_sm();
         let cfg = GpuConfig::default();
         let dt = SimDuration::from_nanos(100);
         let lo = sm.step(
             cfg.v_nominal,
+            1.0,
             PhaseSample {
                 activity: 0.2,
                 mem_intensity: 0.0,
             },
             dt,
         );
-        let hi = sm.step(cfg.v_nominal, full(), dt);
+        let hi = sm.step(cfg.v_nominal, 1.0, full(), dt);
         assert!(lo.power.value() < hi.power.value());
         assert!(lo.ipc_fraction < hi.ipc_fraction);
         assert!(lo.work_ns < hi.work_ns);
@@ -264,18 +173,19 @@ mod tests {
     fn occupancy_concavity_from_warp_model() {
         // 50% activity yields more than 50% of full-activity utilization
         // (latency hiding), visible in power.
-        let mut sm = test_sm(0.0);
+        let sm = test_sm();
         let cfg = GpuConfig::default();
         let dt = SimDuration::from_nanos(100);
         let half = sm.step(
             cfg.v_nominal,
+            1.0,
             PhaseSample {
                 activity: 0.5,
                 mem_intensity: 0.0,
             },
             dt,
         );
-        let fullp = sm.step(cfg.v_nominal, full(), dt);
+        let fullp = sm.step(cfg.v_nominal, 1.0, full(), dt);
         let leak = 0.3;
         let dyn_half = half.power.value() - leak;
         let dyn_full = fullp.power.value() - leak;
@@ -284,18 +194,19 @@ mod tests {
 
     #[test]
     fn voltage_scales_work() {
-        let mut sm = test_sm(0.0);
+        let sm = test_sm();
         let dt = SimDuration::from_nanos(100);
-        let slow = sm.step(Volt::new(0.55), full(), dt);
-        let fast = sm.step(Volt::new(0.90), full(), dt);
+        let slow = sm.step(Volt::new(0.55), 1.0, full(), dt);
+        let fast = sm.step(Volt::new(0.90), 1.0, full(), dt);
         assert!(fast.work_ns > slow.work_ns * 1.5);
     }
 
     #[test]
     fn idle_sm_draws_leakage_only() {
-        let mut sm = test_sm(0.0);
+        let sm = test_sm();
         let s = sm.step(
             Volt::new(0.72),
+            1.0,
             PhaseSample::IDLE,
             SimDuration::from_nanos(100),
         );

@@ -156,6 +156,52 @@ pub enum LinkFault {
     Loss,
 }
 
+/// A quantum's global-voltage schedule as one domain receives it: tick by
+/// tick what [`BroadcastLink::receive`] returns, in closed form, so a
+/// domain reads a whole quantum off the schedule and its flat-run table
+/// without a call per tick ([`BroadcastLink::receive_quantum`]).
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum Reception {
+    /// Tick `i` receives the schedule's slot `i − lag`, floored at the
+    /// quantum's first slot (healthy: `lag = 0`).
+    Lagged(usize),
+    /// Every tick receives this held sample (a lost broadcast).
+    Held(f64),
+}
+
+impl Reception {
+    /// The voltage received at tick `i` of the quantum whose schedule is
+    /// `sched` (NaN past the schedule's end).
+    #[inline]
+    pub fn at(self, sched: &[f64], i: usize) -> f64 {
+        match self {
+            Reception::Lagged(lag) => sched
+                .get(i.saturating_sub(lag))
+                .copied()
+                .unwrap_or(f64::NAN),
+            Reception::Held(v) => v,
+        }
+    }
+
+    /// How many ticks from tick `i` on receive tick `i`'s voltage, read
+    /// off the schedule's flat-run table `runs`
+    /// (`core::kernel::flat_runs_into`: `runs[k]` counts the slots from
+    /// `k` on with slot `k`'s bits). The count may run past the quantum's
+    /// end; callers cap it.
+    #[inline]
+    pub fn run_len(self, runs: &[u32], i: usize) -> usize {
+        match self {
+            // Ticks before `lag` all receive slot 0, then the schedule
+            // repeats itself `lag` ticks late.
+            Reception::Lagged(lag) => {
+                let run = runs.get(i.saturating_sub(lag)).map_or(1, |&r| r as usize);
+                run.saturating_add(lag.saturating_sub(i))
+            }
+            Reception::Held(_) => usize::MAX,
+        }
+    }
+}
+
 /// The receive side of the global-voltage "broadcast": how one domain reads
 /// the per-quantum schedule the coordinator precomputed from the global VR.
 ///
@@ -175,7 +221,9 @@ impl BroadcastLink {
         BroadcastLink::default()
     }
 
-    /// Read slot `i` of this quantum's schedule through the link.
+    /// Read slot `i` of this quantum's schedule through the link, one tick
+    /// at a time (the per-tick reference for
+    /// [`BroadcastLink::receive_quantum`]).
     pub fn receive(&mut self, sched: &[f64], i: usize, fault: Option<LinkFault>) -> f64 {
         let v = match fault {
             None => sched[i],
@@ -184,6 +232,26 @@ impl BroadcastLink {
         };
         self.last_good = Some(v);
         v
+    }
+
+    /// Receive a whole quantum's schedule `sched` under `fault`: returns
+    /// what each tick receives and leaves the link as `sched.len()` calls
+    /// of [`BroadcastLink::receive`] would (the held sample becomes the
+    /// last tick's reception, except under a loss, which leaves it).
+    pub fn receive_quantum(&mut self, sched: &[f64], fault: Option<LinkFault>) -> Reception {
+        let rx = match fault {
+            None => Reception::Lagged(0),
+            Some(LinkFault::Delay { ticks }) => Reception::Lagged(ticks as usize),
+            // Nothing heard yet: the loss falls back to the live schedule
+            // and still hears nothing.
+            Some(LinkFault::Loss) => {
+                return self.last_good.map_or(Reception::Lagged(0), Reception::Held)
+            }
+        };
+        if let Some(last) = sched.len().checked_sub(1) {
+            self.last_good = Some(rx.at(sched, last));
+        }
+        rx
     }
 
     /// Forget the held sample (start-of-run reset).
@@ -270,6 +338,69 @@ mod tests {
         let fault = Some(LinkFault::Delay { ticks: 2 });
         assert_eq!(link.receive(&sched, 0, fault), 0.9); // floored at slot 0
         assert_eq!(link.receive(&sched, 3, fault), 0.91);
+    }
+
+    #[test]
+    fn quantum_reception_matches_per_tick_receive() {
+        // Schedules with repeats, a ±0 pair and a NaN, received whole and
+        // tick by tick under every fault kind, from a fresh link and from
+        // one that has heard a sample: the same voltages (by bits), the
+        // same flat runs and the same link state afterwards.
+        let sched = [
+            0.9,
+            0.9,
+            -0.0,
+            0.0,
+            0.95,
+            0.95,
+            0.95,
+            f64::NAN,
+            f64::NAN,
+            1.0,
+        ];
+        let mut runs = [0u32; 10];
+        let mut next = None;
+        let mut len = 0;
+        for (run, v) in runs.iter_mut().zip(&sched).rev() {
+            len = if next == Some(v.to_bits()) {
+                len + 1
+            } else {
+                1
+            };
+            next = Some(v.to_bits());
+            *run = len;
+        }
+        let faults = [
+            None,
+            Some(LinkFault::Delay { ticks: 1 }),
+            Some(LinkFault::Delay { ticks: 3 }),
+            Some(LinkFault::Delay { ticks: 20 }),
+            Some(LinkFault::Loss),
+        ];
+        for heard in [None, Some(0.85)] {
+            for fault in faults {
+                let mut per_tick = BroadcastLink { last_good: heard };
+                let mut whole = per_tick.clone();
+                let got: Vec<f64> = (0..sched.len())
+                    .map(|i| per_tick.receive(&sched, i, fault))
+                    .collect();
+                let rx = whole.receive_quantum(&sched, fault);
+                for (i, v) in got.iter().enumerate() {
+                    let what = format!("{fault:?} heard {heard:?} tick {i}");
+                    assert_eq!(rx.at(&sched, i).to_bits(), v.to_bits(), "{what}");
+                    let run = got[i..]
+                        .iter()
+                        .take_while(|w| w.to_bits() == v.to_bits())
+                        .count();
+                    let read = rx.run_len(&runs, i).min(sched.len() - i);
+                    assert_eq!(read, run, "{what}: run");
+                }
+                assert_eq!(
+                    whole.last_good.map(f64::to_bits),
+                    per_tick.last_good.map(f64::to_bits)
+                );
+            }
+        }
     }
 
     #[test]

@@ -26,8 +26,8 @@ pub mod regulator;
 pub mod ripple;
 pub mod sensing;
 
-pub use delays::{BroadcastLink, DelayRange, LinkFault, TransitionBudget};
-pub use network::SupplyNetwork;
+pub use delays::{BroadcastLink, DelayRange, LinkFault, Reception, TransitionBudget};
+pub use network::{Delivery, SupplyNetwork};
 pub use regulator::VoltageRegulator;
 pub use ripple::{RippleInjector, RippleSpec};
 pub use sensing::{PowerSensor, SensorFault};

@@ -10,6 +10,8 @@
 use hcapp_sim_core::units::{Volt, Watt};
 use std::collections::VecDeque;
 
+use crate::delays::Reception;
+
 /// One chiplet's branch of the supply network: voltage propagation with
 /// optional IR drop. Each domain owns its own branch.
 #[derive(Debug, Clone)]
@@ -54,15 +56,31 @@ impl SupplyNetwork {
 
     /// Propagate the global VR output `v_global` one tick and return the
     /// voltage delivered to the chiplet, given the chiplet's power draw
-    /// last tick (for the IR-drop term).
+    /// last tick (for the IR-drop term). The per-tick reference for
+    /// [`SupplyNetwork::delivery`] and [`SupplyNetwork::advance`].
     pub fn deliver(&mut self, v_global: Volt, last_power: Watt) -> Volt {
+        let v = self.shift(v_global);
+        self.ir_drop(v, last_power)
+    }
+
+    /// Push `v_global` into the delay line and return the raw delivered
+    /// voltage (the line's front once the line is full, the held voltage
+    /// while it fills).
+    fn shift(&mut self, v_global: Volt) -> Volt {
         self.line.push_back(v_global);
         if self.line.len() > self.delay_ticks {
             if let Some(v) = self.line.pop_front() {
                 self.delivered = v;
             }
         }
-        let v = self.delivered;
+        self.delivered
+    }
+
+    /// The voltage the chiplet sees when the branch delivers `v` raw and
+    /// the chiplet drew `last_power` last tick: `v − (P / v) · R`, floored
+    /// at 0 (just `v` without IR drop).
+    #[inline]
+    pub fn ir_drop(&self, v: Volt, last_power: Watt) -> Volt {
         // Numerical-stability epsilon, not a physical threshold: guards the
         // I = P/V division below against a (transiently) zero rail.
         // simlint: allow(unit-safety): epsilon guard on a transiently-zero
@@ -77,17 +95,35 @@ impl SupplyNetwork {
         }
     }
 
-    /// True when delivering `v_global` again leaves the branch exactly as
-    /// it is: the pipeline is full and every voltage in flight, as well as
-    /// the last delivered one, has `v_global`'s bit pattern. The next
-    /// [`deliver`](SupplyNetwork::deliver) then returns what the last one
-    /// returned, provided the IR-drop input repeats too (see
-    /// [`has_ir_drop`](SupplyNetwork::has_ir_drop)).
-    pub fn settled_at(&self, v_global: Volt) -> bool {
-        let bits = v_global.value().to_bits();
-        self.line.len() == self.delay_ticks
-            && self.delivered.value().to_bits() == bits
-            && self.line.iter().all(|v| v.value().to_bits() == bits)
+    /// The raw delivered voltages (before IR drop) of a quantum whose
+    /// ticks receive `rx` from the schedule `sched`, whose flat-run table
+    /// is `runs`: what [`SupplyNetwork::deliver`] would pass on tick by
+    /// tick, read without moving the branch. Call
+    /// [`SupplyNetwork::advance`] after the quantum.
+    pub fn delivery<'a>(
+        &'a self,
+        rx: Reception,
+        sched: &'a [f64],
+        runs: &'a [u32],
+    ) -> Delivery<'a> {
+        Delivery {
+            net: self,
+            rx,
+            sched,
+            runs,
+        }
+    }
+
+    /// Move the branch past a quantum whose ticks received `rx` from
+    /// `sched`: the state `sched.len()` calls of
+    /// [`SupplyNetwork::deliver`] would leave. Only the last
+    /// `delay + 1` receptions reach the final line and delivered slot, so
+    /// only they are pushed.
+    pub fn advance(&mut self, rx: Reception, sched: &[f64]) {
+        let n = sched.len();
+        for i in n.saturating_sub(self.delay_ticks + 1)..n {
+            self.shift(Volt::new(rx.at(sched, i)));
+        }
     }
 
     /// True when the delivered voltage depends on the chiplet's power.
@@ -99,6 +135,57 @@ impl SupplyNetwork {
     pub fn reset(&mut self) {
         self.line.clear();
         self.delivered = Volt::ZERO;
+    }
+}
+
+/// One quantum of a branch's raw delivered voltages, as a view over the
+/// global schedule ([`SupplyNetwork::delivery`]). Tick `i` delivers the
+/// voltage received `delay` ticks earlier. The first `delay` ticks of a
+/// quantum therefore deliver what is still in the line, and while the line
+/// is unfilled at run start, the held voltage before it.
+#[derive(Debug, Clone, Copy)]
+pub struct Delivery<'a> {
+    net: &'a SupplyNetwork,
+    rx: Reception,
+    sched: &'a [f64],
+    runs: &'a [u32],
+}
+
+impl Delivery<'_> {
+    /// The raw voltage delivered at tick `i`.
+    pub fn at(&self, i: usize) -> Volt {
+        let net = self.net;
+        match i.checked_sub(net.delay_ticks) {
+            Some(j) => Volt::new(self.rx.at(self.sched, j)),
+            // `load_state` keeps `line.len() <= delay`, so the line's
+            // voltages come out after `delay - line.len()` held ticks.
+            None => match (i + net.line.len()).checked_sub(net.delay_ticks) {
+                Some(k) => net.line.get(k).copied().unwrap_or(net.delivered),
+                None => net.delivered,
+            },
+        }
+    }
+
+    /// The end (exclusive) of the stretch of ticks from `i` on that
+    /// deliver tick `i`'s raw voltage bit for bit, at most the quantum's
+    /// end. Past the delay the stretch is the reception's flat run,
+    /// shifted by the delay; before it the few line slots are compared.
+    pub fn stretch_end(&self, i: usize) -> usize {
+        let n = self.sched.len();
+        let d = self.net.delay_ticks;
+        if let Some(j) = i.checked_sub(d) {
+            return i.saturating_add(self.rx.run_len(self.runs, j)).min(n);
+        }
+        let bits = self.at(i).value().to_bits();
+        let same = |k: usize| self.at(k).value().to_bits() == bits;
+        let mut end = i + 1;
+        while end < d.min(n) && same(end) {
+            end += 1;
+        }
+        if end == d && end < n && same(end) {
+            return self.stretch_end(end);
+        }
+        end
     }
 }
 
@@ -116,7 +203,13 @@ impl hcapp_sim_core::state::Snapshot for SupplyNetwork {
         if r.usize("net.branches")? != 1 {
             return None;
         }
-        self.line = r.f64_vec("net.line")?.into_iter().map(Volt).collect();
+        let line = r.f64_vec("net.line")?;
+        // Each delivery pops one voltage per push, so a longer line would
+        // propagate with its own length as the delay.
+        if line.len() > self.delay_ticks {
+            return None;
+        }
+        self.line = line.into_iter().map(Volt).collect();
         match r.f64_vec("net.delivered")?.as_slice() {
             &[v] => self.delivered = Volt(v),
             _ => return None,
@@ -176,24 +269,97 @@ mod tests {
         assert_close!(n.deliver(Volt::new(1.2), Watt::ZERO).value(), 0.0, 1e-12);
     }
 
-    #[test]
-    fn settled_only_once_the_whole_pipeline_holds_the_value() {
-        for delay in [0, 1, 3] {
-            let mut n = SupplyNetwork::new(delay, 0.0);
-            assert!(!n.settled_at(Volt::new(0.9)), "delay {delay}: empty branch");
-            let mut last = n.deliver(Volt::new(0.8), Watt::ZERO);
-            for t in 0..=delay {
-                assert!(!n.settled_at(Volt::new(0.9)), "delay {delay}, tick {t}");
-                last = n.deliver(Volt::new(0.9), Watt::ZERO);
-            }
-            assert!(n.settled_at(Volt::new(0.9)), "delay {delay}: settled");
-            assert!(!n.settled_at(Volt::new(0.91)), "delay {delay}: other value");
-            // Settled means another delivery changes nothing.
-            let before = format!("{n:?}");
-            let again = n.deliver(Volt::new(0.9), Watt::ZERO);
-            assert_eq!(again.value().to_bits(), last.value().to_bits());
-            assert_eq!(format!("{n:?}"), before, "delay {delay}: state moved");
+    /// A schedule with flat stretches, one-tick blips, a ±0 pair and a
+    /// NaN, and its flat-run table.
+    fn schedule(q: usize) -> (Vec<f64>, Vec<u32>) {
+        let base = [0.9, 0.9, 0.9, 0.95, 0.9, -0.0, 0.0, f64::NAN, f64::NAN, 0.9];
+        let sched: Vec<f64> = (0..10).map(|i| base[(i + q) % base.len()]).collect();
+        let mut runs = vec![0u32; sched.len()];
+        let (mut next, mut len) = (None, 0);
+        for (run, v) in runs.iter_mut().zip(&sched).rev() {
+            len = if next == Some(v.to_bits()) {
+                len + 1
+            } else {
+                1
+            };
+            next = Some(v.to_bits());
+            *run = len;
         }
+        (sched, runs)
+    }
+
+    #[test]
+    fn delivery_matches_per_tick_deliver() {
+        // Quantum after quantum from run start (an unfilled line), and
+        // after a restore of a part-filled line, under healthy, lagged
+        // and held receptions: the view delivers what `deliver` returns
+        // tick by tick, its stretches are the per-tick flat runs, and
+        // `advance` leaves the branch where the ticks leave it.
+        use hcapp_sim_core::state::{Snapshot, StateReader, StateWriter};
+        let save = |n: &SupplyNetwork| {
+            let mut w = StateWriter::new();
+            n.save_state(&mut w);
+            w.finish()
+        };
+        let receptions = [
+            Reception::Lagged(0),
+            Reception::Lagged(2),
+            Reception::Held(0.85),
+        ];
+        for delay in [0, 1, 3] {
+            let mut part = SupplyNetwork::new(delay, 0.0);
+            part.deliver(Volt::new(0.8), Watt::ZERO);
+            let starts = [SupplyNetwork::new(delay, 0.0), part];
+            for (s, start) in starts.iter().enumerate() {
+                let mut per_tick = start.clone();
+                let mut whole = per_tick.clone();
+                if s == 1 {
+                    let mut fresh = SupplyNetwork::new(delay, 0.0);
+                    fresh
+                        .load_state(&mut StateReader::new(&save(&whole)))
+                        .unwrap();
+                    whole = fresh;
+                }
+                for q in 0..12 {
+                    let (sched, runs) = schedule(q);
+                    let rx = receptions[q % receptions.len()];
+                    let view = whole.delivery(rx, &sched, &runs);
+                    let got: Vec<u64> = (0..sched.len())
+                        .map(|i| {
+                            let v = Volt::new(rx.at(&sched, i));
+                            per_tick.deliver(v, Watt::ZERO).value().to_bits()
+                        })
+                        .collect();
+                    for (i, bits) in got.iter().enumerate() {
+                        let what = format!("delay {delay} start {s} quantum {q} tick {i}");
+                        assert_eq!(view.at(i).value().to_bits(), *bits, "{what}");
+                        let run = got[i..].iter().take_while(|b| *b == bits).count();
+                        assert_eq!(view.stretch_end(i), i + run, "{what}: stretch");
+                    }
+                    whole.advance(rx, &sched);
+                    assert_eq!(save(&whole), save(&per_tick), "delay {delay} quantum {q}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn restore_rejects_a_line_longer_than_the_delay() {
+        use hcapp_sim_core::state::{Snapshot, StateReader, StateWriter};
+        let mut long = SupplyNetwork::new(3, 0.0);
+        for v in [0.9, 0.95, 1.0] {
+            long.deliver(Volt::new(v), Watt::ZERO);
+        }
+        let mut w = StateWriter::new();
+        long.save_state(&mut w);
+        let text = w.finish();
+        let mut same = SupplyNetwork::new(3, 0.0);
+        assert!(same.load_state(&mut StateReader::new(&text)).is_some());
+        let mut shorter = SupplyNetwork::new(2, 0.0);
+        assert!(
+            shorter.load_state(&mut StateReader::new(&text)).is_none(),
+            "a 3-slot line must not load into a 2-tick branch"
+        );
     }
 
     #[test]

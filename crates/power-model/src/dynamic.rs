@@ -47,6 +47,15 @@ impl DynamicPower {
         let a = activity.clamp(0.0, 1.0);
         Watt::new(self.c_eff * v.value() * v.value() * f.value() * a)
     }
+
+    /// The activity-independent factor of [`DynamicPower::power`],
+    /// `c_eff · v · v · f`, in the same operand order, so
+    /// `switched(v, f) * a` is bit-identical to `power(v, f, a)` for an
+    /// activity already inside `[0, 1]`.
+    #[inline]
+    pub fn switched(&self, v: Volt, f: Hertz) -> f64 {
+        self.c_eff * v.value() * v.value() * f.value()
+    }
 }
 
 #[cfg(test)]

@@ -17,17 +17,18 @@
 //! — the per-crate `step_into_matches_step` tests and the golden-digest
 //! corpus (`tests/golden_digests.txt`) pin that contract.
 //!
-//! When the domain proves that a whole stretch of ticks will hand the
-//! chiplet the same unit voltages, it calls the chiplet's `replay_span`
-//! once for the stretch instead of `step_into` per tick. The chiplet then
+//! The domain walks a quantum in stretches of constant delivered voltage,
+//! which hand the chiplet the same unit voltages tick after tick, and
+//! calls the chiplet's `replay_span` once per stretch instead of
+//! `step_into` per tick. The chiplet then
 //! checks the memo key once through [`TickMemo::peek`], which never
 //! changes the memo, so a refused span leaves it for the per-tick path
 //! exactly as it was. A steady `step_into` tick is a one-tick span. The
 //! per-crate `replay_span_matches_step_into` tests pin spans against
-//! per-tick stepping (DESIGN §6j, steady spans).
+//! per-tick stepping (DESIGN §6j, the stretch walk).
 
 use crate::time::SimDuration;
-use crate::units::{Hertz, Volt, Watt};
+use crate::units::{Volt, Watt};
 
 /// One tick's borrowed inputs and outputs for a chiplet simulator.
 #[derive(Debug)]
@@ -53,20 +54,24 @@ impl<'a> StepFrame<'a> {
     }
 }
 
-/// The voltage-dependent inputs of one unit's tick, computed once per
-/// distinct unit voltage and shared by every unit of the chiplet at that
-/// voltage in the same tick.
+/// The unit-independent terms of a tick at one unit voltage: everything
+/// a unit's outputs need besides its own (jittered) activity. A chiplet
+/// computes one point per distinct unit voltage and shares it across the
+/// units at that voltage, so the per-unit work of a tick is a multiply-add
+/// for power, a multiply for work and a divide for IPC.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct UnitPoint {
-    /// Clock frequency at the voltage.
-    pub f: Hertz,
-    /// `f / f_nominal`.
-    pub f_ratio: f64,
+    /// `c_eff · v · v · f`, the dynamic power at full activity, in the
+    /// operand order of the unhoisted `c_eff · v · v · f · a`.
+    pub switched: f64,
     /// Leakage power at the voltage.
     pub leak: Watt,
-    /// Work progress rate at `f_ratio` for the tick's memory intensity
-    /// (nominal ns of work per ns at full issue).
-    pub rate: f64,
+    /// `1 + m · f / f_nominal`, the IPC denominator at the tick's memory
+    /// intensity `m`.
+    pub ipc_denom: f64,
+    /// Progress rate times `dt` in nanoseconds: a unit's nominal work in
+    /// the tick at full issue.
+    pub work_per_tick: f64,
 }
 
 /// One tick's per-unit sums: everything a chiplet's output path needs

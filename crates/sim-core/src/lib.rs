@@ -28,6 +28,7 @@
 
 pub mod approx;
 pub mod frame;
+pub mod jitter;
 pub mod report;
 pub mod rng;
 pub mod series;
@@ -39,6 +40,7 @@ pub mod window;
 
 pub use approx::approx_eq;
 pub use frame::StepFrame;
+pub use jitter::JitterLanes;
 pub use rng::DeterministicRng;
 pub use series::TimeSeries;
 pub use state::{Snapshot, StateReader, StateWriter};

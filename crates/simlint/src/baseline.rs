@@ -11,13 +11,19 @@
 //! resurrect a baselined finding, while changing the offending line
 //! itself (the excerpt) does surface it again.
 //!
+//! An entry that budgets more findings than the workspace has is *stale*:
+//! the code it excused is gone or fixed, and a dead entry would silently
+//! excuse the next finding that happens to reproduce its excerpt. The gate
+//! reports stale entries as findings ([`Baseline::stale`]), so the baseline
+//! only ever shrinks together with the code.
+//!
 //! The format is a small fixed-schema JSON document; reading and writing
 //! are hand-rolled here because simlint is zero-dependency by rule L4.
 
 use std::collections::BTreeMap;
 use std::path::Path;
 
-use crate::Finding;
+use crate::{Finding, Rule};
 
 pub const BASELINE_FILE: &str = "simlint.baseline.json";
 pub const SCHEMA: &str = "simlint-baseline-v1";
@@ -70,6 +76,45 @@ impl Baseline {
                     }
                     _ => true,
                 }
+            })
+            .collect()
+    }
+
+    /// One finding per entry of a rule in `rules` that budgets more
+    /// occurrences than `findings` (the full, unfiltered set for those
+    /// rules) holds, at line 0 with the entry's excerpt. Entries naming an
+    /// unknown rule code never match and are not reported here.
+    pub fn stale(&self, findings: &[Finding], rules: &[Rule]) -> Vec<Finding> {
+        let mut found: BTreeMap<(&str, &str, &str), usize> = BTreeMap::new();
+        for f in findings {
+            *found
+                .entry((f.rule.code(), f.file.as_str(), f.excerpt.as_str()))
+                .or_default() += 1;
+        }
+        let mut budget: BTreeMap<(&str, &str, &str), usize> = BTreeMap::new();
+        for e in &self.entries {
+            *budget
+                .entry((e.rule.as_str(), e.file.as_str(), e.excerpt.as_str()))
+                .or_default() += e.count;
+        }
+        budget
+            .into_iter()
+            .filter_map(|((code, file, excerpt), count)| {
+                let rule = Rule::parse(code).filter(|r| rules.contains(r))?;
+                let matched = found
+                    .get(&(rule.code(), file, excerpt))
+                    .copied()
+                    .unwrap_or(0);
+                (count > matched).then(|| Finding {
+                    rule,
+                    file: file.to_string(),
+                    line: 0,
+                    excerpt: excerpt.to_string(),
+                    note: format!(
+                        "stale baseline entry: budgets {count}, matches {matched}; \
+                         remove it from {BASELINE_FILE}"
+                    ),
+                })
             })
             .collect()
     }
@@ -421,6 +466,49 @@ mod tests {
         assert_eq!(fresh.len(), 2);
         assert_eq!(fresh[0].line, 9, "first occurrence consumed the budget");
         assert_eq!(fresh[1].excerpt, "y.unwrap();");
+    }
+
+    #[test]
+    fn stale_entries_are_reported() {
+        let findings = vec![
+            finding(Rule::NoPanic, "f.rs", 3, "x.unwrap();"),
+            finding(Rule::PanicReachability, "g.rs", 4, "v[0]"),
+        ];
+        let entry = |rule: &str, file: &str, excerpt: &str, count| Entry {
+            rule: rule.into(),
+            file: file.into(),
+            excerpt: excerpt.into(),
+            count,
+        };
+        let base = Baseline {
+            entries: vec![
+                entry("L2", "f.rs", "x.unwrap();", 1),
+                // Budgets two, one left in the code.
+                entry("L6", "g.rs", "v[0]", 2),
+                // The code it excused is gone.
+                entry("L6", "g.rs", "w[1]", 1),
+            ],
+        };
+        let stale = base.stale(&findings, &Rule::ALL);
+        let got: Vec<(&str, &str)> = stale
+            .iter()
+            .map(|f| (f.excerpt.as_str(), f.note.as_str()))
+            .collect();
+        assert_eq!(
+            got,
+            [
+                ("v[0]", "stale baseline entry: budgets 2, matches 1; remove it from simlint.baseline.json"),
+                ("w[1]", "stale baseline entry: budgets 1, matches 0; remove it from simlint.baseline.json"),
+            ]
+        );
+        assert!(stale
+            .iter()
+            .all(|f| f.rule == Rule::PanicReachability && f.line == 0));
+        // A rule that did not run cannot judge its entries.
+        assert!(base.stale(&findings, &[Rule::NoPanic]).is_empty());
+        assert!(Baseline::from_findings(&findings)
+            .stale(&findings, &Rule::ALL)
+            .is_empty());
     }
 
     #[test]

@@ -369,11 +369,17 @@ impl LoadedWorkspace {
 
     /// Run rules and subtract the committed baseline (when one exists at
     /// `<root>/simlint.baseline.json`). Returns the findings NOT covered
-    /// by the baseline.
+    /// by the baseline, plus one per stale baseline entry
+    /// ([`baseline::Baseline::stale`]).
     pub fn check_against_baseline(&self, rules: &[Rule]) -> Vec<Finding> {
         let findings = self.check(rules);
         match baseline::Baseline::load(&self.root) {
-            Some(base) => base.filter_new(findings),
+            Some(base) => {
+                let stale = base.stale(&findings, rules);
+                let mut fresh = base.filter_new(findings);
+                fresh.extend(stale);
+                fresh
+            }
             None => findings,
         }
     }

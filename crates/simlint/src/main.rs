@@ -1,8 +1,9 @@
 //! CLI for simlint: `cargo run -p simlint -- [--deny-all] [--rule L2]...
 //! [--format json] [--changed] [ROOT]`.
 //!
-//! Exit status: 0 when no unbaselined findings (the acceptance gate for
-//! the workspace), 1 when findings exist, 2 on usage or I/O errors.
+//! Exit status: 0 when no unbaselined findings and no stale baseline
+//! entries (the acceptance gate for the workspace), 1 when either exists,
+//! 2 on usage or I/O errors.
 //! `--deny-all` is the explicit "treat everything as an error" mode used
 //! by `scripts/check.sh`; since every rule already denies by default it is
 //! an alias for the default behaviour, kept as a stable flag so CI
@@ -12,7 +13,8 @@
 //! `<root>/simlint.baseline.json` unless `--no-baseline` is given;
 //! `--write-baseline` runs all rules and rewrites that file from the
 //! current findings (a deliberate, reviewable act — the diff shows every
-//! newly-accepted violation).
+//! newly-accepted violation). An entry that budgets more findings than
+//! the rules it names still produce is stale and reported as a finding.
 
 use std::path::PathBuf;
 use std::process::ExitCode;
@@ -174,8 +176,11 @@ fn main() -> ExitCode {
     if use_baseline {
         if let Some(base) = Baseline::load(&root) {
             let before = findings.len();
+            let stale = base.stale(&findings, run_rules);
             findings = base.filter_new(findings);
             baselined = before - findings.len();
+            // A stale entry fails the gate like a new finding does.
+            findings.extend(stale);
         }
     }
 
