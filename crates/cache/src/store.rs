@@ -131,15 +131,17 @@ impl CacheStore {
         let Ok(read) = std::fs::read_dir(&self.dir) else {
             return 0;
         };
+        let suffix = format!(".{ENTRY_EXT}");
         for item in read.flatten() {
-            let path = item.path();
             let name = item.file_name();
             let name = name.to_string_lossy();
-            let is_entry = name.ends_with(&format!(".{ENTRY_EXT}"));
-            let is_tmp = name.contains(".tmp.");
-            if (is_entry || is_tmp) && std::fs::remove_file(&path).is_ok() && is_entry {
-                removed += 1;
+            let is_entry = name.ends_with(&suffix);
+            if !is_entry && !name.contains(".tmp.") {
+                continue;
             }
+            // A stale temporary is deleted too, but only entries count.
+            let gone = std::fs::remove_file(item.path()).is_ok();
+            removed += usize::from(gone && is_entry);
         }
         removed
     }
@@ -214,6 +216,22 @@ mod tests {
         assert_eq!(store.wipe(), 2);
         assert!(store.is_empty());
         assert!(bystander.exists());
+        let _ = std::fs::remove_dir_all(store.dir());
+    }
+
+    #[test]
+    fn wipe_deletes_stale_temporaries_without_counting_them() {
+        let store = temp_store("wipe_tmp");
+        let k = key("a");
+        assert!(store.save(k, "1"));
+        // What an interrupted save leaves behind.
+        let stale = store
+            .dir()
+            .join(format!("{}.tmp.{}.7", k.to_hex(), std::process::id()));
+        std::fs::write(&stale, "half a bo").expect("writable temp dir");
+        assert_eq!(store.wipe(), 1, "only the entry counts");
+        assert!(!stale.exists(), "the stale temporary is deleted");
+        assert!(store.is_empty());
         let _ = std::fs::remove_dir_all(store.dir());
     }
 

@@ -24,10 +24,6 @@ use hcapp_workloads::combos::combo_by_name;
 use crate::args::{ArgError, Args};
 use crate::commands::shared;
 
-/// Worst-case slew-down stretch from a `vr_slew_derate` fault
-/// (1 / `MIN_SLEW_DERATE`).
-const SLEW_STRETCH: u32 = 4;
-
 fn bad(flag: &str, value: String, expected: &'static str) -> ArgError {
     ArgError::BadValue {
         flag: flag.to_string(),
@@ -40,9 +36,11 @@ fn bad(flag: &str, value: String, expected: &'static str) -> ArgError {
 /// under any valid plan. Shared with `hcapp soak`, whose stitched runs must
 /// honor the same bound.
 pub(crate) fn reaction_bound() -> SimDuration {
-    SimDuration::from_micros(u64::from(
-        DegradedConfig::default().reaction_quanta() * SLEW_STRETCH,
-    ))
+    DegradedConfig::default().reaction_bound(
+        ControlScheme::Hcapp
+            .control_period()
+            .expect("HCAPP is dynamic"),
+    )
 }
 
 /// Execute `hcapp faults`.

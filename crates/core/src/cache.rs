@@ -38,6 +38,7 @@ use hcapp_sim_core::units::Watt;
 
 use crate::coordinator::RunConfig;
 use crate::outcome::{ResilienceCounters, RunOutcome};
+use crate::parallel::WorkerPool;
 use crate::scheme::ControlScheme;
 use crate::software::ComponentKind;
 use crate::system::SystemConfig;
@@ -376,44 +377,55 @@ impl RunCache {
     }
 }
 
-/// [`crate::parallel::run_all`] with memoization: cache hits are answered
-/// from disk, only misses are dispatched to the worker pool, and every
-/// cacheable miss is stored on the way out. Result order matches job
-/// order, and each result is bit-identical to what an uncached run would
-/// produce (the codec round-trips floats exactly).
+/// [`crate::parallel::run_all`] with memoization, streamed through the
+/// process-wide pool of `workers` threads ([`crate::parallel::shared_pool`]):
+/// cache hits are answered from disk, and each miss is submitted to the
+/// pool as soon as its probe misses, so the workers simulate while later
+/// jobs are still being keyed and probed. The calling thread then stores
+/// each cacheable result as it arrives, overlapping the disk write with
+/// the workers' remaining simulations; every store has finished when this
+/// returns. Result order matches job order, and each result is
+/// bit-identical to what an uncached run would produce (the codec
+/// round-trips floats exactly).
 pub fn run_all_cached(
     jobs: Vec<(SystemConfig, RunConfig)>,
     workers: usize,
     cache: &RunCache,
 ) -> (Vec<RunOutcome>, CacheStats) {
+    run_all_cached_on(crate::parallel::shared_pool(workers.max(1)), jobs, cache)
+}
+
+/// [`run_all_cached`] on a given pool.
+pub(crate) fn run_all_cached_on(
+    pool: &WorkerPool,
+    jobs: Vec<(SystemConfig, RunConfig)>,
+    cache: &RunCache,
+) -> (Vec<RunOutcome>, CacheStats) {
     let mut stats = CacheStats::default();
-    let mut slots: Vec<Option<RunOutcome>> = Vec::with_capacity(jobs.len());
-    let mut misses: Vec<(usize, Option<ContentHash>)> = Vec::new();
-    let mut miss_jobs: Vec<(SystemConfig, RunConfig)> = Vec::new();
+    let mut slots: Vec<Option<RunOutcome>> = (0..jobs.len()).map(|_| None).collect();
+    let mut keys: Vec<Option<ContentHash>> = vec![None; jobs.len()];
+    let batch = pool.batch();
     for (i, (sys, run)) in jobs.into_iter().enumerate() {
         let key = job_key(&sys, &run);
-        let probe = key.map(|k| cache.lookup_classified(k));
-        if let Some(Lookup::Hit(hit)) = probe {
-            stats.hits += 1;
-            slots.push(Some(*hit));
-        } else {
-            match probe {
-                Some(Lookup::Corrupt) => stats.corrupt += 1,
-                Some(_) => stats.misses += 1,
-                None => stats.uncacheable += 1,
+        match key.map(|k| cache.lookup_classified(k)) {
+            Some(Lookup::Hit(hit)) => {
+                stats.hits += 1;
+                slots[i] = Some(*hit);
+                continue;
             }
-            slots.push(None);
-            misses.push((i, key));
-            miss_jobs.push((sys, run));
+            Some(Lookup::Corrupt) => stats.corrupt += 1,
+            Some(Lookup::Absent) => stats.misses += 1,
+            None => stats.uncacheable += 1,
         }
+        keys[i] = key;
+        batch.submit(i, sys, run);
     }
-    let fresh = crate::parallel::run_all(miss_jobs, workers);
-    for ((i, key), outcome) in misses.into_iter().zip(fresh) {
-        if let Some(k) = key {
+    batch.for_each_result(|i, outcome| {
+        if let Some(k) = keys[i] {
             cache.insert(k, &outcome);
         }
         slots[i] = Some(outcome);
-    }
+    });
     let results = slots
         .into_iter()
         .map(|s| s.expect("invariant: every job slot is filled by a cache hit or a fresh run"))
@@ -442,6 +454,130 @@ mod tests {
             PowerLimit::package_pin().guardbanded_target(),
         );
         (sys, run)
+    }
+
+    /// `n` distinct cacheable jobs, one per Table 3 combo and seed.
+    fn jobs(n: usize) -> Vec<(SystemConfig, RunConfig)> {
+        let combos = combo_suite();
+        (0..n)
+            .map(|i| {
+                let (_, run) = job();
+                let sys = SystemConfig::paper_system(combos[i % combos.len()], 7 + i as u64);
+                (sys, run)
+            })
+            .collect()
+    }
+
+    fn uncached(jobs: &[(SystemConfig, RunConfig)]) -> Vec<String> {
+        jobs.iter()
+            .map(|(sys, run)| {
+                encode_outcome(&crate::coordinator::Simulation::new(sys.clone(), run.clone()).run())
+            })
+            .collect()
+    }
+
+    fn encoded(outcomes: &[RunOutcome]) -> Vec<String> {
+        outcomes.iter().map(encode_outcome).collect()
+    }
+
+    #[test]
+    fn streamed_mix_of_hits_and_misses_keeps_job_order() {
+        let jobs = jobs(6);
+        let expected = uncached(&jobs);
+        for workers in [1, 3] {
+            let pool = WorkerPool::new(workers);
+            let cache = temp_cache(&format!("mixed{workers}"));
+            // Pre-warm every other job.
+            let warm: Vec<_> = jobs.iter().step_by(2).cloned().collect();
+            let (_, s) = run_all_cached_on(&pool, warm, &cache);
+            assert_eq!((s.hits, s.misses), (0, 3));
+            let (got, s) = run_all_cached_on(&pool, jobs.clone(), &cache);
+            assert_eq!(
+                s,
+                CacheStats {
+                    hits: 3,
+                    misses: 3,
+                    ..CacheStats::default()
+                },
+                "{workers} workers"
+            );
+            assert_eq!(encoded(&got), expected, "{workers} workers");
+            let _ = std::fs::remove_dir_all(cache.dir());
+        }
+    }
+
+    #[test]
+    fn cold_call_has_stored_every_miss_on_return() {
+        let mut jobs = jobs(5);
+        // An uncacheable job runs but is never stored.
+        jobs[2].1.tracer = Some(hcapp_telemetry::tracer::shared(hcapp_telemetry::NullTracer));
+        for workers in [1, 3] {
+            let pool = WorkerPool::new(workers);
+            let cache = temp_cache(&format!("cold{workers}"));
+            let (got, s) = run_all_cached_on(&pool, jobs.clone(), &cache);
+            assert_eq!((s.misses, s.uncacheable), (4, 1));
+            assert_eq!(got.len(), 5);
+            assert_eq!(
+                cache.len(),
+                s.misses,
+                "{workers} workers: a store still pending"
+            );
+            let _ = std::fs::remove_dir_all(cache.dir());
+        }
+    }
+
+    #[test]
+    fn unwritable_cache_returns_every_outcome_and_stores_nothing() {
+        let jobs = jobs(4);
+        let expected = uncached(&jobs);
+        // A cache directory that cannot be created: its parent is a file.
+        let blocker =
+            std::env::temp_dir().join(format!("hcapp_run_cache_blocker_{}", std::process::id()));
+        std::fs::write(&blocker, "file").expect("writable temp dir");
+        let cache = RunCache::new(blocker.join("sub"));
+        for workers in [1, 3] {
+            let pool = WorkerPool::new(workers);
+            let (first, s1) = run_all_cached_on(&pool, jobs.clone(), &cache);
+            let (second, s2) = run_all_cached_on(&pool, jobs.clone(), &cache);
+            assert_eq!(
+                s1, s2,
+                "{workers} workers: nothing stored, so nothing changes"
+            );
+            assert_eq!((s1.hits, s1.total()), (0, jobs.len()));
+            assert_eq!(encoded(&first), expected);
+            assert_eq!(encoded(&second), expected);
+            assert_eq!(cache.len(), 0);
+        }
+        let _ = std::fs::remove_file(&blocker);
+    }
+
+    #[test]
+    fn corrupt_entry_among_misses_is_counted_and_repaired() {
+        let jobs = jobs(5);
+        let expected = uncached(&jobs);
+        for workers in [1, 3] {
+            let pool = WorkerPool::new(workers);
+            let cache = temp_cache(&format!("corruptmix{workers}"));
+            // Job 3 has a damaged entry on disk; the others are cold.
+            let (sys, run) = &jobs[3];
+            let key = job_key(sys, run).expect("untraced job is cacheable");
+            assert!(cache.store.save(key, "hcapp-cache-v1\ngarbage"));
+            let (got, s) = run_all_cached_on(&pool, jobs.clone(), &cache);
+            assert_eq!(
+                (s.hits, s.misses, s.corrupt),
+                (0, 4, 1),
+                "{workers} workers"
+            );
+            assert_eq!(encoded(&got), expected);
+            assert_eq!(cache.len(), jobs.len());
+            match cache.lookup_classified(key) {
+                Lookup::Hit(out) => assert_eq!(encode_outcome(&out), expected[3]),
+                other => panic!("repaired entry probes as {other:?}"),
+            }
+            let (_, s) = run_all_cached_on(&pool, jobs.clone(), &cache);
+            assert_eq!((s.hits, s.misses, s.corrupt), (jobs.len(), 0, 0));
+            let _ = std::fs::remove_dir_all(cache.dir());
+        }
     }
 
     #[test]

@@ -31,6 +31,9 @@
 //! contract (the other half: fault decisions are pure functions of the
 //! plan seed).
 
+use hcapp_faults::plan::MIN_SLEW_DERATE;
+use hcapp_sim_core::time::SimDuration;
+
 /// Health of one watched subject (sensor or domain).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum HealthState {
@@ -190,11 +193,25 @@ impl DegradedConfig {
     pub fn reaction_quanta(&self) -> u32 {
         self.faulted_after + self.violation_window + REACTION_SLACK_QUANTA
     }
+
+    /// The over-budget contract (DESIGN §6d) for a scheme whose control
+    /// period is `period`: the longest tolerated over-budget episode under
+    /// any valid fault plan. That is [`DegradedConfig::reaction_quanta`]
+    /// periods, stretched by the worst-case slow-down of the rail's descent
+    /// under a `vr_slew_derate` fault.
+    pub fn reaction_bound(&self, period: SimDuration) -> SimDuration {
+        period * u64::from(self.reaction_quanta() * SLEW_STRETCH)
+    }
 }
 
 /// Detection/actuation slack (sensor delay, VR response, command transport)
 /// folded into [`DegradedConfig::reaction_quanta`].
 const REACTION_SLACK_QUANTA: u32 = 8;
+
+/// Worst-case slew-down stretch of a `vr_slew_derate` fault: the regulator
+/// keeps at least `MIN_SLEW_DERATE` of its slew rate, so a descent takes at
+/// most `1 / MIN_SLEW_DERATE` times as long (4 for the 0.25 floor).
+const SLEW_STRETCH: u32 = (1.0 / MIN_SLEW_DERATE).ceil() as u32;
 
 /// A generic consecutive-counter state machine shared by both watchdogs.
 #[derive(Debug, Clone)]
@@ -715,5 +732,10 @@ mod tests {
             ..c
         };
         assert!(wider.reaction_quanta() > c.reaction_quanta());
+        // The bound stretches the quanta by 1 / MIN_SLEW_DERATE = 4.
+        let us = SimDuration::from_micros;
+        let q = u64::from(c.reaction_quanta());
+        assert_eq!(c.reaction_bound(us(1)), us(q * 4));
+        assert_eq!(c.reaction_bound(us(100)), us(q * 400));
     }
 }

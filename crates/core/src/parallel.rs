@@ -7,7 +7,10 @@
 //! function of its configs, whichever thread runs it. [`WorkerPool`] keeps
 //! the threads alive between sweeps, so an experiment campaign pays thread
 //! spawn/join once instead of once per figure; [`shared_pool`] hands out
-//! one process-wide pool for exactly that use.
+//! one process-wide pool for exactly that use. A caller with per-result
+//! work of its own (the result cache stores each outcome) streams through
+//! [`WorkerPool::batch`] instead: a job starts as soon as it is submitted,
+//! and each result reaches the caller as soon as it is done.
 //!
 //! Inside one run, domains are stepped serially: one control quantum is
 //! 1 µs of simulated time (§4.1), and handing a quantum's domain work to
@@ -17,7 +20,7 @@
 //! hermetic (simlint rule L4).
 
 use std::collections::VecDeque;
-use std::sync::mpsc::{channel, Sender};
+use std::sync::mpsc::{channel, Receiver, Sender};
 use std::sync::{Arc, Condvar, Mutex, OnceLock};
 use std::thread;
 
@@ -26,7 +29,7 @@ use crate::outcome::RunOutcome;
 use crate::system::SystemConfig;
 
 /// One queued run-level job: input index, its configs, and the channel its
-/// result goes back on (each [`WorkerPool::run_all`] call brings its own).
+/// result goes back on (each [`Batch`] brings its own).
 type PoolJob = (
     usize,
     SystemConfig,
@@ -104,35 +107,68 @@ impl WorkerPool {
         self.workers
     }
 
+    /// Open a streamed batch on the pool: a job starts as soon as it is
+    /// [`Batch::submit`]ted, and [`Batch::for_each_result`] hands each
+    /// `(index, outcome)` to a callback in completion order. This is the
+    /// pool's one dispatch path; [`WorkerPool::run_all`] wraps it.
+    /// Concurrent batches from different threads interleave safely (each
+    /// batch collects only its own results).
+    pub fn batch(&self) -> Batch<'_> {
+        let (tx, rx) = channel();
+        Batch { pool: self, tx, rx }
+    }
+
     /// Run `jobs` on the pool, blocking until all complete; results are in
-    /// input order. Concurrent calls from different threads interleave
-    /// safely (each call collects only its own results).
+    /// input order.
     pub fn run_all(&self, jobs: Vec<(SystemConfig, RunConfig)>) -> Vec<RunOutcome> {
-        let n = jobs.len();
-        if n == 0 {
-            return Vec::new();
+        let mut slots: Vec<Option<RunOutcome>> = (0..jobs.len()).map(|_| None).collect();
+        let batch = self.batch();
+        for (i, (sys, run)) in jobs.into_iter().enumerate() {
+            batch.submit(i, sys, run);
         }
-        let (tx, rx) = channel::<(usize, RunOutcome)>();
-        {
-            let mut guard = self
-                .shared
-                .queue
-                .lock()
-                .expect("invariant: no worker panics while holding the job-queue lock");
-            for (i, (sys, run)) in jobs.into_iter().enumerate() {
-                guard.0.push_back((i, sys, run, tx.clone()));
-            }
-        }
-        self.shared.ready.notify_all();
-        drop(tx);
-        let mut slots: Vec<Option<RunOutcome>> = (0..n).map(|_| None).collect();
-        for (i, outcome) in rx.iter() {
-            slots[i] = Some(outcome);
-        }
+        batch.for_each_result(|i, outcome| slots[i] = Some(outcome));
         slots
             .into_iter()
             .map(|s| s.expect("invariant: every queued job sends exactly one result"))
             .collect()
+    }
+}
+
+/// A streamed submission to a [`WorkerPool`] (see [`WorkerPool::batch`]).
+///
+/// Dropping a batch before [`Batch::for_each_result`] is allowed: its
+/// queued jobs still run, and their results are discarded.
+pub struct Batch<'p> {
+    pool: &'p WorkerPool,
+    tx: Sender<(usize, RunOutcome)>,
+    rx: Receiver<(usize, RunOutcome)>,
+}
+
+impl Batch<'_> {
+    /// Queue one job under the caller's `index` and wake one idle worker,
+    /// so it starts while the caller prepares the next submission.
+    pub fn submit(&self, index: usize, sys: SystemConfig, run: RunConfig) {
+        let shared = &self.pool.shared;
+        shared
+            .queue
+            .lock()
+            .expect("invariant: no worker panics while holding the job-queue lock")
+            .0
+            .push_back((index, sys, run, self.tx.clone()));
+        shared.ready.notify_one();
+    }
+
+    /// Block until every submitted job has finished, calling `on_result`
+    /// with each `(index, outcome)` on the calling thread as it arrives, so
+    /// the caller's per-result work overlaps the workers' remaining jobs.
+    pub fn for_each_result(self, mut on_result: impl FnMut(usize, RunOutcome)) {
+        let Batch { tx, rx, .. } = self;
+        // The queued jobs hold the remaining senders: the channel closes
+        // once the last of them has reported.
+        drop(tx);
+        for (i, outcome) in rx {
+            on_result(i, outcome);
+        }
     }
 }
 
@@ -237,6 +273,32 @@ mod tests {
         // The pool form likewise returns without blocking on a condvar.
         let pool = WorkerPool::new(2);
         assert!(pool.run_all(Vec::new()).is_empty());
+    }
+
+    #[test]
+    fn batch_streams_each_result_once_under_the_callers_index() {
+        let pool = WorkerPool::new(2);
+        // An abandoned batch's jobs still run; the pool stays usable.
+        let abandoned = pool.batch();
+        let (sys, run) = job(1);
+        abandoned.submit(0, sys, run);
+        drop(abandoned);
+        let batch = pool.batch();
+        for (i, seed) in [(40, 3), (7, 5), (12, 7)] {
+            let (sys, run) = job(seed);
+            batch.submit(i, sys, run);
+        }
+        let mut seen = Vec::new();
+        batch.for_each_result(|i, outcome| seen.push((i, outcome.work)));
+        seen.sort_by_key(|&(i, _)| i);
+        let want: Vec<_> = [(7, 5), (12, 7), (40, 3)]
+            .into_iter()
+            .map(|(i, seed)| {
+                let (sys, run) = job(seed);
+                (i, Simulation::new(sys, run).run().work)
+            })
+            .collect();
+        assert_eq!(seen, want);
     }
 
     #[test]

@@ -347,6 +347,18 @@ impl ChipletSim {
         }
     }
 
+    /// [`ChipletSim::step_into`] without the CPU and GPU chiplets'
+    /// one-tick replay check, for a tick whose [`ChipletSim::replay_span`]
+    /// has just refused or stopped short (the check would only refuse
+    /// again). Bit-identical to `step_into` either way.
+    pub fn evaluate_into(&mut self, frame: &mut hcapp_sim_core::frame::StepFrame<'_>) {
+        match self {
+            ChipletSim::Cpu(c) => c.evaluate_into(frame),
+            ChipletSim::Gpu(g) => g.evaluate_into(frame),
+            ChipletSim::Sha(_) | ChipletSim::Memory(..) => self.step_into(frame),
+        }
+    }
+
     /// Replay a steady span of ticks at the constant unit voltages
     /// `voltages`, adding each tick's power into its slot of `power_acc`;
     /// returns how many ticks it replayed (0 when the chiplet cannot prove
@@ -611,8 +623,11 @@ impl Domain {
                 }
                 loop {
                     // A one-tick stretch goes straight to `step_into`,
-                    // which replays a steady tick itself.
-                    if end - i > 1 {
+                    // which replays a steady tick itself. After a span
+                    // that refused or stopped short, the tick is a full
+                    // evaluation: the replay check would refuse again.
+                    let spanned = end - i > 1;
+                    if spanned {
                         if let Some(slots) = power_acc.get_mut(i..end) {
                             i += self.sim.replay_span(&self.unit_voltages, tick, slots);
                         }
@@ -627,7 +642,11 @@ impl Domain {
                     let mut p = 0.0f64;
                     let mut frame =
                         hcapp_sim_core::frame::StepFrame::new(&self.unit_voltages, tick, &mut p);
-                    self.sim.step_into(&mut frame);
+                    if spanned {
+                        self.sim.evaluate_into(&mut frame);
+                    } else {
+                        self.sim.step_into(&mut frame);
+                    }
                     self.last_power = Watt::new(p);
                     *slot += p;
                     i += 1;

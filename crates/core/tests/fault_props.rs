@@ -17,10 +17,6 @@ use hcapp_sim_core::time::SimDuration;
 use hcapp_workloads::combos::combo_suite;
 use proptest::prelude::*;
 
-/// Worst-case slew-down stretch from a `vr_slew_derate` fault (mirrors
-/// `MIN_SLEW_DERATE` = 0.25 in `hcapp-faults`).
-const SLEW_STRETCH: u32 = 4;
-
 fn arb_spec(max_rate: f64) -> impl Strategy<Value = EpisodeSpec> {
     (0.0f64..max_rate, 1u32..48).prop_map(|(rate, dur)| EpisodeSpec::new(rate, dur))
 }
@@ -87,9 +83,8 @@ proptest! {
     #[test]
     fn over_budget_episodes_bounded_for_arbitrary_plans(plan in arb_plan()) {
         let degraded = hcapp::DegradedConfig::default();
-        let bound = SimDuration::from_micros(
-            u64::from(degraded.reaction_quanta() * SLEW_STRETCH),
-        );
+        let period = ControlScheme::Hcapp.control_period().expect("HCAPP is dynamic");
+        let bound = degraded.reaction_bound(period);
         let out = run_with(plan);
         let trace = out.trace.as_ref().expect("trace requested");
         let r = over_cap(trace, PowerLimit::package_pin().budget.value());

@@ -20,10 +20,6 @@ use hcapp_metrics::over_cap;
 use hcapp_sim_core::time::SimDuration;
 use hcapp_workloads::combos::combo_suite;
 
-/// Worst-case slew-down stretch from a `vr_slew_derate` fault
-/// (1 / `MIN_SLEW_DERATE`).
-const SLEW_STRETCH: u32 = 4;
-
 fn faulted_run(plan: Option<FaultPlan>) -> RunOutcome {
     let sys = SystemConfig::paper_system(combo_suite()[3], 11); // Hi-Hi
     let limit = PowerLimit::package_pin();
@@ -43,8 +39,8 @@ fn faulted_run(plan: Option<FaultPlan>) -> RunOutcome {
 fn over_budget_episodes_stay_bounded_across_seeds_and_severities() {
     let limit = PowerLimit::package_pin();
     let degraded = hcapp::DegradedConfig::default();
-    let bound =
-        SimDuration::from_micros(u64::from(degraded.reaction_quanta() * SLEW_STRETCH));
+    let period = ControlScheme::Hcapp.control_period().expect("HCAPP is dynamic");
+    let bound = degraded.reaction_bound(period);
     for seed in [1u64, 7, 42, 1234] {
         for plan in [FaultPlan::moderate(seed), FaultPlan::severe(seed)] {
             let out = faulted_run(Some(plan));

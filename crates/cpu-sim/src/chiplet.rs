@@ -201,15 +201,28 @@ impl CpuChiplet {
     /// # Panics
     /// Panics if `frame.voltages.len() != units()`.
     pub fn step_into(&mut self, frame: &mut StepFrame<'_>) {
+        let acc = std::slice::from_mut(frame.power_acc);
+        if self.replay_span(frame.voltages, frame.dt, acc) == 1 {
+            return;
+        }
+        self.evaluate_into(frame);
+    }
+
+    /// [`CpuChiplet::step_into`] without the steady-tick replay check: always
+    /// the full evaluation on hoisted lanes. For a caller that has just
+    /// seen [`CpuChiplet::replay_span`] refuse the tick or stop short of
+    /// it, where the one-tick check would only refuse again; either path
+    /// gives the same tick bit for bit.
+    ///
+    /// # Panics
+    /// Panics if `frame.voltages.len() != units()`.
+    pub fn evaluate_into(&mut self, frame: &mut StepFrame<'_>) {
         assert_eq!(
             frame.voltages.len(),
             self.units(),
             "need one voltage per core"
         );
         let dt = frame.dt;
-        if self.replay_span(frame.voltages, dt, std::slice::from_mut(frame.power_acc)) == 1 {
-            return;
-        }
         let sample = self.program.sample();
         self.memo
             .key(frame.voltages, [sample.activity, sample.mem_intensity], dt);
@@ -489,6 +502,52 @@ mod tests {
             }
             assert_lockstep(t, &mut reference, &mut kernel, volts);
         }
+        assert_eq!(
+            reference.breakdown().total_joules().to_bits(),
+            kernel.breakdown().total_joules().to_bits()
+        );
+    }
+
+    #[test]
+    fn evaluate_into_matches_step_through_held_stretches() {
+        // The full evaluation without the replay check, on every third tick
+        // of the equivalence schedule (held ticks included, where
+        // `step_into` would replay), and `step_into` on the others, so a
+        // replay also starts from a memo that `evaluate_into` filled. Both
+        // must match the reference path bit for bit.
+        use hcapp_sim_core::frame::StepFrame;
+        use hcapp_sim_core::state::{Snapshot, StateWriter};
+        let save = |c: &CpuChiplet| {
+            let mut w = StateWriter::new();
+            c.save_state(&mut w);
+            w.finish()
+        };
+        let dt = SimDuration::from_nanos(100);
+        let mut reference = chiplet(Benchmark::Ferret);
+        let mut kernel = chiplet(Benchmark::Ferret);
+        let lanes = equivalence_schedule(6_000, reference.units());
+        for (t, volts) in lanes.iter().enumerate() {
+            let p_ref = reference.step(volts, dt).value();
+            let mut acc = 0.0;
+            let mut frame = StepFrame::new(volts, dt, &mut acc);
+            if t % 3 == 0 {
+                kernel.evaluate_into(&mut frame);
+            } else {
+                kernel.step_into(&mut frame);
+            }
+            assert_eq!(p_ref.to_bits(), acc.to_bits(), "tick {t}: power diverged");
+            assert_eq!(
+                reference.ipc_fractions(),
+                kernel.ipc_fractions(),
+                "tick {t}: IPC diverged"
+            );
+            assert_eq!(
+                reference.work_done().to_bits(),
+                kernel.work_done().to_bits(),
+                "tick {t}: cursor diverged"
+            );
+        }
+        assert_eq!(save(&reference), save(&kernel));
         assert_eq!(
             reference.breakdown().total_joules().to_bits(),
             kernel.breakdown().total_joules().to_bits()

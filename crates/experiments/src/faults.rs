@@ -22,10 +22,6 @@ use hcapp_workloads::combos::combo_by_name;
 
 use crate::config::ExperimentConfig;
 
-/// Worst-case slew-down stretch from a `vr_slew_derate` fault
-/// (1 / `MIN_SLEW_DERATE`).
-const SLEW_STRETCH: u32 = 4;
-
 /// One scheme's clean-vs-faulted comparison.
 #[derive(Debug, Clone)]
 pub struct FaultRow {
@@ -98,7 +94,7 @@ pub fn compute(cfg: &ExperimentConfig) -> Vec<FaultRow> {
             faults_injected: faulted.resilience.faults_injected,
             health_transitions: faulted.resilience.health_transitions,
             longest_over: over.longest,
-            bound: period * u64::from(degraded.reaction_quanta() * SLEW_STRETCH),
+            bound: degraded.reaction_bound(period),
         });
     }
     rows

@@ -33,10 +33,6 @@ use hcapp_workloads::combos::combo_by_name;
 
 use crate::config::ExperimentConfig;
 
-/// Worst-case slew-down stretch from a `vr_slew_derate` fault
-/// (1 / `MIN_SLEW_DERATE`).
-const SLEW_STRETCH: u32 = 4;
-
 /// RNG stream id for kill-quantum selection, decorrelated per cell.
 const KILL_STREAM: u64 = 0x5041_6b69_6c6c; // "PAkill"
 
@@ -160,7 +156,7 @@ fn soak_cell(cfg: &ExperimentConfig, plan: &str, every: u64, kills: u64) -> Soak
         digest: outcome_digest(&got),
         identical,
         longest_over: over.longest,
-        bound: period * u64::from(DegradedConfig::default().reaction_quanta() * SLEW_STRETCH),
+        bound: DegradedConfig::default().reaction_bound(period),
     }
 }
 

@@ -1,5 +1,6 @@
 #!/bin/sh
-# The full local gate: build, test, lint. Mirrors what tier-1 CI runs.
+# The full local gate: build, test, lint (simlint and clippy). Mirrors what
+# tier-1 CI runs.
 # Usage: scripts/check.sh           full gate (from anywhere inside the repo)
 #        scripts/check.sh --fast    pre-commit variant: warnings-clean debug
 #                                   build + simlint on files changed vs HEAD
@@ -24,6 +25,11 @@ cargo test -q
 
 echo "==> cargo run -p simlint -- --deny-all"
 cargo run -p simlint -q -- --deny-all
+
+echo "==> cargo clippy --all-targets (default lint levels)"
+# Deny-by-default lints (correctness, suspicious logic) fail the gate;
+# warn-level lints are reported and do not.
+cargo clippy --all-targets --offline -q
 
 echo "==> long-window smoke (1000 s limit window on a 1 ms run, 4 GB address-space cap)"
 # Window trackers are sized to the run, not to the window: a ring sized to
