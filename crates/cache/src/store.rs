@@ -74,11 +74,15 @@ impl CacheStore {
     /// Read an entry's body, distinguishing "no such entry" from "an entry
     /// file exists but cannot be read" (see [`Load`]). A missing parent
     /// directory counts as [`Load::Absent`]: a never-written store is cold,
-    /// not damaged.
+    /// not damaged. So does a directory path running through a file: such
+    /// a store can never hold an entry.
     pub fn load_classified(&self, key: ContentHash) -> Load {
+        use std::io::ErrorKind;
         match std::fs::read_to_string(self.entry_path(key)) {
             Ok(body) => Load::Hit(body),
-            Err(e) if e.kind() == std::io::ErrorKind::NotFound => Load::Absent,
+            Err(e) if matches!(e.kind(), ErrorKind::NotFound | ErrorKind::NotADirectory) => {
+                Load::Absent
+            }
             Err(_) => Load::Unreadable,
         }
     }
@@ -268,6 +272,11 @@ mod tests {
         let store = CacheStore::new(blocker.join("sub"));
         assert!(!store.save(key("x"), "y"));
         assert_eq!(store.load(key("x")), None);
+        assert_eq!(
+            store.load_classified(key("x")),
+            Load::Absent,
+            "a store that cannot exist is cold, not damaged"
+        );
         assert_eq!(store.len(), 0);
         let _ = std::fs::remove_file(&blocker);
     }

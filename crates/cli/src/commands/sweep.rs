@@ -89,9 +89,16 @@ pub fn execute(args: &Args) -> Result<String, ArgError> {
     }
     if let Some(s) = stats {
         out.push_str(&format!(
-            "cache: {} hits, {} misses, {} corrupt ({cache_dir})\n\n",
+            "cache: {} hits, {} misses, {} corrupt ({cache_dir})\n",
             s.hits, s.misses, s.corrupt
         ));
+        if s.unstored > 0 {
+            out.push_str(&format!(
+                "cache: {} results not stored ({cache_dir})\n",
+                s.unstored
+            ));
+        }
+        out.push('\n');
     }
     for &scheme in &schemes {
         let mut summary = SuiteSummary::new(scheme.name());
@@ -151,10 +158,35 @@ mod tests {
         // Identical tables after the cache line: cached replay is exact.
         let tail = |s: &str| s.split_once("\n\n").map(|(_, t)| t.to_string()).unwrap();
         assert_eq!(tail(&cold), tail(&warm));
+        assert!(!cold.contains("not stored"), "{cold}");
         // --wipe-cache empties it again.
         let wiped = run_cli(&format!("{flags} --wipe-cache"));
         assert!(wiped.contains("cache: wiped 16 entries"), "{wiped}");
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn impossible_cache_dir_is_cold_and_reports_unstored_results() {
+        // The cache directory runs through a file, so it can never exist:
+        // every rerun is cold, nothing is corrupt, and the sweep says that
+        // its results were not stored.
+        let blocker =
+            std::env::temp_dir().join(format!("hcapp_sweep_cache_blocker_{}", std::process::id()));
+        std::fs::write(&blocker, "file").expect("writable temp dir");
+        let dir = blocker.join("sub");
+        let flags = format!("--scheme hcapp --ms 1 --cache-dir {}", dir.display());
+        let first = run_cli(&flags);
+        let rerun = run_cli(&flags);
+        for out in [&first, &rerun] {
+            assert!(out.contains("cache: 0 hits, 16 misses, 0 corrupt"), "{out}");
+            assert!(
+                out.contains(&format!("cache: 16 results not stored ({})", dir.display())),
+                "{out}"
+            );
+        }
+        let tail = |s: &str| s.split_once("\n\n").map(|(_, t)| t.to_string()).unwrap();
+        assert_eq!(tail(&first), tail(&rerun));
+        let _ = std::fs::remove_file(&blocker);
     }
 
     #[test]

@@ -278,6 +278,10 @@ pub struct CacheStats {
     /// disk, schema drift, a concurrent writer misbehaving), not a cold
     /// cache.
     pub corrupt: usize,
+    /// Fresh results of cacheable jobs that could not be stored (the cache
+    /// directory cannot be created or written). Each of these jobs is also
+    /// counted as a miss or as corrupt; this is not part of [`CacheStats::total`].
+    pub unstored: usize,
 }
 
 impl CacheStats {
@@ -422,7 +426,7 @@ pub(crate) fn run_all_cached_on(
     }
     batch.for_each_result(|i, outcome| {
         if let Some(k) = keys[i] {
-            cache.insert(k, &outcome);
+            stats.unstored += usize::from(!cache.insert(k, &outcome));
         }
         slots[i] = Some(outcome);
     });
@@ -544,6 +548,11 @@ mod tests {
                 "{workers} workers: nothing stored, so nothing changes"
             );
             assert_eq!((s1.hits, s1.total()), (0, jobs.len()));
+            assert_eq!(
+                (s1.misses, s1.corrupt, s1.unstored),
+                (jobs.len(), 0, jobs.len()),
+                "{workers} workers: a cache that cannot exist is cold, and no result is stored"
+            );
             assert_eq!(encoded(&first), expected);
             assert_eq!(encoded(&second), expected);
             assert_eq!(cache.len(), 0);

@@ -12,6 +12,12 @@
 //! [`WorkerPool::batch`] instead: a job starts as soon as it is submitted,
 //! and each result reaches the caller as soon as it is done.
 //!
+//! A job that panics does not take its worker with it: the worker catches
+//! the panic, sends it back in the job's result slot and takes the next
+//! job, and [`Batch::for_each_result`] re-raises it on the caller's thread.
+//! A bad job therefore fails its sweep loudly instead of hanging it, and
+//! the process-wide pool keeps all its workers for later sweeps.
+//!
 //! Inside one run, domains are stepped serially: one control quantum is
 //! 1 µs of simulated time (§4.1), and handing a quantum's domain work to
 //! other threads cost more than the work itself on every package size
@@ -20,6 +26,7 @@
 //! hermetic (simlint rule L4).
 
 use std::collections::VecDeque;
+use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::mpsc::{channel, Receiver, Sender};
 use std::sync::{Arc, Condvar, Mutex, OnceLock};
 use std::thread;
@@ -28,14 +35,13 @@ use crate::coordinator::{RunConfig, Simulation};
 use crate::outcome::RunOutcome;
 use crate::system::SystemConfig;
 
+/// A job's result as it comes back from a worker: its input index and
+/// the outcome, or the panic the run raised.
+type JobResult = (usize, thread::Result<RunOutcome>);
+
 /// One queued run-level job: input index, its configs, and the channel its
 /// result goes back on (each [`Batch`] brings its own).
-type PoolJob = (
-    usize,
-    SystemConfig,
-    RunConfig,
-    Sender<(usize, RunOutcome)>,
-);
+type PoolJob = (usize, SystemConfig, RunConfig, Sender<JobResult>);
 
 /// Shared state between a [`WorkerPool`]'s owner and its threads.
 struct PoolShared {
@@ -88,7 +94,10 @@ impl WorkerPool {
                         }
                     };
                     let Some((i, sys, run, tx)) = job else { return };
-                    let outcome = Simulation::new(sys, run).run();
+                    // The configs move into the run and nothing outlives a
+                    // panic in it, so no broken state can be observed.
+                    let outcome =
+                        catch_unwind(AssertUnwindSafe(|| Simulation::new(sys, run).run()));
                     // A dropped receiver just means the submitter gave up on
                     // this batch; the pool itself stays healthy.
                     let _ = tx.send((i, outcome));
@@ -140,8 +149,8 @@ impl WorkerPool {
 /// queued jobs still run, and their results are discarded.
 pub struct Batch<'p> {
     pool: &'p WorkerPool,
-    tx: Sender<(usize, RunOutcome)>,
-    rx: Receiver<(usize, RunOutcome)>,
+    tx: Sender<JobResult>,
+    rx: Receiver<JobResult>,
 }
 
 impl Batch<'_> {
@@ -161,13 +170,21 @@ impl Batch<'_> {
     /// Block until every submitted job has finished, calling `on_result`
     /// with each `(index, outcome)` on the calling thread as it arrives, so
     /// the caller's per-result work overlaps the workers' remaining jobs.
+    ///
+    /// # Panics
+    /// Re-raises the panic of a job whose run panicked, as soon as its
+    /// result arrives. The batch's other jobs still run; their results are
+    /// discarded.
     pub fn for_each_result(self, mut on_result: impl FnMut(usize, RunOutcome)) {
         let Batch { tx, rx, .. } = self;
         // The queued jobs hold the remaining senders: the channel closes
         // once the last of them has reported.
         drop(tx);
         for (i, outcome) in rx {
-            on_result(i, outcome);
+            match outcome {
+                Ok(outcome) => on_result(i, outcome),
+                Err(panic) => resume_unwind(panic),
+            }
         }
     }
 }
@@ -299,6 +316,27 @@ mod tests {
             })
             .collect();
         assert_eq!(seen, want);
+    }
+
+    #[test]
+    fn a_panicking_job_fails_its_batch_and_spares_the_worker() {
+        // One worker, so the panicking run and every later job share it: a
+        // lost worker would hang the rest of the batch and the next one.
+        let pool = WorkerPool::new(1);
+        let (sys, mut run) = job(3);
+        run.duration = SimDuration::ZERO;
+        let jobs = vec![(sys, run), job(5)];
+        let caught = catch_unwind(AssertUnwindSafe(|| pool.run_all(jobs)));
+        let panic = caught.expect_err("a zero-length run must panic");
+        let message = panic
+            .downcast_ref::<String>()
+            .map(String::as_str)
+            .or_else(|| panic.downcast_ref::<&str>().copied())
+            .unwrap_or_default();
+        assert!(message.contains("zero run duration"), "{message}");
+        let out = pool.run_all(vec![job(7), job(9)]);
+        assert_eq!(out.len(), 2);
+        assert_eq!(out[0].work, Simulation::new(job(7).0, job(7).1).run().work);
     }
 
     #[test]

@@ -28,8 +28,12 @@ pub struct GpuChiplet {
     sm: SmModel,
     /// Per-SM activity jitter and random streams on one resample clock.
     jitter: JitterLanes,
-    /// Per-SM issue utilization of the last evaluated tick (scratch).
+    /// Per-SM issue utilization of the last evaluated tick.
     utilization: Vec<f64>,
+    /// The phase activity's bits and the jitter generation the
+    /// utilization lane was computed from (`None` before the first
+    /// evaluation).
+    lane_key: Option<(u64, u64)>,
     /// Per-SM operating point of the last evaluated tick (scratch).
     points: Vec<UnitPoint>,
     uncore: ComponentPowerModel,
@@ -86,6 +90,7 @@ impl GpuChiplet {
         GpuChiplet {
             last_ipc: vec![0.0; cfg.sms],
             utilization: vec![0.0; cfg.sms],
+            lane_key: None,
             points: vec![UnitPoint::default(); cfg.sms],
             memo: TickMemo::new(cfg.sms),
             cfg,
@@ -164,7 +169,8 @@ impl GpuChiplet {
     /// tick, the SMs not due to resample their jitter) is a one-tick
     /// [`GpuChiplet::replay_span`] of the [`TickMemo`]'d sums, and
     /// otherwise the tick runs on hoisted lanes: a [`UnitPoint`] per
-    /// distinct consecutive SM voltage, the utilization lane, one loop
+    /// distinct consecutive SM voltage, the utilization lane (recomputed
+    /// only when the phase activity or the jitter generation moved), one loop
     /// summing in SM order and one loop writing the IPC lane, each SM's
     /// outputs being [`SmModel::step`]'s operations on the same operands.
     ///
@@ -210,8 +216,15 @@ impl GpuChiplet {
             }
             *point = op;
         }
-        for (u, &jitter) in self.utilization.iter_mut().zip(self.jitter.values()) {
-            *u = self.sm.utilization(sample.activity, jitter);
+        // The lane is a pure function of the phase activity and the
+        // jitter values, which hold while the generation does: recompute
+        // it only when either moved.
+        let lane_key = Some((sample.activity.to_bits(), self.jitter.generation()));
+        if self.lane_key != lane_key {
+            for (u, &jitter) in self.utilization.iter_mut().zip(self.jitter.values()) {
+                *u = self.sm.utilization(sample.activity, jitter);
+            }
+            self.lane_key = lane_key;
         }
         let mut total_sm_power = Watt::ZERO;
         let mut total_dynamic = Watt::ZERO;
@@ -537,6 +550,87 @@ mod tests {
                 assert_eq!(save(&reference), save(&kernel), "tick {t}");
             }
         }
+    }
+
+    #[test]
+    fn lanes_match_per_unit_step_across_resample_phase_and_restore() {
+        // Voltages held per SM pair for the whole run, and every tick a
+        // full evaluation, so every tick reads the cached lane: across
+        // jitter resamples (every 500 ticks), across a phase change that
+        // keeps the activity but moves the memory intensity, and across a
+        // rewind of the same chiplet from after a resample to a checkpoint
+        // taken before it, at the same phase activity.
+        use hcapp_sim_core::frame::StepFrame;
+        use hcapp_sim_core::state::{Snapshot, StateReader, StateWriter};
+        use hcapp_workloads::{Phase, PhaseTrace};
+        let save = |c: &GpuChiplet| {
+            let mut w = StateWriter::new();
+            c.save_state(&mut w);
+            w.finish()
+        };
+        let trace = std::sync::Arc::new(PhaseTrace::new(
+            "lanes",
+            vec![
+                Phase::new(0.6, 0.2, 8_000.0),
+                Phase::new(0.6, 0.7, 60_000.0),
+                Phase::new(0.9, 0.4, 20_000.0),
+            ],
+        ));
+        let mut reference = GpuChiplet::new(GpuConfig::default(), trace, 42, 100);
+        let mut kernel = reference.clone();
+        let n = reference.units();
+        let volts: Vec<Volt> = (0..n)
+            .map(|i| Volt::new(0.8 + 0.01 * (i / 2) as f64))
+            .collect();
+        let dt = SimDuration::from_nanos(100);
+        let (checkpoint_at, rewind_at) = (400, 700);
+        let mut checkpoint = None;
+        let mut kept_across_mem_change = false;
+        let mut last_sample = None;
+        for t in 0..2_400 {
+            if t == checkpoint_at {
+                checkpoint = Some((save(&reference), kernel.program.sample()));
+            }
+            if t == rewind_at {
+                let (text, then) = checkpoint.take().expect("checkpoint taken");
+                let now = kernel.program.sample();
+                assert_eq!(
+                    now.activity.to_bits(),
+                    then.activity.to_bits(),
+                    "fixture: same activity"
+                );
+                let generation = kernel.jitter.generation();
+                for c in [&mut reference, &mut kernel] {
+                    c.load_state(&mut StateReader::new(&text)).expect("rewind");
+                }
+                assert!(generation > 1, "fixture: a resample before the rewind");
+            }
+            let (sample, key) = (kernel.program.sample(), kernel.lane_key);
+            let p_ref = reference.step(&volts, dt).value();
+            let mut acc = 0.0;
+            kernel.evaluate_into(&mut StepFrame::new(&volts, dt, &mut acc));
+            assert_eq!(p_ref.to_bits(), acc.to_bits(), "tick {t}: power diverged");
+            assert_eq!(
+                reference.ipc_fractions(),
+                kernel.ipc_fractions(),
+                "tick {t}: IPC diverged"
+            );
+            assert_eq!(
+                reference.work_done().to_bits(),
+                kernel.work_done().to_bits(),
+                "tick {t}: cursor diverged"
+            );
+            if let Some(last) = last_sample.replace(sample) {
+                kept_across_mem_change |= last.activity == sample.activity
+                    && last.mem_intensity != sample.mem_intensity
+                    && key == kernel.lane_key;
+            }
+        }
+        assert!(
+            kept_across_mem_change,
+            "fixture: no activity-keeping phase change"
+        );
+        assert_eq!(save(&reference), save(&kernel));
     }
 
     #[test]

@@ -39,8 +39,9 @@ impl PowerBreakdown {
     }
 
     /// Record the same powers for `ticks` consecutive ticks: bit-identical
-    /// to `ticks` calls of [`PowerBreakdown::record`] (the three accounts
-    /// are independent, so each folds its own ticks in order).
+    /// to `ticks` calls of [`PowerBreakdown::record`]. The three accounts
+    /// are independent, so one loop folds all three, each its own ticks in
+    /// order, and their add chains overlap.
     pub fn record_ticks(
         &mut self,
         unit_dynamic: Watt,
@@ -49,9 +50,16 @@ impl PowerBreakdown {
         dt: SimDuration,
         ticks: usize,
     ) {
-        self.unit_dynamic.accumulate_ticks(unit_dynamic, dt, ticks);
-        self.unit_leakage.accumulate_ticks(unit_leakage, dt, ticks);
-        self.uncore.accumulate_ticks(uncore, dt, ticks);
+        EnergyAccount::accumulate_ticks_each(
+            [
+                &mut self.unit_dynamic,
+                &mut self.unit_leakage,
+                &mut self.uncore,
+            ],
+            [unit_dynamic, unit_leakage, uncore],
+            dt,
+            ticks,
+        );
     }
 
     /// Total energy across all blocks in joules.
@@ -117,11 +125,18 @@ mod tests {
 
     #[test]
     fn record_ticks_matches_per_tick_record() {
+        // Fixed tick counts (0 and 1 included), then random powers over
+        // random spans; every account must match bit for bit.
+        let mut rng = hcapp_sim_core::rng::DeterministicRng::new(23);
         let dt = SimDuration::from_nanos(100);
-        let (dynamic, leakage, uncore) = (Watt::new(13.7), Watt::new(2.9), Watt::new(5.1));
         let mut spanned = PowerBreakdown::new();
         let mut ticked = PowerBreakdown::new();
-        for ticks in [0, 1, 7, 40, 3, 1_000] {
+        let fixed = [0, 1, 7, 40, 3, 1_000].into_iter();
+        let random = (0..200).map(|_| rng.below(300) as usize);
+        let spans: Vec<usize> = fixed.chain(random).collect();
+        for (span, &ticks) in spans.iter().enumerate() {
+            let [dynamic, leakage, uncore] =
+                [60.0, 12.0, 20.0].map(|hi| Watt::new(rng.uniform(0.0, hi)));
             spanned.record_ticks(dynamic, leakage, uncore, dt, ticks);
             for _ in 0..ticks {
                 ticked.record(dynamic, leakage, uncore, dt);
@@ -131,8 +146,8 @@ mod tests {
                 (&spanned.unit_leakage, &ticked.unit_leakage),
                 (&spanned.uncore, &ticked.uncore),
             ] {
-                assert_eq!(a.joules().to_bits(), b.joules().to_bits(), "after {ticks}");
-                assert_eq!(a.elapsed(), b.elapsed(), "after {ticks}");
+                assert_eq!(a.joules().to_bits(), b.joules().to_bits(), "span {span}");
+                assert_eq!(a.elapsed(), b.elapsed(), "span {span}");
             }
         }
     }

@@ -31,18 +31,31 @@ impl EnergyAccount {
         self.elapsed_ns += dt.as_nanos();
     }
 
-    /// Record `power` held constant for `ticks` consecutive ticks of `dt`:
-    /// bit-identical to `ticks` calls of [`EnergyAccount::accumulate`],
-    /// adding the same product once per tick, in a local.
+    /// Record each account's power held constant for `ticks` consecutive
+    /// ticks of `dt`: bit-identical to `ticks` rounds of
+    /// [`EnergyAccount::accumulate`] on every account. One loop adds each
+    /// account's product once per tick, in order, in locals, so the
+    /// accounts' add chains overlap.
     #[inline]
-    pub fn accumulate_ticks(&mut self, power: Watt, dt: SimDuration, ticks: usize) {
-        let e = power.value() * dt.as_secs_f64();
-        let mut joules = self.joules;
+    pub(crate) fn accumulate_ticks_each<const N: usize>(
+        accounts: [&mut EnergyAccount; N],
+        powers: [Watt; N],
+        dt: SimDuration,
+        ticks: usize,
+    ) {
+        let secs = dt.as_secs_f64();
+        let e = powers.map(|p| p.value() * secs);
+        let mut joules = accounts.each_ref().map(|a| a.joules);
         for _ in 0..ticks {
-            joules += e;
+            for (j, &e) in joules.iter_mut().zip(&e) {
+                *j += e;
+            }
         }
-        self.joules = joules;
-        self.elapsed_ns += dt.as_nanos() * ticks as u64;
+        let elapsed = dt.as_nanos() * ticks as u64;
+        for (account, j) in accounts.into_iter().zip(joules) {
+            account.joules = j;
+            account.elapsed_ns += elapsed;
+        }
     }
 
     /// Total accumulated energy in joules.

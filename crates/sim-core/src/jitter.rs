@@ -15,6 +15,10 @@
 //! the chiplet's key names, so `hcapp.ckpt` files are unchanged. Restoring
 //! rejects a countdown above the period and units whose countdowns differ,
 //! which the shared clock cannot represent.
+//!
+//! A [`JitterLanes::generation`] counter changes whenever the values may
+//! have (a resample or a restore), so a chiplet can keep a lane derived
+//! from them until it does.
 
 use crate::rng::DeterministicRng;
 use crate::state::{Snapshot, StateReader, StateWriter};
@@ -35,6 +39,8 @@ pub struct JitterLanes {
     rngs: Vec<DeterministicRng>,
     /// Checkpoint tags of a unit's jitter and countdown.
     tags: [&'static str; 2],
+    /// Resamples and restores so far (not checkpointed).
+    generation: u64,
 }
 
 impl JitterLanes {
@@ -59,6 +65,7 @@ impl JitterLanes {
             values: vec![1.0; rngs.len()],
             rngs,
             tags,
+            generation: 0,
         };
         lanes.resample();
         lanes
@@ -73,6 +80,7 @@ impl JitterLanes {
             };
         }
         self.countdown = self.period;
+        self.generation += 1;
     }
 
     /// Start a stepped tick: resample every unit when the clock is due,
@@ -107,6 +115,14 @@ impl JitterLanes {
         &self.values
     }
 
+    /// Counts the resamples and restores so far: while it holds, so do
+    /// [`JitterLanes::values`]. It is not checkpointed, so compare it only
+    /// with earlier readings of the same lanes.
+    #[inline]
+    pub fn generation(&self) -> u64 {
+        self.generation
+    }
+
     /// Number of units.
     pub fn len(&self) -> usize {
         self.values.len()
@@ -129,6 +145,8 @@ impl Snapshot for JitterLanes {
     }
 
     fn load_state(&mut self, r: &mut StateReader<'_>) -> Option<()> {
+        // Even a failed partial load may have changed the values.
+        self.generation += 1;
         let [jitter, countdown] = self.tags;
         let mut clock = None;
         for (value, rng) in self.values.iter_mut().zip(&mut self.rngs) {
@@ -197,6 +215,24 @@ mod tests {
             fresh.tick();
             assert_eq!(l.values(), fresh.values());
         }
+    }
+
+    #[test]
+    fn generation_moves_on_every_resample_and_restore() {
+        let mut l = lanes(0.1, 4);
+        let g = l.generation();
+        for _ in 0..4 {
+            l.tick();
+        }
+        l.replay_ticks(0);
+        assert_eq!(l.generation(), g, "no resample within the period");
+        l.tick();
+        assert_eq!(l.generation(), g + 1, "fifth tick resamples");
+        let text = save(&l);
+        l.load_state(&mut StateReader::new(&text)).unwrap();
+        assert_eq!(l.generation(), g + 2, "a restore counts");
+        assert!(l.load_state(&mut StateReader::new("")).is_none());
+        assert_eq!(l.generation(), g + 3, "so does a failed one");
     }
 
     #[test]

@@ -23,6 +23,13 @@
 //! `capacity` slots, the unfilled tail written as zeros) are exactly those
 //! of a ring zeroed to full capacity at construction (DESIGN §6j,
 //! run-sized buffers).
+//!
+//! A growing ring folds its samples into the running sum lazily: a slice
+//! push while it grows only appends, and the pending tail is added to the
+//! sum, in order and from the same start value, when the ring fills, before
+//! the next single push, and wherever the sum is read. A window longer than
+//! the run (a 10 ms limit over a 0.5 ms job) then costs one copy per sample
+//! instead of one dependent add (DESIGN §6j, obligation 17).
 
 /// Running average over the last `capacity` samples (a fixed time window when
 /// samples arrive on a fixed tick).
@@ -35,7 +42,14 @@ pub struct SlidingWindowAvg {
     capacity: usize,
     head: usize,
     filled: usize,
+    /// Running sum of the window's samples, less the pending tail
+    /// `buf[folded..]`.
     sum: f64,
+    /// How much of `buf` is already in `sum`: the slots after it were
+    /// appended by a growing [`WindowedMaxTracker::push_slice`] and are
+    /// still to be added, in slot order. Not checkpointed; a restore
+    /// installs a folded ring.
+    folded: usize,
     /// Pushes since the last exact-sum recomputation.
     since_resync: usize,
 }
@@ -66,6 +80,7 @@ impl SlidingWindowAvg {
             head: 0,
             filled: 0,
             sum: 0.0,
+            folded: 0,
             since_resync: 0,
         }
     }
@@ -97,6 +112,7 @@ impl SlidingWindowAvg {
     /// Push a sample, evicting the oldest if full.
     #[inline]
     pub fn push(&mut self, sample: f64) {
+        self.fold();
         let cap = self.capacity;
         if let Some(slot) = self.buf.get_mut(self.head) {
             if self.filled == cap {
@@ -109,6 +125,7 @@ impl SlidingWindowAvg {
             // The ring is still growing: `head == buf.len() < capacity`, so
             // the window is not full and the new slot is the next one.
             self.buf.push(sample);
+            self.folded += 1;
             self.filled += 1;
         }
         self.sum += sample;
@@ -124,6 +141,22 @@ impl SlidingWindowAvg {
             self.sum = self.buf.iter().take(self.filled).sum();
             self.since_resync = 0;
         }
+    }
+
+    /// Add the pending tail `buf[folded..]` to the running sum, in slot
+    /// order: the adds the per-sample pushes that appended it would have
+    /// made.
+    #[inline]
+    fn fold(&mut self) {
+        self.sum = self.folded_sum();
+        self.folded = self.buf.len();
+    }
+
+    /// The running sum with the pending tail folded in, without storing it.
+    #[inline]
+    fn folded_sum(&self) -> f64 {
+        let pending = self.buf.get(self.folded..).unwrap_or_default();
+        pending.iter().fold(self.sum, |sum, &s| sum + s)
     }
 
     /// Pushes between exact-sum recomputations.
@@ -149,7 +182,7 @@ impl SlidingWindowAvg {
         if self.filled == 0 {
             0.0
         } else {
-            self.sum / self.filled as f64
+            self.folded_sum() / self.filled as f64
         }
     }
 
@@ -160,7 +193,7 @@ impl SlidingWindowAvg {
     #[inline]
     pub fn full_average(&self) -> Option<f64> {
         if self.is_full() {
-            Some(self.sum / self.capacity as f64)
+            Some(self.folded_sum() / self.capacity as f64)
         } else {
             None
         }
@@ -173,6 +206,7 @@ impl SlidingWindowAvg {
         self.head = 0;
         self.filled = 0;
         self.sum = 0.0;
+        self.folded = 0;
         self.since_resync = 0;
     }
 }
@@ -234,13 +268,13 @@ impl WindowedMaxTracker {
     /// for bit, that [`WindowedMaxTracker::push`] on each sample in turn
     /// leaves (DESIGN §6j, obligation 11), at a few adds per sample:
     ///
-    /// * while the ring grows, the samples are appended and folded into the
-    ///   running sum in one pass (a growing window is never full, so only
-    ///   its last push can move the max);
+    /// * while the ring grows, the samples are only appended; they are
+    ///   folded into the running sum when the ring fills (a growing window
+    ///   is never full, so only its last push can move the max);
     /// * once the ring is full, a tight loop walks the ring from `head`
-    ///   with the sum and the max in locals, one contiguous stretch at a
-    ///   time, up to the wrap or to the push before the next exact-sum
-    ///   recomputation;
+    ///   with the sum and the largest sum in locals, one contiguous stretch
+    ///   at a time, up to the wrap or to the push before the next exact-sum
+    ///   recomputation, and divides once per stretch;
     /// * the push that recomputes the sum, and every push into a restored
     ///   ring that is still filling in place, go through `push` itself.
     pub fn push_slice(&mut self, samples: &[f64]) {
@@ -266,17 +300,18 @@ impl WindowedMaxTracker {
     }
 
     /// Append up to `free` samples to a growing ring (`head == filled ==
-    /// buf.len() < capacity`), stopping when it fills; returns how many.
+    /// buf.len() < capacity`), stopping when it fills, and fold the ring's
+    /// pending tail into the sum once it has filled; returns how many.
     fn grow(&mut self, samples: &[f64], free: usize) -> usize {
         let w = &mut self.window;
         let k = (w.capacity - w.buf.len()).min(free).min(samples.len());
         let chunk = samples.get(..k).unwrap_or_default();
         w.buf.extend_from_slice(chunk);
-        w.sum = chunk.iter().fold(w.sum, |sum, &s| sum + s);
         w.filled += k;
         w.head += k;
         if w.head == w.capacity {
             w.head = 0;
+            w.fold();
         }
         w.since_resync += k;
         if let Some(avg) = w.full_average() {
@@ -289,7 +324,10 @@ impl WindowedMaxTracker {
     }
 
     /// Push up to `free` samples into a full ring, from `head` to at most
-    /// the wrap, with the sum and the max in locals; returns how many.
+    /// the wrap, with the sum and the largest sum in locals; returns how
+    /// many. The largest average is the largest sum divided once:
+    /// division by the positive capacity is monotone, so it is the value
+    /// the per-sample maximum of `sum / capacity` reaches.
     fn push_wrapped(&mut self, samples: &[f64], free: usize) -> usize {
         let w = &mut self.window;
         let cap = w.capacity;
@@ -298,15 +336,13 @@ impl WindowedMaxTracker {
         else {
             return 0;
         };
-        let cap_f = cap as f64;
-        let (mut sum, mut max) = (w.sum, self.max);
+        let (mut sum, mut best) = (w.sum, f64::NEG_INFINITY);
         for (slot, &s) in ring.iter_mut().zip(chunk) {
             sum -= *slot;
             *slot = s;
             sum += s;
-            let avg = sum / cap_f;
-            if avg > max {
-                max = avg;
+            if sum > best {
+                best = sum;
             }
         }
         w.sum = sum;
@@ -315,7 +351,10 @@ impl WindowedMaxTracker {
             w.head = 0;
         }
         w.since_resync += k;
-        self.max = max;
+        let avg = best / cap as f64;
+        if avg > self.max {
+            self.max = avg;
+        }
         self.seen_full |= k > 0;
         k
     }
@@ -359,7 +398,7 @@ impl crate::state::Snapshot for SlidingWindowAvg {
         }
         w.usize("win.head", self.head);
         w.usize("win.filled", self.filled);
-        w.f64("win.sum", self.sum);
+        w.f64("win.sum", self.folded_sum());
         w.usize("win.resync", self.since_resync);
     }
 
@@ -369,6 +408,7 @@ impl crate::state::Snapshot for SlidingWindowAvg {
             return None;
         }
         self.buf = buf;
+        self.folded = self.buf.len();
         self.head = r.usize("win.head")?;
         self.filled = r.usize("win.filled")?;
         if self.head >= self.capacity || self.filled > self.capacity {
@@ -762,6 +802,60 @@ mod tests {
                     t = restored;
                 }
             }
+        }
+    }
+
+    #[test]
+    fn lazy_fold_matches_per_sample_push() {
+        use crate::state::{Snapshot, StateReader};
+        // A 1 000-sample stream into a window longer than the stream, one
+        // exactly as long (it fills on the last sample) and a short one,
+        // in slices of random length. The checkpoint text after every
+        // slice, which reads the folded sum, must be the per-sample
+        // tracker's; the second pass restores the sliced tracker mid-growth
+        // and goes on from the restored ring.
+        const LEN: usize = 1_000;
+        for (cap, restore_at) in [
+            (4_000, None),
+            (LEN, None),
+            (64, None),
+            (4_000, Some(333)),
+            (LEN, Some(500)),
+        ] {
+            let mut sliced = WindowedMaxTracker::with_run_len(cap, LEN);
+            let mut single = WindowedMaxTracker::new(cap);
+            let mut rng = crate::rng::DeterministicRng::new(cap as u64 + 5);
+            let mut pushed = 0;
+            let mut chunk = Vec::new();
+            while pushed < LEN {
+                let stop = restore_at.filter(|&r| r > pushed).unwrap_or(LEN);
+                let len = (rng.below(97) as usize).min(stop - pushed);
+                chunk.clear();
+                chunk.extend((0..len).map(|_| rng.uniform(0.0, 150.0)));
+                sliced.push_slice(&chunk);
+                for &x in &chunk {
+                    single.push(x);
+                }
+                pushed += len;
+                let text = save_tracker(&single);
+                assert_eq!(save_tracker(&sliced), text, "cap {cap}, after {pushed}");
+                assert_eq!(
+                    sliced.max().map(f64::to_bits),
+                    single.max().map(f64::to_bits)
+                );
+                assert_eq!(
+                    sliced.window.average().to_bits(),
+                    single.window.average().to_bits()
+                );
+                if Some(pushed) == restore_at {
+                    let mut restored = WindowedMaxTracker::new(cap);
+                    restored
+                        .load_state(&mut StateReader::new(&text))
+                        .expect("restore");
+                    sliced = restored;
+                }
+            }
+            assert_eq!(sliced.max().is_some(), cap <= LEN, "cap {cap}");
         }
     }
 

@@ -14,7 +14,19 @@
 # directory. Odd pairs run the parent first, even pairs the change first,
 # so a drift in host speed hits both sides. For every end-to-end metric of
 # BENCHMARK.json the script prints each side's median and quartiles, the
-# change/parent ratio of the medians, and how many pairs the change won.
+# change/parent ratio of the medians, how many pairs the change won, and a
+# verdict:
+#   gain     the change won at least 9 in 10 of the pairs and its median is
+#            better than the parent's by more than the parent's
+#            interquartile range;
+#   regress  the change's median is worse than the parent's by more than
+#            the metric's "bound" in BENCHMARK.json (a fraction of the
+#            parent's median);
+#   unresolved  neither, but the parent's interquartile range is wider
+#            than the bound, so the runs cannot tell a level metric from
+#            a regression (unless every change run beats every parent
+#            run);
+#   —        neither, and the metric held within its bound.
 # A run whose result line does not say "correct": true fails the script.
 #
 # PERFBENCH_AB_DIR=<dir> keeps the checkout and both builds there between
@@ -90,9 +102,9 @@ while [ "$i" -le "$pairs" ]; do
     i=$((i + 1))
 done
 
-# The end-to-end metrics and their directions, from BENCHMARK.json.
+# The end-to-end metrics, their directions and bounds, from BENCHMARK.json.
 directions=$(sed -n '/"end_to_end"/,/]/p' "$root/BENCHMARK.json" \
-    | sed -n 's/.*"name": "\([a-z_]*\)".*"better": "\([a-z]*\)".*/\1 \2/p')
+    | sed -n 's/.*"name": "\([a-z_]*\)".*"better": "\([a-z]*\)".*"bound": \([0-9.eE+-]*\).*/\1 \2 \3/p')
 
 echo "$directions" | awk -v pairs="$pairs" -v workload="$workload" -v seconds="$seconds" -v seed="$seed" '
     function quantile(arr, n, q,    pos, lo, hi) {
@@ -106,11 +118,11 @@ echo "$directions" | awk -v pairs="$pairs" -v workload="$workload" -v seconds="$
             arr[j + 1] = t
         }
     }
-    FILENAME == "-" { better[$1] = $2; order[++m] = $1; next }
+    FILENAME == "-" { better[$1] = $2; bound[$1] = $3 + 0; order[++m] = $1; next }
     { v[$1, $2, $3] = $4 + 0 }
     END {
         printf "%s: %d pairs of %d s, seed %d\n", workload, pairs, seconds, seed
-        printf "%-14s %-6s %27s %27s %7s %6s\n", "metric", "better", "parent median [q1, q3]", "change median [q1, q3]", "ratio", "wins"
+        printf "%-14s %-6s %27s %27s %7s %6s  %s\n", "metric", "better", "parent median [q1, q3]", "change median [q1, q3]", "ratio", "wins", "verdict"
         for (k = 1; k <= m; k++) {
             name = order[k]; na = 0; nb = 0; wins = 0; both = 0
             for (p = 1; p <= pairs; p++) {
@@ -126,7 +138,19 @@ echo "$directions" | awk -v pairs="$pairs" -v workload="$workload" -v seconds="$
             if (na == 0 || nb == 0) continue
             sort(a, na); sort(b, nb)
             ma = quantile(a, na, 0.5); mb = quantile(b, nb, 0.5)
-            printf "%-14s %-6s %10.4g [%6.4g, %6.4g] %10.4g [%6.4g, %6.4g] %7.3f %3d/%-2d\n", name, better[name], ma, quantile(a, na, 0.25), quantile(a, na, 0.75), mb, quantile(b, nb, 0.25), quantile(b, nb, 0.75), (ma != 0 ? mb / ma : 0), wins, both
+            qa1 = quantile(a, na, 0.25); qa3 = quantile(a, na, 0.75)
+            # The change minus the parent, signed so that positive is better.
+            gap = (better[name] == "higher") ? mb - ma : ma - mb
+            verdict = "—"
+            if (both > 0 && wins * 10 >= 9 * both && gap > qa3 - qa1) verdict = "gain"
+            else if (-gap > bound[name] * (ma < 0 ? -ma : ma)) verdict = "regress"
+            else if (qa3 - qa1 > bound[name] * (ma < 0 ? -ma : ma)) {
+                # The parent alone spreads wider than the bound, so a level
+                # median says nothing unless the two sides do not overlap.
+                apart = (better[name] == "higher") ? b[0] > a[na - 1] : b[nb - 1] < a[0]
+                if (!apart) verdict = "unresolved"
+            }
+            printf "%-14s %-6s %10.4g [%6.4g, %6.4g] %10.4g [%6.4g, %6.4g] %7.3f %3d/%-2d  %s\n", name, better[name], ma, qa1, qa3, mb, quantile(b, nb, 0.25), quantile(b, nb, 0.75), (ma != 0 ? mb / ma : 0), wins, both, verdict
         }
     }
 ' - "$results"
