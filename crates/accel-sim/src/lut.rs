@@ -24,35 +24,38 @@ impl LookupTable {
         assert!(points.len() >= 2, "need at least two LUT points");
         let xs: Vec<f64> = points.iter().map(|p| p.0).collect();
         let ys: Vec<f64> = points.iter().map(|p| p.1).collect();
-        for w in xs.windows(2) {
-            assert!(w[0] < w[1], "LUT x values must be strictly increasing");
-        }
+        let increasing = xs.iter().zip(xs.iter().skip(1)).all(|(a, b)| a < b);
+        assert!(increasing, "LUT x values must be strictly increasing");
         LookupTable { xs, ys }
     }
 
     /// Evaluate at `x` with linear interpolation, clamping outside the
     /// sampled domain.
     pub fn eval(&self, x: f64) -> f64 {
-        let n = self.xs.len();
-        if x <= self.xs[0] {
-            return self.ys[0];
+        let (xs, ys) = (&self.xs, &self.ys);
+        let (Some(&x_first), Some(&x_last), Some(&y_first), Some(&y_last)) =
+            (xs.first(), xs.last(), ys.first(), ys.last())
+        else {
+            return f64::NAN;
+        };
+        if x <= x_first {
+            return y_first;
         }
-        if x >= self.xs[n - 1] {
-            return self.ys[n - 1];
+        if x >= x_last {
+            return y_last;
         }
-        // Binary search for the bracketing segment.
-        let mut lo = 0;
-        let mut hi = n - 1;
-        while hi - lo > 1 {
-            let mid = (lo + hi) / 2;
-            if self.xs[mid] <= x {
-                lo = mid;
-            } else {
-                hi = mid;
-            }
-        }
-        let t = (x - self.xs[lo]) / (self.xs[hi] - self.xs[lo]);
-        self.ys[lo] + t * (self.ys[hi] - self.ys[lo])
+        // The bracketing segment: `hi` is the first point above `x`, inside
+        // the ends since `x` is. A NaN `x` compares below no point and
+        // takes the first segment, so it interpolates to NaN.
+        let hi = xs.partition_point(|&xi| xi <= x).max(1);
+        let lo = hi - 1;
+        let (Some(&x_lo), Some(&x_hi), Some(&y_lo), Some(&y_hi)) =
+            (xs.get(lo), xs.get(hi), ys.get(lo), ys.get(hi))
+        else {
+            return f64::NAN;
+        };
+        let t = (x - x_lo) / (x_hi - x_lo);
+        y_lo + t * (y_hi - y_lo)
     }
 
     /// Domain of the sampled points.
@@ -104,6 +107,8 @@ mod tests {
         let l = lut();
         assert_close!(l.eval(-1.0), 0.0, 1e-12);
         assert_close!(l.eval(5.0), 40.0, 1e-12);
+        // NaN is inside no clamp and interpolates to NaN.
+        assert!(l.eval(f64::NAN).is_nan());
     }
 
     #[test]

@@ -1,9 +1,11 @@
 //! `hcapp bench` — the quantum-stepper kernel's scaling throughput bench.
 //!
 //! Measures control quanta per second for a sweep of package sizes, HCAPP
-//! scheme (1 µs quanta) at the default 100 ns tick, and writes a flat JSON
-//! report gateable by `hcapp analyze --assert`. Each point runs `--trials`
-//! times and records the spread: `qps_serial_N` is the median trial, with
+//! scheme (1 µs quanta) at the default 100 ns tick, plus one fixed
+//! long-quantum row, `qps_rapl_3` (the RAPL-like scheme's 100 µs quanta on
+//! the 3-domain package), and writes a flat JSON report gateable by
+//! `hcapp analyze --assert`. Each row runs `--trials` times and records
+//! the spread: `qps_serial_N` is the median trial, with
 //! `qps_serial_N_min` and `qps_serial_N_max` beside it. The gate reads the
 //! median, so one slow trial on a noisy host does not trip it and one
 //! lucky trial does not hide a regression. The report records the host's
@@ -69,13 +71,28 @@ fn scaled(n: usize, tick: SimDuration) -> Result<SystemConfig, ArgError> {
     Ok(sys)
 }
 
-/// Quanta per second at one sweep point: slowest, median and fastest
-/// trial.
+/// Quanta per second of one report row (`qps_<key>`): slowest, median
+/// and fastest trial.
 struct Point {
-    n: usize,
+    key: String,
     min: f64,
     median: f64,
     max: f64,
+}
+
+/// Time `trials` runs of `run` on `sys` as the report row `qps_<key>`.
+fn measure(key: String, sys: &SystemConfig, run: &RunConfig, trials: u64) -> Point {
+    let quanta = total_quanta(sys, run) as f64;
+    let secs = trial_secs(trials, || {
+        Simulation::new(sys.clone(), run.clone()).run();
+    });
+    let qps = |s: f64| quanta / s.max(1e-9);
+    Point {
+        key,
+        min: qps(secs.last().copied().unwrap_or(f64::NAN)),
+        median: qps(median(&secs)),
+        max: qps(secs.first().copied().unwrap_or(f64::NAN)),
+    }
 }
 
 /// Execute `hcapp bench`.
@@ -119,26 +136,24 @@ pub fn execute(args: &Args) -> Result<String, ArgError> {
         Simulation::new(sys, run).run();
     }
 
+    let hcapp = RunConfig::new(duration, ControlScheme::Hcapp, target);
     for &n in &points {
-        let sys = scaled(n, tick)?;
-        let run = RunConfig::new(duration, ControlScheme::Hcapp, target);
-        let quanta = total_quanta(&sys, &run) as f64;
-        let secs = trial_secs(trials, || {
-            Simulation::new(sys.clone(), run.clone()).run();
-        });
-        let qps = |s: f64| quanta / s.max(1e-9);
-        let row = Point {
-            n,
-            min: qps(secs.last().copied().unwrap_or(f64::NAN)),
-            median: qps(median(&secs)),
-            max: qps(secs.first().copied().unwrap_or(f64::NAN)),
-        };
+        let row = measure(format!("serial_{n}"), &scaled(n, tick)?, &hcapp, trials);
         log.push_str(&format!(
-            "  n={:<4} {:>10.0} q/s  ({:.0}..{:.0})\n",
-            row.n, row.median, row.min, row.max
+            "  n={n:<4} {:>10.0} q/s  ({:.0}..{:.0})\n",
+            row.median, row.min, row.max
         ));
         rows.push(row);
     }
+    // One long-quantum row, whatever the points: its quanta are 1 000
+    // ticks, which the per-quantum cost of the HCAPP rows does not show.
+    let rapl = RunConfig::new(duration, ControlScheme::RaplLike, target);
+    let row = measure("rapl_3".into(), &scaled(3, tick)?, &rapl, trials);
+    log.push_str(&format!(
+        "  rapl n=3{:>9.0} q/s  ({:.0}..{:.0})\n",
+        row.median, row.min, row.max
+    ));
+    rows.push(row);
 
     let mut json = format!(
         "{{\n  \"schema\": \"hcapp.bench-kernel\",\n  \"version\": 2,\n  \
@@ -146,9 +161,9 @@ pub fn execute(args: &Args) -> Result<String, ArgError> {
     );
     for row in &rows {
         json.push_str(&format!(
-            ",\n  \"qps_serial_{0}\": {1:.1},\n  \"qps_serial_{0}_min\": {2:.1},\n  \
-             \"qps_serial_{0}_max\": {3:.1}",
-            row.n, row.median, row.min, row.max
+            ",\n  \"qps_{0}\": {1:.1},\n  \"qps_{0}_min\": {2:.1},\n  \
+             \"qps_{0}_max\": {3:.1}",
+            row.key, row.median, row.min, row.max
         ));
     }
     json.push_str("\n}\n");
@@ -200,6 +215,9 @@ mod tests {
             "\"qps_serial_3\": ",
             "\"qps_serial_3_min\": ",
             "\"qps_serial_3_max\": ",
+            "\"qps_rapl_3\": ",
+            "\"qps_rapl_3_min\": ",
+            "\"qps_rapl_3_max\": ",
         ] {
             assert!(body.contains(key), "missing {key} in {body}");
         }

@@ -76,8 +76,9 @@ COMMANDS:
             --keep                retain hcapp.ckpt / hcapp.trace artifacts
             --worker [--stop-at Q]  single resumable link (scripts/soak.sh
                                   SIGKILLs these to soak real process death)
-    bench   quantum-stepper scaling bench: HCAPP quanta/sec per package size,
-            median and min..max over trials (schema hcapp.bench-kernel)
+    bench   quantum-stepper scaling bench: HCAPP quanta/sec per package size
+            and RAPL-like quanta/sec on the 3-domain package, median and
+            min..max over trials (schema hcapp.bench-kernel)
             --points LIST (3,16,64,256)   domain counts to sweep
             --ms N (10)      simulated milliseconds per run
             --trials N (3)   trials per point

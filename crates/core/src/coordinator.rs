@@ -16,6 +16,7 @@ use std::sync::Arc;
 
 use hcapp_faults::{CtlFault, FaultInjector, FaultPlan};
 use hcapp_pdn::{LinkFault, PowerSensor, SensorFault, VoltageRegulator};
+use hcapp_sim_core::accum::{repeat_add, CLOSED_FORM_MIN_TICKS};
 use hcapp_sim_core::series::TimeSeries;
 use hcapp_sim_core::time::{SimDuration, SimTime};
 use hcapp_sim_core::units::{Volt, Watt};
@@ -725,7 +726,7 @@ impl LoopDriver {
         // flat-run table once for every domain.
         {
             let _span = self.profiler.as_deref().map(|p| p.span("vr-schedule"));
-            self.vr.schedule_into(t0, self.tick, v_sched);
+            let held_from = self.vr.schedule_into(t0, self.tick, v_sched);
             for &v in v_sched.iter() {
                 crate::invariants::check_voltage_in_range(
                     "run_loop voltage schedule",
@@ -734,7 +735,7 @@ impl LoopDriver {
                     self.v_ceil,
                 );
             }
-            crate::kernel::flat_runs_into(v_sched, flat_runs);
+            crate::kernel::flat_runs_into(v_sched, held_from, flat_runs);
         }
         if self.tracing {
             if let (Some(&start), Some(&end)) = (v_sched.first(), v_sched.last()) {
@@ -894,9 +895,27 @@ impl LoopDriver {
             tr.push_slice(power_acc);
         }
         let (mut energy, mut voltage_sum) = (self.energy, self.voltage_sum);
-        for (&p, &v) in power_acc.iter().zip(v_sched.iter()) {
-            energy += p * self.tick_s;
-            voltage_sum += v;
+        if n >= CLOSED_FORM_MIN_TICKS {
+            // A long quantum adds once per run of equal power and once
+            // per flat voltage run, each run in closed form.
+            let mut rest: &[f64] = power_acc;
+            while let Some((&p, tail)) = rest.split_first() {
+                let repeats = tail.iter().take_while(|q| q.to_bits() == p.to_bits());
+                let run = 1 + repeats.count();
+                energy = repeat_add(energy, p * self.tick_s, run);
+                rest = rest.get(run..).unwrap_or_default();
+            }
+            let mut k = 0;
+            while let (Some(&v), Some(&run)) = (v_sched.get(k), flat_runs.get(k)) {
+                let run = (run as usize).max(1);
+                voltage_sum = repeat_add(voltage_sum, v, run);
+                k += run;
+            }
+        } else {
+            for (&p, &v) in power_acc.iter().zip(v_sched.iter()) {
+                energy += p * self.tick_s;
+                voltage_sum += v;
+            }
         }
         (self.energy, self.voltage_sum) = (energy, voltage_sum);
         if self.trace.is_some() || self.voltage_trace.is_some() {

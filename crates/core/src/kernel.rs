@@ -95,13 +95,29 @@ pub(crate) struct BatchArena {
 /// `v_sched`: `runs[k]` counts the ticks from `k` on whose voltage repeats
 /// `v_sched[k]` bit-for-bit, `k` itself included. One backward pass per
 /// quantum; every domain then reads its stretches off the table, shifted
-/// by its branch delay and link lag, instead of rescanning the schedule. A run longer than `u32::MAX` saturates, which only shortens the
-/// span it reports. Slots past the shorter of the two slices are left
-/// alone.
-pub fn flat_runs_into(v_sched: &[f64], runs: &mut [u32]) {
-    let mut next: Option<u64> = None;
-    let mut len = 0u32;
-    for (run, v) in runs.iter_mut().zip(v_sched).rev() {
+/// by its branch delay and link lag, instead of rescanning the schedule. A
+/// run longer than `u32::MAX` saturates, which only shortens the span it
+/// reports. Slots past the shorter of the two slices are left alone.
+///
+/// `held_from` is where the schedule's held tail starts, as
+/// `VoltageRegulator::schedule_into` returns it: every slot from it on
+/// holds one value bit for bit (pass the length for no tail). The tail is
+/// written as a countdown and only the slewing head before it is scanned,
+/// continuing the tail's run (DESIGN §6j, obligation 24).
+pub fn flat_runs_into(v_sched: &[f64], held_from: usize, runs: &mut [u32]) {
+    let n = runs.len().min(v_sched.len());
+    let split = held_from.min(n);
+    let (head, tail) = runs.split_at_mut(split);
+    let tail_len = n - split;
+    for (k, run) in tail.iter_mut().take(tail_len).enumerate() {
+        *run = u32::try_from(tail_len - k).unwrap_or(u32::MAX);
+    }
+    let mut next = v_sched
+        .get(split)
+        .filter(|_| tail_len > 0)
+        .map(|v| v.to_bits());
+    let mut len = u32::try_from(tail_len).unwrap_or(u32::MAX);
+    for (run, v) in head.iter_mut().zip(v_sched).rev() {
         let bits = v.to_bits();
         len = if next == Some(bits) {
             len.saturating_add(1)
@@ -132,24 +148,69 @@ impl BatchArena {
 mod tests {
     use super::{flat_runs_into, BatchArena};
 
+    /// `runs` against a take-while count over `sched`, slot by slot.
+    fn assert_counts(sched: &[f64], runs: &[u32], ctx: &str) {
+        for i in 1..=sched.len() {
+            let bits = sched[i - 1].to_bits();
+            let scanned = sched[i..].iter().take_while(|x| x.to_bits() == bits).count();
+            assert_eq!(runs[i - 1] as usize - 1, scanned, "tick {i}, {ctx}");
+        }
+    }
+
     #[test]
     fn flat_run_table_matches_the_take_while_count() {
+        use hcapp_pdn::regulator::VoltageRegulator;
+        use hcapp_sim_core::time::{SimDuration, SimTime};
+        use hcapp_sim_core::units::Volt;
         // Held stretches, single ticks, ±0 (distinct bit patterns), NaN
-        // and a stretch to the end of the quantum, for every prefix length.
+        // and a stretch to the end of the quantum, for every prefix length
+        // and every valid start of the held tail: the length (no tail) and
+        // every slot of the prefix's last run.
         let v = [
             0.9, 0.9, 0.9, 1.0, 0.9, -0.0, 0.0, 0.0, f64::NAN, f64::NAN, 1.1, 1.1, 1.1, 1.1,
         ];
         for n in 0..=v.len() {
             let sched = &v[..n];
-            let mut runs = vec![0u32; n];
-            flat_runs_into(sched, &mut runs);
-            for i in 1..n {
-                let bits = sched[i - 1].to_bits();
-                let scanned = sched[i..].iter().take_while(|x| x.to_bits() == bits).count();
-                assert_eq!(runs[i - 1] as usize - 1, scanned, "tick {i} of {n}");
+            let last_run = sched
+                .iter()
+                .rev()
+                .take_while(|x| Some(x.to_bits()) == sched.last().map(|l| l.to_bits()))
+                .count();
+            for held_from in (n - last_run..=n).chain([n + 5]) {
+                let mut runs = vec![0u32; n];
+                flat_runs_into(sched, held_from, &mut runs);
+                assert_counts(sched, &runs, &format!("{n} ticks, tail at {held_from}"));
+                assert!(runs.iter().all(|&r| r >= 1));
             }
-            assert!(runs.iter().all(|&r| r >= 1));
         }
+        // Quanta of 10 to 3 000 ticks scheduled by a slewing regulator, fed
+        // with the held tail it returns: retargets mid-slew, retargets to
+        // the present output, and quanta that hold from the start.
+        let mut vr = VoltageRegulator::raven(Volt::new(0.6), Volt::new(1.2), Volt::new(0.9));
+        let tick = SimDuration::from_nanos(100);
+        let mut t = SimTime::ZERO;
+        let mut held_quanta = 0;
+        for q in 0..60u64 {
+            let n = [10, 40, 1_000, 3_000][(q % 4) as usize];
+            if q % 3 != 2 {
+                let target = [0.6, 0.75, 1.2, 0.9, 0.9][(q % 5) as usize];
+                vr.set_target(t, Volt::new(target));
+            }
+            let mut sched = vec![0.0f64; n];
+            let tail = vr.schedule_into(t, tick, &mut sched);
+            held_quanta += usize::from(tail < n);
+            let mut runs = vec![0u32; n];
+            flat_runs_into(&sched, tail, &mut runs);
+            assert_counts(&sched, &runs, &format!("quantum {q}, tail at {tail}"));
+            let mut scanned = vec![0u32; n];
+            flat_runs_into(&sched, n, &mut scanned);
+            assert_eq!(runs, scanned, "quantum {q}");
+            t += tick * n as u64;
+        }
+        assert!(
+            held_quanta >= 30,
+            "only {held_quanta} quanta had a held tail"
+        );
     }
 
     #[test]

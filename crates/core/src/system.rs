@@ -819,7 +819,7 @@ mod tests {
 
     fn flat_runs(v: &[f64]) -> Vec<u32> {
         let mut runs = vec![0; v.len()];
-        crate::kernel::flat_runs_into(v, &mut runs);
+        crate::kernel::flat_runs_into(v, v.len(), &mut runs);
         runs
     }
 
@@ -992,7 +992,7 @@ mod stretch_walk_tests {
 
     fn flat_runs(v: &[f64]) -> Vec<u32> {
         let mut runs = vec![0; v.len()];
-        crate::kernel::flat_runs_into(v, &mut runs);
+        crate::kernel::flat_runs_into(v, v.len(), &mut runs);
         runs
     }
 

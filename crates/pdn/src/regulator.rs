@@ -129,18 +129,25 @@ impl VoltageRegulator {
     /// slot, and bit-identical to that loop: it steps tick by tick until
     /// the regulator [holds](VoltageRegulator::holds_through) through the
     /// quantum's last tick, then fills the rest with the held output, which
-    /// is exactly what the remaining steps would have written.
-    pub fn schedule_into(&mut self, t0: SimTime, tick: SimDuration, out: &mut [f64]) {
+    /// is exactly what the remaining steps would have written. Returns
+    /// where that held tail starts: every slot from it on holds one value
+    /// bit for bit (`out.len()` when the regulator never holds).
+    pub fn schedule_into(&mut self, t0: SimTime, tick: SimDuration, out: &mut [f64]) -> usize {
         let last = t0 + tick * out.len().saturating_sub(1) as u64;
         let mut now = t0;
         let mut slots = out.iter_mut();
+        let mut stepped = 0;
         while !self.holds_through(last) {
-            let Some(v) = slots.next() else { return };
+            let Some(v) = slots.next() else {
+                return stepped;
+            };
             self.step(now, tick);
             *v = self.output.value();
             now += tick;
+            stepped += 1;
         }
         slots.into_slice().fill(self.output.value());
+        stepped
     }
 
     /// True when [`VoltageRegulator::step`] at any tick up to `last` leaves
@@ -345,7 +352,8 @@ mod tests {
             };
             apply(&mut stepped);
             apply(&mut scheduled);
-            if scheduled.holds_through(last) {
+            let holds = scheduled.holds_through(last);
+            if holds {
                 filled += 1;
             }
             let mut expect = vec![0.0f64; n];
@@ -354,10 +362,21 @@ mod tests {
                 *v = stepped.output().value();
             }
             let mut got = vec![0.0f64; n];
-            scheduled.schedule_into(t, tick, &mut got);
+            let tail = scheduled.schedule_into(t, tick, &mut got);
             for (i, (a, b)) in expect.iter().zip(&got).enumerate() {
                 assert_eq!(a.to_bits(), b.to_bits(), "quantum {q} slot {i}");
             }
+            // The held tail: all of a quantum that holds from its start,
+            // one value bit for bit wherever it starts.
+            assert!(tail <= n, "quantum {q}: tail at {tail} of {n}");
+            if holds {
+                assert_eq!(tail, 0, "quantum {q}");
+            }
+            let held = got.get(tail).map(|v| v.to_bits());
+            assert!(
+                got[tail..].iter().all(|v| Some(v.to_bits()) == held),
+                "quantum {q}"
+            );
             let (mut ws, mut wd) = (StateWriter::new(), StateWriter::new());
             stepped.save_state(&mut ws);
             scheduled.save_state(&mut wd);

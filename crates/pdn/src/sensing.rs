@@ -13,6 +13,7 @@
 //! memo is a cache of a pure function of that sample and the fixed
 //! resolution, so it is never checkpointed and `load_state` forgets it.
 
+use hcapp_sim_core::accum::CLOSED_FORM_MIN_TICKS;
 use hcapp_sim_core::units::Watt;
 use std::collections::VecDeque;
 
@@ -148,7 +149,9 @@ impl PowerSensor {
     /// held output; every later tick outputs the next element of `c`. So
     /// the outputs are a few held values, then the line's front, then a
     /// prefix of `samples` itself, and the line ends holding the rest —
-    /// no per-tick queue traffic and no allocation.
+    /// no per-tick queue traffic and no allocation. A long prefix is
+    /// emitted once per run of bit-equal samples (DESIGN §6j, obligation
+    /// 23).
     pub fn sample_slice(&mut self, samples: &[f64]) -> Watt {
         let filling = self
             .delay_ticks
@@ -168,8 +171,19 @@ impl PowerSensor {
         for p in self.line.drain(..from_line) {
             out.emit_peak(p, &mut peak);
         }
-        for &p in direct {
-            out.emit_peak(Watt::new(p), &mut peak);
+        if direct.len() >= CLOSED_FORM_MIN_TICKS {
+            // Once per run of bit-equal samples: a repeat is a memo hit
+            // that latches the same output, which cannot raise the peak.
+            let mut rest = direct;
+            while let Some((&p, tail)) = rest.split_first() {
+                out.emit_peak(Watt::new(p), &mut peak);
+                let repeats = tail.iter().take_while(|q| q.to_bits() == p.to_bits());
+                rest = tail.get(repeats.count()..).unwrap_or_default();
+            }
+        } else {
+            for &p in direct {
+                out.emit_peak(Watt::new(p), &mut peak);
+            }
         }
         self.line.extend(stays.iter().map(|&p| Watt::new(p)));
         self.out = out;
@@ -341,7 +355,11 @@ mod tests {
         use hcapp_sim_core::state::{Snapshot, StateReader};
         // Repeats, a NaN, ±0 and ramps, cut into slices of 0 to 7 ticks
         // (shorter and longer than every delay), with a reset and a
-        // restore into a fresh sensor while the line is part full.
+        // restore into a fresh sensor while the line is part full; then,
+        // once those 300 samples are used up, runs of 97 and 194 equal
+        // samples (NaN and zero among them) cut into slices of 200 to 349
+        // ticks, so whole runs and runs split across slices reach the
+        // run-wise emit.
         let stream: Vec<f64> = (0..300u32)
             .map(|i| match i % 17 {
                 0..=5 => 80.0,
@@ -351,12 +369,17 @@ mod tests {
                 9 => 79.96,
                 _ => 55.0 + f64::from(i) * 0.031,
             })
+            .chain(
+                (0..3_000u32)
+                    .map(|i| [80.0, 80.0, 91.3, f64::NAN, 0.0, 79.96][(i / 97) as usize % 6]),
+            )
             .collect();
         for (delay, resolution) in [(0, 0.1), (1, 0.1), (3, 0.5), (3, 0.0)] {
             let mut sliced = PowerSensor::new(delay, resolution);
             let mut ticked = PowerSensor::new(delay, resolution);
             let mut at = 0;
-            for (k, len) in (0..).map(|k| (k, k % 8)) {
+            for k in 0.. {
+                let len = if at < 300 { k % 8 } else { 200 + k % 150 };
                 let Some(chunk) = stream.get(at..at + len) else { break };
                 if k == 20 {
                     sliced.reset();

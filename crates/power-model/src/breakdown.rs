@@ -126,14 +126,19 @@ mod tests {
     #[test]
     fn record_ticks_matches_per_tick_record() {
         // Fixed tick counts (0 and 1 included), then random powers over
-        // random spans; every account must match bit for bit.
+        // random spans; then both sides of the closed form's cutoff,
+        // quanta of thousands of ticks, and random spans up to 5 000
+        // ticks. Every account must match bit for bit.
         let mut rng = hcapp_sim_core::rng::DeterministicRng::new(23);
+        let mut long_rng = hcapp_sim_core::rng::DeterministicRng::new(24);
         let dt = SimDuration::from_nanos(100);
         let mut spanned = PowerBreakdown::new();
         let mut ticked = PowerBreakdown::new();
         let fixed = [0, 1, 7, 40, 3, 1_000].into_iter();
         let random = (0..200).map(|_| rng.below(300) as usize);
-        let spans: Vec<usize> = fixed.chain(random).collect();
+        let long_fixed = [31, 32, 33, 5_000, 100_000].into_iter();
+        let long_random = (0..100).map(|_| long_rng.below(5_000) as usize);
+        let spans: Vec<usize> = fixed.chain(random).chain(long_fixed).chain(long_random).collect();
         for (span, &ticks) in spans.iter().enumerate() {
             let [dynamic, leakage, uncore] =
                 [60.0, 12.0, 20.0].map(|hi| Watt::new(rng.uniform(0.0, hi)));

@@ -5,6 +5,7 @@
 //! duration matches integrated energy (an internal consistency invariant the
 //! integration tests check).
 
+use hcapp_sim_core::accum::{repeat_add, CLOSED_FORM_MIN_TICKS};
 use hcapp_sim_core::time::SimDuration;
 use hcapp_sim_core::units::Watt;
 
@@ -33,9 +34,10 @@ impl EnergyAccount {
 
     /// Record each account's power held constant for `ticks` consecutive
     /// ticks of `dt`: bit-identical to `ticks` rounds of
-    /// [`EnergyAccount::accumulate`] on every account. One loop adds each
-    /// account's product once per tick, in order, in locals, so the
-    /// accounts' add chains overlap.
+    /// [`EnergyAccount::accumulate`] on every account. A short span adds
+    /// each account's product once per tick in one loop, in locals, so the
+    /// accounts' add chains overlap; a long one takes each account's adds
+    /// in closed form ([`repeat_add`]).
     #[inline]
     pub(crate) fn accumulate_ticks_each<const N: usize>(
         accounts: [&mut EnergyAccount; N],
@@ -45,13 +47,20 @@ impl EnergyAccount {
     ) {
         let secs = dt.as_secs_f64();
         let e = powers.map(|p| p.value() * secs);
+        let elapsed = dt.as_nanos() * ticks as u64;
+        if ticks >= CLOSED_FORM_MIN_TICKS {
+            for (account, &e) in accounts.into_iter().zip(&e) {
+                account.joules = repeat_add(account.joules, e, ticks);
+                account.elapsed_ns += elapsed;
+            }
+            return;
+        }
         let mut joules = accounts.each_ref().map(|a| a.joules);
         for _ in 0..ticks {
             for (j, &e) in joules.iter_mut().zip(&e) {
                 *j += e;
             }
         }
-        let elapsed = dt.as_nanos() * ticks as u64;
         for (account, j) in accounts.into_iter().zip(joules) {
             account.joules = j;
             account.elapsed_ns += elapsed;

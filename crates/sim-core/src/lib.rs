@@ -26,6 +26,7 @@
 #![warn(missing_docs)]
 #![warn(clippy::all)]
 
+pub mod accum;
 pub mod approx;
 pub mod frame;
 pub mod jitter;

@@ -54,15 +54,16 @@ impl DeterministicRng {
     /// Next raw 64-bit value.
     #[inline]
     pub fn next_u64(&mut self) -> u64 {
-        let s = &mut self.s;
-        let result = s[1].wrapping_mul(5).rotate_left(7).wrapping_mul(9);
-        let t = s[1] << 17;
-        s[2] ^= s[0];
-        s[3] ^= s[1];
-        s[1] ^= s[2];
-        s[0] ^= s[3];
-        s[2] ^= t;
-        s[3] = s[3].rotate_left(45);
+        let [s0, s1, s2, s3] = self.s;
+        let result = s1.wrapping_mul(5).rotate_left(7).wrapping_mul(9);
+        let t = s1 << 17;
+        let s2 = s2 ^ s0;
+        let s3 = s3 ^ s1;
+        let s1 = s1 ^ s2;
+        let s0 = s0 ^ s3;
+        let s2 = s2 ^ t;
+        let s3 = s3.rotate_left(45);
+        self.s = [s0, s1, s2, s3];
         result
     }
 

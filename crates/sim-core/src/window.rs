@@ -31,6 +31,8 @@
 //! the run (a 10 ms limit over a 0.5 ms job) then costs one copy per sample
 //! instead of one dependent add (DESIGN §6j, obligation 17).
 
+use crate::accum::CLOSED_FORM_MIN_TICKS;
+
 /// Running average over the last `capacity` samples (a fixed time window when
 /// samples arrive on a fixed tick).
 #[derive(Debug, Clone)]
@@ -274,7 +276,9 @@ impl WindowedMaxTracker {
     /// * once the ring is full, a tight loop walks the ring from `head`
     ///   with the sum and the largest sum in locals, one contiguous stretch
     ///   at a time, up to the wrap or to the push before the next exact-sum
-    ///   recomputation, and divides once per stretch;
+    ///   recomputation, and divides once per stretch; a long stretch
+    ///   skips the arithmetic of pushes that are fixed points (DESIGN §6j,
+    ///   obligation 23);
     /// * the push that recomputes the sum, and every push into a restored
     ///   ring that is still filling in place, go through `push` itself.
     pub fn push_slice(&mut self, samples: &[f64]) {
@@ -337,12 +341,42 @@ impl WindowedMaxTracker {
             return 0;
         };
         let (mut sum, mut best) = (w.sum, f64::NEG_INFINITY);
-        for (slot, &s) in ring.iter_mut().zip(chunk) {
-            sum -= *slot;
-            *slot = s;
-            sum += s;
-            if sum > best {
-                best = sum;
+        if k >= CLOSED_FORM_MIN_TICKS {
+            // A push whose leaving and entering samples are one value `a`
+            // and that leaves the sum unchanged is a fixed point: every
+            // later push of the same pair repeats it, and the largest sum
+            // already holds it. The rest of that run only moves `head`.
+            let mut i = 0;
+            while let (Some(slot), Some(&s)) = (ring.get_mut(i), chunk.get(i)) {
+                let (a, before) = (*slot, sum);
+                sum -= a;
+                *slot = s;
+                sum += s;
+                if sum > best {
+                    best = sum;
+                }
+                i += 1;
+                if a.to_bits() == s.to_bits() && sum.to_bits() == before.to_bits() {
+                    let held = |(r, c): (&f64, &f64)| {
+                        r.to_bits() == a.to_bits() && c.to_bits() == a.to_bits()
+                    };
+                    let ring_rest = ring.get(i..).unwrap_or_default();
+                    let chunk_rest = chunk.get(i..).unwrap_or_default();
+                    i += ring_rest
+                        .iter()
+                        .zip(chunk_rest)
+                        .take_while(|&pair| held(pair))
+                        .count();
+                }
+            }
+        } else {
+            for (slot, &s) in ring.iter_mut().zip(chunk) {
+                sum -= *slot;
+                *slot = s;
+                sum += s;
+                if sum > best {
+                    best = sum;
+                }
             }
         }
         w.sum = sum;
@@ -759,8 +793,13 @@ mod tests {
         // Capacities below and above the 65 536-push resync floor. Slices
         // of random length (empty ones included) run through fill, wrap,
         // at least one resync, a reset, and a restore taken mid-growth
-        // after the reset, which leaves a full-size ring filling in place.
-        for (cap, run_len) in [(1, 0), (7, 3), (300, 300), (2_000, 100_000)] {
+        // after the reset, which leaves a full-size ring filling in place;
+        // once with fresh draws for every sample, once with long constant
+        // stretches.
+        let caps = [(1, 0), (7, 3), (300, 300), (2_000, 100_000)];
+        for (held_runs, (cap, run_len)) in
+            [false, true].into_iter().flat_map(|h| caps.map(|c| (h, c)))
+        {
             let resync = (cap * 64).max(1 << 16);
             let reset_at = resync + cap;
             let restore_at = reset_at + cap / 2 + 1;
@@ -770,6 +809,13 @@ mod tests {
             let mut rng = crate::rng::DeterministicRng::new(cap as u64 + 17);
             let mut chunk = Vec::new();
             let mut pushed = 0;
+            // With held runs, half the stretches one fresh draw, half held
+            // for up to three windows, the held value often one an earlier
+            // stretch had, and one held sample in a hundred a blip a few
+            // ulps off: so runs longer than the window meet equal, nearly
+            // equal and unequal samples leaving the ring, also across the
+            // resync push.
+            let (mut held, mut hold) = (0.0f64, 0);
             while pushed < end {
                 let next_event = [reset_at, restore_at, end]
                     .into_iter()
@@ -777,7 +823,30 @@ mod tests {
                     .unwrap_or(end);
                 let len = (rng.below(2 * cap as u64 + 3) as usize).min(next_event - pushed);
                 chunk.clear();
-                chunk.extend((0..len).map(|_| rng.uniform(0.0, 150.0)));
+                if !held_runs {
+                    chunk.extend((0..len).map(|_| rng.uniform(0.0, 150.0)));
+                } else {
+                    for _ in 0..len {
+                        if hold == 0 {
+                            held = match rng.below(4) {
+                                0 => 80.0,
+                                1 => 91.3,
+                                _ => rng.uniform(0.0, 150.0),
+                            };
+                            hold = if rng.chance(0.5) {
+                                1
+                            } else {
+                                1 + rng.below(3 * cap as u64 + 3)
+                            };
+                        }
+                        hold -= 1;
+                        chunk.push(if rng.chance(0.01) {
+                            f64::from_bits(held.to_bits() + 1 + rng.below(63))
+                        } else {
+                            held
+                        });
+                    }
+                }
                 t.push_slice(&chunk);
                 for &x in &chunk {
                     oracle.push(x);
@@ -802,6 +871,33 @@ mod tests {
                     t = restored;
                 }
             }
+        }
+    }
+
+    #[test]
+    fn unchanged_sum_from_unequal_samples_is_no_fixed_point() {
+        // The ring holds 63 × -0.01 and 0.64. A long stretch of -0.01
+        // after its neighbour: the first push leaves the sum's bits
+        // unchanged with unequal samples, and the equal pairs after it
+        // move the sum, so only a push of equal samples may start a skip.
+        let (a, cap) = (-0.01f64, 64);
+        let fill: Vec<f64> = std::iter::repeat_n(a, cap - 1).chain([0.64]).collect();
+        let s = f64::from_bits(a.to_bits() + 1);
+        let stretch: Vec<f64> = std::iter::once(s).chain(std::iter::repeat_n(a, 40)).collect();
+        let mut t = WindowedMaxTracker::new(cap);
+        let mut oracle = MaxOracle::new(cap);
+        for (at, chunk) in [&fill, &stretch].into_iter().enumerate() {
+            if at == 1 {
+                let sum = oracle.ring.sum;
+                assert_eq!((sum - a + s).to_bits(), sum.to_bits());
+                assert_ne!((sum - a + a).to_bits(), sum.to_bits());
+            }
+            t.push_slice(chunk);
+            for &x in chunk {
+                oracle.push(x);
+            }
+            assert_eq!(t.max.to_bits(), oracle.max.to_bits(), "max after slice {at}");
+            assert_same(&t.window, &oracle.ring, at);
         }
     }
 

@@ -5,6 +5,7 @@
 //! (`crates/proptest-shim`), so no registry access is needed either way.
 #![cfg(feature = "proptest")]
 
+use hcapp_sim_core::accum::repeat_add;
 use hcapp_sim_core::rng::DeterministicRng;
 use hcapp_sim_core::series::TimeSeries;
 use hcapp_sim_core::stats::{geometric_mean, OnlineStats};
@@ -95,6 +96,26 @@ proptest! {
         let mut rb = DeterministicRng::derive(seed, b);
         let matches = (0..16).filter(|_| ra.next_u64() == rb.next_u64()).count();
         prop_assert!(matches <= 1);
+    }
+
+    /// `repeat_add` is the loop of adds, bit for bit: whole, half and
+    /// quarter ulps of the start both ways, steps a power of ten below
+    /// the start, and raw bit patterns (NaN, infinities, subnormals).
+    #[test]
+    fn repeat_add_is_the_loop(x in -1000.0f64..1000.0, k in 0u64..24, scale in 0u64..30,
+                              raw in any::<u64>(), pick in 0u64..4, n in 0usize..20_000) {
+        let ulp = f64::from_bits(x.abs().to_bits() + 1) - x.abs();
+        let (x, step) = match pick {
+            0 => (x, ulp * k as f64 * 0.5),
+            1 => (x, -x * 10f64.powi(-(scale as i32))),
+            2 => (f64::from_bits(raw.rotate_left(17)), f64::from_bits(raw)),
+            _ => (x, -ulp * k as f64 * 0.25),
+        };
+        let mut want = x;
+        for _ in 0..n {
+            want += step;
+        }
+        prop_assert_eq!(repeat_add(x, step, n).to_bits(), want.to_bits());
     }
 
     /// Time arithmetic: (t + d) - t == d for all representable values.

@@ -6,6 +6,7 @@
 //! into the cursor each tick; the cursor crosses phase boundaries exactly,
 //! carrying remainders, so phase timing is independent of tick size.
 
+use hcapp_sim_core::accum::{jump_countdown, CLOSED_FORM_MIN_TICKS};
 use hcapp_sim_core::rng::DeterministicRng;
 
 use crate::phase::{Phase, PhaseSample};
@@ -101,11 +102,16 @@ impl PhaseCursor {
     /// it advanced. Bit-identical to that many [`PhaseCursor::advance`]
     /// calls: a tick inside the phase is the same add and subtract, kept
     /// in locals, and a tick that reaches the boundary is `advance`
-    /// itself (DESIGN §6j, obligation 13).
+    /// itself (DESIGN §6j, obligation 13). A long span first jumps the
+    /// bulk of the phase's ticks in closed form and proves the jump on
+    /// where it lands ([`jump_countdown`], obligation 22).
     pub fn advance_span(&mut self, work_ns: f64, max_ticks: usize) -> usize {
         let bits = self.sample().bits();
-        let (mut consumed, mut remaining) = (self.consumed, self.remaining);
         let mut ticks = 0;
+        if max_ticks >= CLOSED_FORM_MIN_TICKS {
+            ticks = self.jump_phase(work_ns, max_ticks);
+        }
+        let (mut consumed, mut remaining) = (self.consumed, self.remaining);
         while ticks < max_ticks {
             ticks += 1;
             if work_ns < remaining {
@@ -120,6 +126,19 @@ impl PhaseCursor {
                 break;
             }
         }
+        (self.consumed, self.remaining) = (consumed, remaining);
+        ticks
+    }
+
+    /// Jump the bulk of a long span inside the current phase in closed
+    /// form ([`jump_countdown`]); returns the ticks jumped. Out of line, so
+    /// the per-tick loop that short spans run keeps its shape.
+    #[inline(never)]
+    fn jump_phase(&mut self, work_ns: f64, max_ticks: usize) -> usize {
+        let (ticks, consumed, remaining) =
+            jump_countdown(self.consumed, self.remaining, work_ns, max_ticks, |r| {
+                work_ns < r
+            });
         (self.consumed, self.remaining) = (consumed, remaining);
         ticks
     }
@@ -298,23 +317,28 @@ mod tests {
         // oscillating phases, and a jittered benchmark; steps from a
         // fraction of a phase to many phases per tick, and every fifth
         // span a step that lands exactly on the phase boundary; spans of
-        // 0 to 40 ticks.
-        let specs = [steady_spec(), osc_spec(), crate::benchmarks::Benchmark::Ferret.spec()];
-        for (s, spec) in specs.into_iter().enumerate() {
-            let mut spanned = PhaseCursor::new(spec, 7, s as u64);
-            let mut ticked = spanned.clone();
-            let mut rng = DeterministicRng::new(40 + s as u64);
-            for k in 0..3_000 {
-                let work_ns = if k % 5 == 0 {
-                    spanned.remaining_in_phase()
-                } else {
-                    [37.5, 110.0, 2_500.0, 25_000.0][k % 4] * rng.uniform(0.5, 1.5)
-                };
-                let max_ticks = rng.below(41) as usize;
-                let got = spanned.advance_span(work_ns, max_ticks);
-                let want = advance_per_tick(&mut ticked, work_ns, max_ticks);
-                assert_eq!(got, want, "span {k} of spec {s}");
-                assert_eq!(saved(&spanned), saved(&ticked), "state after span {k} of spec {s}");
+        // 0 to 40 ticks, then again with every third span up to 5 000
+        // ticks, so small steps through long phases take the closed-form
+        // jump.
+        for long_spans in [false, true] {
+            let specs = [steady_spec(), osc_spec(), crate::benchmarks::Benchmark::Ferret.spec()];
+            for (s, spec) in specs.into_iter().enumerate() {
+                let mut spanned = PhaseCursor::new(spec, 7, s as u64);
+                let mut ticked = spanned.clone();
+                let mut rng = DeterministicRng::new(40 + s as u64);
+                for k in 0..3_000 {
+                    let work_ns = if k % 5 == 0 {
+                        spanned.remaining_in_phase()
+                    } else {
+                        [37.5, 110.0, 2_500.0, 25_000.0][k % 4] * rng.uniform(0.5, 1.5)
+                    };
+                    let longest = if long_spans && k % 3 == 2 { 5_000 } else { 41 };
+                    let max_ticks = rng.below(longest) as usize;
+                    let got = spanned.advance_span(work_ns, max_ticks);
+                    let want = advance_per_tick(&mut ticked, work_ns, max_ticks);
+                    assert_eq!(got, want, "span {k} of spec {s}");
+                    assert_eq!(saved(&spanned), saved(&ticked), "state after span {k} of spec {s}");
+                }
             }
         }
     }

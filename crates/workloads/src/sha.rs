@@ -11,6 +11,8 @@
 //! accelerator should stay busy for the entire test (the paper loops short
 //! workloads, §4).
 
+use hcapp_sim_core::accum::{jump_countdown, CLOSED_FORM_MIN_TICKS};
+
 /// A fixed (or looping) backlog of hashing work.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ShaWorkload {
@@ -74,20 +76,40 @@ impl ShaWorkload {
     /// ticks it drained. Each tick is the [`ShaWorkload::drain`] that takes
     /// exactly `gbits` in one step without a refill, so the span is
     /// bit-identical to the per-tick calls; it stops before the tick that
-    /// would refill a looping backlog or run a one-shot backlog dry.
-    /// Drains nothing unless `gbits > 0`.
+    /// would refill a looping backlog or run a one-shot backlog dry. A
+    /// long span jumps the bulk of its ticks in closed form first
+    /// ([`jump_countdown`]). Drains nothing unless `gbits > 0`.
     pub fn drain_span(&mut self, gbits: f64, max_ticks: usize) -> usize {
         if !(gbits > 0.0) {
             return 0;
         }
-        let (mut remaining, mut completed) = (self.remaining_gbits, self.completed_gbits);
         let mut ticks = 0;
+        if max_ticks >= CLOSED_FORM_MIN_TICKS {
+            ticks = self.jump_backlog(gbits, max_ticks);
+        }
+        let (mut remaining, mut completed) = (self.remaining_gbits, self.completed_gbits);
         while ticks < max_ticks && remaining >= gbits {
             remaining -= gbits;
             completed += gbits;
             ticks += 1;
         }
         (self.remaining_gbits, self.completed_gbits) = (remaining, completed);
+        ticks
+    }
+
+    /// Jump the bulk of a long span inside the current backlog in closed
+    /// form ([`jump_countdown`]); returns the ticks jumped. Out of line, so
+    /// the per-tick loop that short spans run keeps its shape.
+    #[inline(never)]
+    fn jump_backlog(&mut self, gbits: f64, max_ticks: usize) -> usize {
+        let (ticks, completed, remaining) = jump_countdown(
+            self.completed_gbits,
+            self.remaining_gbits,
+            gbits,
+            max_ticks,
+            |r| r >= gbits,
+        );
+        (self.completed_gbits, self.remaining_gbits) = (completed, remaining);
         ticks
     }
 
@@ -128,17 +150,33 @@ mod tests {
     #[test]
     fn drain_span_matches_per_tick_drain() {
         // A looping and a one-shot backlog, spans of 0 to 40 ticks, steps
-        // that divide the backlog exactly and steps that do not; the
-        // per-tick loop is the one `drain_span` replaces.
-        for (looping, gbits) in [(true, 0.25), (true, 0.3), (false, 0.25), (false, 0.7)] {
+        // that divide the backlog exactly and steps that do not, and
+        // backlogs of thousands of steps; then again with every fourth
+        // span up to 4 000 ticks, so long spans take the closed-form jump.
+        // The per-tick loop is the one `drain_span` replaces.
+        let cases = [
+            (true, 0.25, 10.0),
+            (true, 0.3, 10.0),
+            (false, 0.25, 100.0),
+            (false, 0.7, 100.0),
+            (true, 0.003, 10.0),
+            (true, 1e-4 / 3.0, 1.0),
+            (false, 0.0125, 100.0),
+        ];
+        let passes = [false, true].into_iter().flat_map(|l| cases.map(|c| (l, c)));
+        for (long_spans, (looping, gbits, backlog)) in passes {
             let mut spanned = if looping {
-                ShaWorkload::looping(10.0)
+                ShaWorkload::looping(backlog)
             } else {
-                ShaWorkload::fixed(100.0)
+                ShaWorkload::fixed(backlog)
             };
             let mut ticked = spanned.clone();
             for k in 0..400 {
-                let max_ticks = (k * 7) % 41;
+                let max_ticks = if long_spans && k % 4 == 3 {
+                    (k * 997) % 4_001
+                } else {
+                    (k * 7) % 41
+                };
                 let got = spanned.drain_span(gbits, max_ticks);
                 let mut want = 0;
                 while want < max_ticks && ticked.remaining_gbits() >= gbits {

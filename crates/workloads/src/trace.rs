@@ -10,6 +10,7 @@
 //!
 //! [`PhaseCursor`]: crate::cursor::PhaseCursor
 
+use hcapp_sim_core::accum::{jump_countdown, CLOSED_FORM_MIN_TICKS};
 use std::fmt::Write as _;
 
 use crate::phase::{Phase, PhaseSample};
@@ -236,8 +237,11 @@ impl TracePlayer {
     /// calls (see `PhaseCursor::advance_span`).
     pub fn advance_span(&mut self, work_ns: f64, max_ticks: usize) -> usize {
         let bits = self.sample().bits();
-        let (mut consumed, mut remaining) = (self.consumed, self.remaining);
         let mut ticks = 0;
+        if max_ticks >= CLOSED_FORM_MIN_TICKS {
+            ticks = self.jump_phase(work_ns, max_ticks);
+        }
+        let (mut consumed, mut remaining) = (self.consumed, self.remaining);
         while ticks < max_ticks {
             ticks += 1;
             if work_ns < remaining {
@@ -252,6 +256,19 @@ impl TracePlayer {
                 break;
             }
         }
+        (self.consumed, self.remaining) = (consumed, remaining);
+        ticks
+    }
+
+    /// Jump the bulk of a long span inside the current phase in closed
+    /// form ([`jump_countdown`]); returns the ticks jumped. Out of line, so
+    /// the per-tick loop that short spans run keeps its shape.
+    #[inline(never)]
+    fn jump_phase(&mut self, work_ns: f64, max_ticks: usize) -> usize {
+        let (ticks, consumed, remaining) =
+            jump_countdown(self.consumed, self.remaining, work_ns, max_ticks, |r| {
+                work_ns < r
+            });
         (self.consumed, self.remaining) = (consumed, remaining);
         ticks
     }
@@ -416,40 +433,49 @@ mod tests {
             w.finish()
         };
         // Two phases with equal samples back to back (a span crosses
-        // them), a 1 ns phase, and the wrap to the start.
-        let trace = Arc::new(PhaseTrace::new(
-            "span",
-            vec![
-                Phase::new(0.2, 0.1, 1_000.0),
-                Phase::new(0.2, 0.1, 300.0),
-                Phase::new(0.9, 0.5, 1.0),
-                Phase::new(0.6, 0.3, 2_750.0),
-            ],
-        ));
-        let mut spanned = TracePlayer::new(trace.clone());
-        let mut ticked = TracePlayer::new(trace);
-        let mut rng = hcapp_sim_core::rng::DeterministicRng::new(3);
-        for k in 0..2_000 {
-            // The first span steps exactly onto the boundary into the
-            // equal phase (tick 10) and then into a different one (tick
-            // 13, where it stops).
-            let work_ns = match k {
-                0 => 100.0,
-                _ if k % 3 == 0 => 250.0,
-                _ => rng.uniform(0.25, 400.0),
-            };
-            let max_ticks = if k == 0 { 40 } else { rng.below(41) as usize };
-            let got = spanned.advance_span(work_ns, max_ticks);
-            let bits = ticked.sample().bits();
-            let mut want = 0;
-            while want < max_ticks && ticked.sample().bits() == bits {
-                ticked.advance(work_ns);
-                want += 1;
+        // them), a 1 ns phase, and the wrap to the start; then again with
+        // a phase long enough for small steps to take the closed-form
+        // jump, and every fourth span up to 5 000 ticks.
+        let mut phases = vec![
+            Phase::new(0.2, 0.1, 1_000.0),
+            Phase::new(0.2, 0.1, 300.0),
+            Phase::new(0.9, 0.5, 1.0),
+            Phase::new(0.6, 0.3, 2_750.0),
+        ];
+        for long_spans in [false, true] {
+            if long_spans {
+                phases.push(Phase::new(0.4, 0.2, 400_000.0));
             }
-            assert_eq!(got, want, "span {k}");
-            assert_eq!(saved(&spanned), saved(&ticked), "state after span {k}");
-            if k == 0 {
-                assert_eq!(got, 13);
+            let trace = Arc::new(PhaseTrace::new("span", phases.clone()));
+            let mut spanned = TracePlayer::new(trace.clone());
+            let mut ticked = TracePlayer::new(trace);
+            let mut rng = hcapp_sim_core::rng::DeterministicRng::new(3);
+            for k in 0..2_000 {
+                // The first span steps exactly onto the boundary into the
+                // equal phase (tick 10) and then into a different one (tick
+                // 13, where it stops).
+                let work_ns = match k {
+                    0 => 100.0,
+                    _ if k % 3 == 0 => 250.0,
+                    _ => rng.uniform(0.25, 400.0),
+                };
+                let max_ticks = match k {
+                    0 => 40,
+                    _ if long_spans && k % 4 == 1 => rng.below(5_000) as usize,
+                    _ => rng.below(41) as usize,
+                };
+                let got = spanned.advance_span(work_ns, max_ticks);
+                let bits = ticked.sample().bits();
+                let mut want = 0;
+                while want < max_ticks && ticked.sample().bits() == bits {
+                    ticked.advance(work_ns);
+                    want += 1;
+                }
+                assert_eq!(got, want, "span {k}");
+                assert_eq!(saved(&spanned), saved(&ticked), "state after span {k}");
+                if k == 0 {
+                    assert_eq!(got, 13);
+                }
             }
         }
     }

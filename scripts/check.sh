@@ -74,10 +74,11 @@ rm -f "$smoke"
 echo "==> hcapp faults smoke (valid trace + faults injected + cap bound)"
 cargo run --release -p hcapp-cli -q -- faults --seed 7 --check
 
-echo "==> kernel bench smoke (stepper-kernel {3,64} median floors)"
+echo "==> kernel bench smoke (stepper-kernel {3,64} and RAPL-like median floors)"
 # Fast variant of scripts/bench_smoke.sh: the kernel sweep runs only the
-# 3- and 64-domain points and must clear the committed throughput floors
-# in results/BENCH_thresholds.json. Smoke mode writes its report to a
+# 3- and 64-domain points, plus the fixed long-quantum row qps_rapl_3
+# (RAPL-like, 100 us quanta, 3 domains), and must clear the committed
+# throughput floors in results/BENCH_thresholds.json. Smoke mode writes its report to a
 # scratch file, so no committed artifact changes. The full 4-point sweep
 # that refreshes the committed results/BENCH_kernel.json is the script's
 # default mode.
