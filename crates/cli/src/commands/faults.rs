@@ -3,22 +3,24 @@
 //! over-budget episode structure, and the PPE given up relative to the
 //! clean run.
 //!
+//! The clean and faulted runs are [`hcapp::campaign::fault_cell`], judged
+//! against the run's own scheme's reaction bound; a fixed rail has no
+//! controller to react, so its bound reads `n/a` and is not gated.
+//!
 //! `--check` runs the self-test the CI smoke step uses: a short faulted
 //! run must export a valid JSONL trace, inject at least one fault, and
-//! keep every over-budget episode inside the documented reaction bound.
+//! keep every over-budget episode inside HCAPP's reaction bound.
 
-use std::sync::{Arc, Mutex};
-
-use hcapp::coordinator::{RunConfig, Simulation};
+use hcapp::campaign::{self, Excursion};
+use hcapp::coordinator::RunConfig;
 use hcapp::limits::PowerLimit;
 use hcapp::scheme::ControlScheme;
 use hcapp::system::SystemConfig;
-use hcapp::DegradedConfig;
 use hcapp_faults::FaultPlan;
-use hcapp_metrics::{over_cap, ppe_drop};
+use hcapp_metrics::ppe_drop;
 use hcapp_sim_core::report::Table;
 use hcapp_sim_core::time::SimDuration;
-use hcapp_telemetry::{jsonl, RingTracer, SharedTracer};
+use hcapp_telemetry::jsonl;
 use hcapp_workloads::combos::combo_by_name;
 
 use crate::args::{ArgError, Args};
@@ -30,17 +32,6 @@ fn bad(flag: &str, value: String, expected: &'static str) -> ArgError {
         value,
         expected,
     }
-}
-
-/// The contract from DESIGN.md: the longest tolerated over-budget episode
-/// under any valid plan. Shared with `hcapp soak`, whose stitched runs must
-/// honor the same bound.
-pub(crate) fn reaction_bound() -> SimDuration {
-    DegradedConfig::default().reaction_bound(
-        ControlScheme::Hcapp
-            .control_period()
-            .expect("HCAPP is dynamic"),
-    )
 }
 
 /// Execute `hcapp faults`.
@@ -58,87 +49,36 @@ pub fn execute(args: &Args) -> Result<String, ArgError> {
     let plan = FaultPlan::preset(&plan_name, seed)
         .ok_or_else(|| bad("plan", plan_name.clone(), hcapp_faults::PRESET_LIST))?;
 
-    let go = |run: RunConfig| Simulation::new(sys.clone(), run).run();
-    let clean = go(run.clone().with_trace());
-    let faulted = go(run.with_trace().with_faults(plan));
-
-    let trace = faulted
-        .trace
-        .as_ref()
-        .expect("invariant: with_trace always records a trace");
-    let over = over_cap(trace, limit.budget.value());
-    let r = faulted.resilience;
-    let provisioned = limit.budget;
+    let cell = campaign::fault_cell(&sys, &run, plan, limit.budget);
+    let (clean, faulted, ex) = (&cell.clean, &cell.faulted, &cell.excursion);
+    let (r, budget) = (&faulted.resilience, limit.budget);
 
     let mut t = Table::new(
         format!(
-            "{} under plan '{plan_name}' (seed {seed}, limit {:.0})",
-            faulted.scheme, limit.budget
+            "{} under plan '{plan_name}' (seed {seed}, limit {budget:.0})",
+            faulted.scheme
         ),
         &["metric", "clean", "faulted"],
     );
-    t.add_row(vec![
-        "avg power".into(),
-        format!("{:.2}", clean.avg_power),
-        format!("{:.2}", faulted.avg_power),
-    ]);
-    t.add_row(vec![
-        "PPE".into(),
-        format!("{:.4}", clean.ppe(provisioned)),
-        format!("{:.4}", faulted.ppe(provisioned)),
-    ]);
-    t.add_row(vec![
-        "PPE drop".into(),
-        "-".into(),
-        format!(
-            "{:.4}",
-            ppe_drop(clean.ppe(provisioned), faulted.ppe(provisioned))
-        ),
-    ]);
-    t.add_row(vec![
-        "fault episodes injected".into(),
-        "0".into(),
-        r.faults_injected.to_string(),
-    ]);
-    t.add_row(vec![
-        "health transitions".into(),
-        "0".into(),
-        r.health_transitions.to_string(),
-    ]);
-    t.add_row(vec![
-        "emergency engagements".into(),
-        "0".into(),
-        r.emergency_engagements.to_string(),
-    ]);
-    t.add_row(vec![
-        "emergency quanta".into(),
-        "0".into(),
-        r.emergency_quanta.to_string(),
-    ]);
-    t.add_row(vec![
-        "over-budget episodes".into(),
-        "-".into(),
-        over.episodes.to_string(),
-    ]);
-    t.add_row(vec![
-        "longest over-budget".into(),
-        "-".into(),
-        format!("{}", over.longest),
-    ]);
-    t.add_row(vec![
-        "time over budget".into(),
-        "-".into(),
-        format!("{:.3}%", over.over_fraction() * 100.0),
-    ]);
-    t.add_row(vec![
-        format!("within reaction bound ({})", reaction_bound()),
-        "-".into(),
-        if over.longest <= reaction_bound() {
-            "yes".into()
-        } else {
-            "NO".into()
-        },
-    ]);
+    let mut row = |metric: String, clean: &str, faulted: String| {
+        t.add_row(vec![metric, clean.to_string(), faulted]);
+    };
+    let ppe = (clean.ppe(budget), faulted.ppe(budget));
+    row("avg power".into(), &format!("{:.2}", clean.avg_power), format!("{:.2}", faulted.avg_power));
+    row("PPE".into(), &format!("{:.4}", ppe.0), format!("{:.4}", ppe.1));
+    row("PPE drop".into(), "-", format!("{:.4}", ppe_drop(ppe.0, ppe.1)));
+    row("fault episodes injected".into(), "0", r.faults_injected.to_string());
+    row("health transitions".into(), "0", r.health_transitions.to_string());
+    row("emergency engagements".into(), "0", r.emergency_engagements.to_string());
+    row("emergency quanta".into(), "0", r.emergency_quanta.to_string());
+    row("over-budget episodes".into(), "-", ex.over.episodes.to_string());
+    row("longest over-budget".into(), "-", ex.over.longest.to_string());
+    row("time over budget".into(), "-", format!("{:.3}%", ex.over.over_fraction() * 100.0));
+    row(
+        format!("within reaction bound ({})", ex.bound_label()),
+        "-",
+        ex.verdict_label().to_string(),
+    );
     Ok(t.render())
 }
 
@@ -149,35 +89,20 @@ fn check(seed: u64) -> Result<String, ArgError> {
     let limit = PowerLimit::package_pin();
     let combo = combo_by_name("Hi-Hi").expect("known combo");
     let sys = SystemConfig::paper_system(combo, seed);
-    let ring = Arc::new(Mutex::new(RingTracer::new(1 << 16)));
     let run = RunConfig::new(
         SimDuration::from_millis(2),
         ControlScheme::Hcapp,
         limit.guardbanded_target(),
     )
     .with_trace()
-    .with_faults(FaultPlan::moderate(seed))
-    .with_tracer(ring.clone() as SharedTracer);
-    let out = Simulation::new(sys, run).run();
-    let events = ring
-        .lock()
-        .expect("invariant: tracer mutex never poisoned")
-        .drain();
-    let text = jsonl::export(&events, &[("check-seed", &seed.to_string())]);
+    .with_faults(FaultPlan::moderate(seed));
+    let seed_str = seed.to_string();
+    let (out, text) = campaign::reference_trace(&sys, &run, &[("check-seed", &seed_str)])
+        .map_err(|e| fail(e.to_string()))?;
     jsonl::validate(&text).map_err(|e| fail(format!("faulted trace failed validation: {e}")))?;
 
-    let trace = out
-        .trace
-        .as_ref()
-        .expect("invariant: with_trace always records a trace");
-    let over = over_cap(trace, limit.budget.value());
-    let bound = reaction_bound();
-    if over.longest > bound {
-        return Err(fail(format!(
-            "over-budget episode {} exceeds the reaction bound {bound}",
-            over.longest
-        )));
-    }
+    let ex = Excursion::of(&out, limit.budget);
+    ex.check().map_err(fail)?;
     if out.resilience.faults_injected == 0 {
         return Err(fail(
             "moderate plan injected no faults — injector is dead".to_string(),
@@ -190,8 +115,8 @@ fn check(seed: u64) -> Result<String, ArgError> {
          valid trace ({} bytes)\n",
         out.resilience.faults_injected,
         out.resilience.health_transitions,
-        over.longest,
-        bound,
+        ex.over.longest,
+        ex.bound_label(),
         text.len()
     ))
 }
@@ -218,6 +143,25 @@ mod tests {
         assert!(out.contains("fault episodes injected"));
         assert!(out.contains("within reaction bound"));
         assert!(out.contains("yes"));
+    }
+
+    #[test]
+    fn rapl_is_judged_against_its_own_bound() {
+        let out = run_cli("--combo Hi-Hi --ms 5 --plan severe --scheme rapl --seed 7").unwrap();
+        assert!(out.contains("within reaction bound (11.200ms)"), "{out}");
+        assert!(out.contains("yes"), "{out}");
+        assert!(!out.contains("NO"), "{out}");
+    }
+
+    #[test]
+    fn fixed_rail_has_no_bound_to_gate() {
+        let out = run_cli("--combo Hi-Hi --ms 2 --plan severe --scheme fixed:0.9 --seed 3").unwrap();
+        let row = out
+            .lines()
+            .find(|l| l.starts_with("within reaction bound"))
+            .unwrap();
+        assert!(row.starts_with("within reaction bound (n/a)"), "{out}");
+        assert!(row.trim_end().ends_with("n/a"), "{out}");
     }
 
     #[test]

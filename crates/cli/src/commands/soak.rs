@@ -1,42 +1,32 @@
 //! `hcapp soak` — chaos soak harness for the crash-safe checkpoint/resume
 //! driver.
 //!
-//! Campaign mode (the default) runs the configured scenario once,
-//! uninterrupted, as the oracle; then replays it as a checkpointing run
-//! that is killed at injector-chosen quanta (derived from `--seed`) and
-//! resumed from its latest `hcapp.ckpt` after each kill. The stitched
-//! result is gated at **tolerance zero**: the final [`RunOutcome`], the
-//! JSONL trace stream and the replayed `hcapp.report` must be byte-identical
-//! to the oracle, and every over-budget episode must sit inside the
-//! documented reaction bound (the same bound `hcapp faults --check`
-//! enforces).
+//! Campaign mode (the default) renders [`hcapp::campaign::soak`]: the
+//! configured scenario runs once, uninterrupted, as the reference; then as a
+//! checkpointing run that is killed at seeded quanta (derived from `--seed`)
+//! and resumed from its latest `hcapp.ckpt` after each kill. The stitched
+//! result is gated at **tolerance zero**: the final outcome, the JSONL trace
+//! stream and the replayed `hcapp.report` must be byte-identical to the
+//! reference, and every over-budget episode must sit inside the scheme's
+//! reaction bound (the same bound `hcapp faults` reports).
 //!
 //! Worker mode (`--worker`) runs a single checkpoint/resume link and prints
 //! a machine-readable line; `scripts/soak.sh` spawns workers and kills them
 //! with real `SIGKILL` to exercise the same contract across process death.
 
-use std::collections::BTreeSet;
 use std::fs;
 use std::path::{Path, PathBuf};
-use std::sync::{Arc, Mutex};
 
-use hcapp::cache::encode_outcome;
-use hcapp::coordinator::{RunConfig, Simulation};
-use hcapp::resume::{outcome_digest, run_resumable, total_quanta, ResumeEnd, ResumeOptions};
+use hcapp::campaign;
+use hcapp::coordinator::RunConfig;
+use hcapp::resume::{outcome_digest, run_resumable, ResumeEnd, ResumeOptions};
 use hcapp::system::SystemConfig;
-use hcapp_analyze::StreamAnalyzer;
 use hcapp_faults::FaultPlan;
-use hcapp_metrics::over_cap;
 use hcapp_sim_core::report::Table;
-use hcapp_sim_core::rng::DeterministicRng;
-use hcapp_telemetry::{jsonl, RingTracer, SharedTracer};
+use hcapp_sim_core::units::Watt;
 
 use crate::args::{ArgError, Args};
-use crate::commands::{faults, shared};
-
-/// RNG stream id for kill-quantum selection (distinct from every simulator
-/// stream, which all derive from component indices).
-const KILL_STREAM: u64 = 0x5041_6b69_6c6c; // "PAkill"
+use crate::commands::shared;
 
 fn bad(flag: &str, value: String, expected: &'static str) -> ArgError {
     ArgError::BadValue {
@@ -46,15 +36,11 @@ fn bad(flag: &str, value: String, expected: &'static str) -> ArgError {
     }
 }
 
-fn io_fail(what: &str, e: std::io::Error) -> ArgError {
-    ArgError::Failed(format!("soak: {what}: {e}"))
-}
-
 /// Everything both modes decode from the command line.
 struct SoakSetup {
     sys: SystemConfig,
     run: RunConfig,
-    budget: f64,
+    budget: Watt,
     seed: u64,
     kills: u64,
     dir: PathBuf,
@@ -71,7 +57,8 @@ fn setup(args: &Args) -> Result<SoakSetup, ArgError> {
     let dir = PathBuf::from(args.string("dir", "results/soak")?);
     let keep = args.switch("keep")?;
 
-    // Power trace on, so the over-budget gate has data to inspect.
+    // Power trace on, as `campaign::soak` records it, so a worker runs the
+    // same configuration (and checkpoint fingerprint) as a campaign link.
     let mut run = run.with_trace();
     if plan_name != "none" {
         let plan = FaultPlan::preset(&plan_name, seed).ok_or_else(|| {
@@ -92,7 +79,7 @@ fn setup(args: &Args) -> Result<SoakSetup, ArgError> {
     Ok(SoakSetup {
         sys,
         run,
-        budget: limit.budget.value(),
+        budget: limit.budget,
         seed,
         kills,
         dir,
@@ -126,7 +113,8 @@ fn worker(s: SoakSetup, stop_at: Option<u64>) -> Result<String, ArgError> {
         Some(q) => s.opts.clone().with_stop_at(q),
         None => s.opts.clone(),
     };
-    let summary = run_resumable(s.sys, s.run, &opts).map_err(|e| io_fail("worker run", e))?;
+    let summary = run_resumable(s.sys, s.run, &opts)
+        .map_err(|e| ArgError::Failed(format!("soak: worker run: {e}")))?;
     let resumed = summary
         .resumed_from
         .map(|q| q.to_string())
@@ -144,116 +132,16 @@ fn worker(s: SoakSetup, stop_at: Option<u64>) -> Result<String, ArgError> {
     })
 }
 
-/// Seeded in-process chaos campaign: oracle, kill chain, zero-tolerance
-/// gates.
+/// Seeded in-process chaos campaign: `hcapp::campaign::soak` against the
+/// uninterrupted reference, rendered as a table.
 fn campaign(s: SoakSetup) -> Result<String, ArgError> {
     let fail = |msg: String| ArgError::Failed(format!("soak FAILED: {msg}"));
-    let total = total_quanta(&s.sys, &s.run);
-    if total < 2 {
-        return Err(fail(format!("run too short to kill ({total} quanta)")));
+    let r = campaign::soak(&s.sys, &s.run, &s.opts, s.seed, s.kills, s.budget)
+        .map_err(|e| fail(e.to_string()))?;
+    if let Some(d) = r.divergence {
+        return Err(fail(d));
     }
-
-    // Injector-chosen kill quanta: distinct, sorted, strictly inside the
-    // run so every kill lands mid-flight.
-    let mut rng = DeterministicRng::derive(s.seed, KILL_STREAM);
-    let want_kills = s.kills.min(total - 1);
-    let mut kill_quanta = BTreeSet::new();
-    while (kill_quanta.len() as u64) < want_kills {
-        kill_quanta.insert(1 + rng.below(total - 1));
-    }
-
-    // Oracle: the identical configuration, never interrupted, traced
-    // through a ring into the same JSONL form the stitched sink uses.
-    let ring = Arc::new(Mutex::new(RingTracer::new(1 << 20)));
-    let mut oracle_run = s.run.clone();
-    oracle_run.tracer = Some(ring.clone() as SharedTracer);
-    let want = Simulation::new(s.sys.clone(), oracle_run).run();
-    let events = ring
-        .lock()
-        .expect("invariant: tracer mutex never poisoned")
-        .drain();
-    let seed_str = s.seed.to_string();
-    let want_trace = jsonl::export(&events, &[("case", "soak"), ("seed", &seed_str)]);
-
-    // The kill chain: each link dies at its quantum, the next resumes.
-    fs::create_dir_all(&s.dir).map_err(|e| io_fail("create --dir", e))?;
-    let mut resumes = Vec::new();
-    let mut checkpoints = 0u64;
-    for &q in &kill_quanta {
-        let link = run_resumable(
-            s.sys.clone(),
-            s.run.clone(),
-            &s.opts.clone().with_stop_at(q),
-        )
-        .map_err(|e| io_fail("kill link", e))?;
-        checkpoints += link.checkpoints_written;
-        if let Some(from) = link.resumed_from {
-            resumes.push(from);
-        }
-        match link.end {
-            ResumeEnd::Stopped { .. } => {}
-            ResumeEnd::Completed(_) => {
-                return Err(fail(format!("kill at quantum {q} was never reached")));
-            }
-        }
-    }
-    let fin = run_resumable(s.sys.clone(), s.run.clone(), &s.opts)
-        .map_err(|e| io_fail("final link", e))?;
-    checkpoints += fin.checkpoints_written;
-    if let Some(from) = fin.resumed_from {
-        resumes.push(from);
-    }
-    let got = match fin.end {
-        ResumeEnd::Completed(out) => out,
-        ResumeEnd::Stopped { quantum } => {
-            return Err(fail(format!("final link stopped at quantum {quantum}")));
-        }
-    };
-
-    // Gate 1: bit-identical outcome.
-    if encode_outcome(&got) != encode_outcome(&want) {
-        return Err(fail(format!(
-            "stitched outcome diverged from the oracle (digest {} vs {})",
-            outcome_digest(&got),
-            outcome_digest(&want)
-        )));
-    }
-    // Gate 2: byte-identical stitched trace, and it validates.
-    let trace_path = s.dir.join("hcapp.trace");
-    let got_trace =
-        fs::read_to_string(&trace_path).map_err(|e| io_fail("read stitched trace", e))?;
-    if got_trace != want_trace {
-        return Err(fail(format!(
-            "stitched trace diverged from the oracle ({} vs {} bytes)",
-            got_trace.len(),
-            want_trace.len()
-        )));
-    }
-    jsonl::validate(&got_trace)
-        .map_err(|e| fail(format!("stitched trace failed validation: {e}")))?;
-    // Gate 3: identical replayed report.
-    let report = |text: &str| -> Result<String, ArgError> {
-        let mut a = StreamAnalyzer::new();
-        a.consume_jsonl(text)
-            .map_err(|e| fail(format!("trace replay failed: {e}")))?;
-        Ok(a.report().to_json())
-    };
-    if report(&got_trace)? != report(&want_trace)? {
-        return Err(fail("replayed hcapp.report diverged from the oracle".to_string()));
-    }
-    // Gate 4: the PR 3 contract still holds across the seams.
-    let trace = got
-        .trace
-        .as_ref()
-        .expect("invariant: soak always records a power trace");
-    let over = over_cap(trace, s.budget);
-    let bound = faults::reaction_bound();
-    if over.longest > bound {
-        return Err(fail(format!(
-            "over-budget episode {} exceeds the reaction bound {bound}",
-            over.longest
-        )));
-    }
+    r.excursion.check().map_err(fail)?;
 
     if !s.keep {
         clean_artifacts(&s.dir);
@@ -261,7 +149,7 @@ fn campaign(s: SoakSetup) -> Result<String, ArgError> {
     let mut t = Table::new(
         format!(
             "soak ok: {} kill(s), zero-tolerance gates passed (seed {})",
-            kill_quanta.len(),
+            r.kills.len(),
             s.seed
         ),
         &["metric", "value"],
@@ -272,20 +160,19 @@ fn campaign(s: SoakSetup) -> Result<String, ArgError> {
             .collect::<Vec<_>>()
             .join(",")
     };
-    let kill_list: Vec<u64> = kill_quanta.iter().copied().collect();
-    t.add_row(vec!["total quanta".into(), total.to_string()]);
-    t.add_row(vec!["killed at".into(), list(&kill_list)]);
-    t.add_row(vec!["resumed from".into(), list(&resumes)]);
-    t.add_row(vec!["checkpoints written".into(), checkpoints.to_string()]);
-    t.add_row(vec!["outcome digest".into(), outcome_digest(&got)]);
+    t.add_row(vec!["total quanta".into(), r.total.to_string()]);
+    t.add_row(vec!["killed at".into(), list(&r.kills)]);
+    t.add_row(vec!["resumed from".into(), list(&r.chain.resumed_from)]);
+    t.add_row(vec!["checkpoints written".into(), r.chain.checkpoints.to_string()]);
+    t.add_row(vec!["outcome digest".into(), outcome_digest(&r.chain.outcome)]);
     t.add_row(vec![
         "trace bytes (stitched == oracle)".into(),
-        got_trace.len().to_string(),
+        r.chain.trace.len().to_string(),
     ]);
     t.add_row(vec!["report identical".into(), "yes".into()]);
     t.add_row(vec![
-        format!("longest over-budget (bound {bound})"),
-        format!("{}", over.longest),
+        format!("longest over-budget (bound {})", r.excursion.bound_label()),
+        format!("{}", r.excursion.over.longest),
     ]);
     Ok(t.render())
 }
@@ -338,7 +225,7 @@ mod tests {
         ))
         .unwrap();
         let text = fs::read_to_string(dir.join("hcapp.trace")).unwrap();
-        jsonl::validate(&text).unwrap();
+        hcapp_telemetry::jsonl::validate(&text).unwrap();
         let _ = fs::remove_dir_all(&dir);
     }
 
@@ -361,6 +248,31 @@ mod tests {
             assert!(e.contains(name), "{e}");
         }
         assert!(e.contains("none"), "{e}");
+    }
+
+    #[test]
+    fn rapl_soak_is_gated_by_its_own_bound() {
+        let dir = scratch("rapl");
+        let out = run_cli(&format!(
+            "--scheme rapl --combo Hi-Hi --ms 5 --plan severe --kills 2 --every 4 --seed 7 --dir {}",
+            dir.display()
+        ))
+        .unwrap();
+        assert!(out.contains("longest over-budget (bound 11.200ms)"), "{out}");
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn fixed_rail_soak_has_no_bound() {
+        let dir = scratch("fixed");
+        let out = run_cli(&format!(
+            "--scheme fixed:0.9 --combo Low-Low --ms 1 --kills 1 --plan severe --dir {}",
+            dir.display()
+        ))
+        .unwrap();
+        assert!(out.contains("soak ok: 1 kill(s)"), "{out}");
+        assert!(out.contains("longest over-budget (bound n/a)"), "{out}");
+        let _ = fs::remove_dir_all(&dir);
     }
 
     #[test]

@@ -40,6 +40,7 @@
 
 pub mod analyze;
 pub mod cache;
+pub mod campaign;
 pub mod controller;
 pub mod coordinator;
 pub mod health;

@@ -84,13 +84,10 @@ pub struct ResumeOptions {
     /// Stop (without flushing) once this many quanta have completed — the
     /// deterministic in-process equivalent of `kill -9`.
     pub stop_at: Option<u64>,
-    /// JSONL trace sink stitched across kills. When set, the driver owns a
-    /// [`RingTracer`] and the run configuration must not carry a tracer of
-    /// its own.
+    /// JSONL trace sink stitched across kills. When set, the driver owns an
+    /// unbounded [`RingTracer`] that keeps every event until the next flush,
+    /// and the run configuration must not carry a tracer of its own.
     pub trace_sink: Option<PathBuf>,
-    /// Capacity of the owned ring tracer (events buffered between
-    /// checkpoints).
-    pub trace_capacity: usize,
     /// Extra `(key, value)` metadata for the trace header line.
     pub trace_extra: Vec<(String, String)>,
 }
@@ -103,7 +100,6 @@ impl ResumeOptions {
             checkpoint_every: 64,
             stop_at: None,
             trace_sink: None,
-            trace_capacity: 1 << 20,
             trace_extra: Vec::new(),
         }
     }
@@ -212,11 +208,12 @@ fn run_once(
     candidate: Option<Checkpoint>,
 ) -> io::Result<Option<ResumeSummary>> {
     // The driver owns the concrete ring; the run config gets the same ring
-    // behind the `SharedTracer` unsize coercion.
+    // behind the `SharedTracer` unsize coercion. The ring never drops: every
+    // event it holds reaches the sink at the next flush.
     let ring: Option<Arc<Mutex<RingTracer>>> = opts
         .trace_sink
         .as_ref()
-        .map(|_| Arc::new(Mutex::new(RingTracer::new(opts.trace_capacity.max(1)))));
+        .map(|_| Arc::new(Mutex::new(RingTracer::unbounded())));
     let mut run = run.clone();
     if let Some(ring) = ring.as_ref() {
         let shared: SharedTracer = ring.clone();
@@ -441,9 +438,4 @@ pub fn outcome_digest(out: &RunOutcome) -> String {
     let mut h = Hasher::new();
     h.write_str(&crate::cache::encode_outcome(out));
     h.finish().to_hex()
-}
-
-/// Reference oracle: the same configuration run uninterrupted.
-pub fn run_uninterrupted(sys: SystemConfig, run: RunConfig) -> RunOutcome {
-    Simulation::new(sys, run).run()
 }

@@ -8,16 +8,14 @@
 //! 100 µs schemes — the same watchdog thresholds, counted in quanta, span
 //! 100× less wall-clock time.
 
-use hcapp::coordinator::{RunConfig, Simulation};
+use hcapp::campaign::{self, Excursion};
+use hcapp::coordinator::RunConfig;
 use hcapp::limits::PowerLimit;
-use hcapp::outcome::RunOutcome;
 use hcapp::scheme::ControlScheme;
 use hcapp::system::SystemConfig;
-use hcapp::DegradedConfig;
 use hcapp_faults::FaultPlan;
-use hcapp_metrics::{over_cap, ppe_drop};
+use hcapp_metrics::ppe_drop;
 use hcapp_sim_core::report::Table;
-use hcapp_sim_core::time::SimDuration;
 use hcapp_workloads::combos::combo_by_name;
 
 use crate::config::ExperimentConfig;
@@ -36,11 +34,10 @@ pub struct FaultRow {
     pub faults_injected: u64,
     /// Health-state transitions observed by the watchdogs.
     pub health_transitions: u64,
-    /// Longest run of consecutive over-budget trace samples.
-    pub longest_over: SimDuration,
-    /// The scheme's own reaction bound: `reaction_quanta` control periods
-    /// stretched by the worst-case slew derate.
-    pub bound: SimDuration,
+    /// The faulted run's over-budget episodes against the scheme's own
+    /// reaction bound: `reaction_quanta` control periods stretched by the
+    /// worst-case slew derate.
+    pub excursion: Excursion,
 }
 
 impl FaultRow {
@@ -48,19 +45,14 @@ impl FaultRow {
     pub fn ppe_cost(&self) -> f64 {
         ppe_drop(self.clean_ppe, self.faulted_ppe)
     }
-
-    /// Whether the longest excursion respects the scheme's reaction bound.
-    pub fn within_bound(&self) -> bool {
-        self.longest_over <= self.bound
-    }
 }
 
 /// Run the campaign for every dynamic scheme under one moderate plan.
 pub fn compute(cfg: &ExperimentConfig) -> Vec<FaultRow> {
     let limit = PowerLimit::package_pin();
     let combo = combo_by_name("Hi-Hi").expect("known combo");
+    let sys = SystemConfig::paper_system(combo, cfg.seed);
     let plan = FaultPlan::moderate(cfg.seed);
-    let degraded = DegradedConfig::default();
     let schemes = [
         ControlScheme::Hcapp,
         ControlScheme::RaplLike,
@@ -68,33 +60,15 @@ pub fn compute(cfg: &ExperimentConfig) -> Vec<FaultRow> {
     ];
     let mut rows = Vec::with_capacity(schemes.len());
     for scheme in schemes {
-        let go = |faults: Option<FaultPlan>| -> RunOutcome {
-            let sys = SystemConfig::paper_system(combo, cfg.seed);
-            let mut run = RunConfig::new(cfg.duration, scheme, limit.guardbanded_target())
-                .with_trace();
-            if let Some(p) = faults {
-                run = run.with_faults(p);
-            }
-            Simulation::new(sys, run).run()
-        };
-        let clean = go(None);
-        let faulted = go(Some(plan.clone()));
-        let trace = faulted
-            .trace
-            .as_ref()
-            .expect("invariant: with_trace always records a trace");
-        let over = over_cap(trace, limit.budget.value());
-        let period = scheme
-            .control_period()
-            .expect("all campaign schemes are dynamic");
+        let run = RunConfig::new(cfg.duration, scheme, limit.guardbanded_target());
+        let cell = campaign::fault_cell(&sys, &run, plan.clone(), limit.budget);
         rows.push(FaultRow {
             scheme,
-            clean_ppe: clean.ppe(limit.budget),
-            faulted_ppe: faulted.ppe(limit.budget),
-            faults_injected: faulted.resilience.faults_injected,
-            health_transitions: faulted.resilience.health_transitions,
-            longest_over: over.longest,
-            bound: degraded.reaction_bound(period),
+            clean_ppe: cell.clean.ppe(limit.budget),
+            faulted_ppe: cell.faulted.ppe(limit.budget),
+            faults_injected: cell.faulted.resilience.faults_injected,
+            health_transitions: cell.faulted.resilience.health_transitions,
+            excursion: cell.excursion,
         });
     }
     rows
@@ -128,9 +102,9 @@ pub fn run(cfg: &ExperimentConfig) -> Table {
             format!("{:.1}%", r.ppe_cost() * 100.0),
             r.faults_injected.to_string(),
             r.health_transitions.to_string(),
-            format!("{}", r.longest_over),
-            format!("{}", r.bound),
-            if r.within_bound() { "yes" } else { "NO" }.into(),
+            format!("{}", r.excursion.over.longest),
+            r.excursion.bound_label(),
+            r.excursion.verdict_label().into(),
         ]);
     }
     t.write_csv(cfg.csv_path("faults")).expect("write csv");
@@ -152,11 +126,10 @@ mod tests {
         assert!(rows[0].faults_injected > 0, "HCAPP saw no fault episodes");
         for r in &rows {
             assert!(
-                r.within_bound(),
-                "{}: longest over-budget {} exceeds bound {}",
+                r.excursion.within_bound(),
+                "{}: {:?}",
                 r.scheme.name(),
-                r.longest_over,
-                r.bound
+                r.excursion.check()
             );
             assert!(
                 r.ppe_cost().abs() < 0.25,
@@ -166,6 +139,6 @@ mod tests {
             );
         }
         // HCAPP's 1 µs quantum makes its reaction bound the tightest.
-        assert!(rows[0].bound < rows[1].bound);
+        assert!(rows[0].excursion.bound < rows[1].excursion.bound);
     }
 }

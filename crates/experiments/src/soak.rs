@@ -1,40 +1,29 @@
 //! Chaos-soak study: crash-safe resume equivalence across the scenario
 //! matrix.
 //!
-//! Every cell runs one scenario twice: once uninterrupted (the oracle) and
-//! once as a checkpointing run that is killed at injector-chosen quanta and
-//! resumed from its latest `hcapp.ckpt`. The stitched run must reproduce
-//! the oracle **bit-exactly** — outcome encoding, JSONL trace stream and
-//! replayed `hcapp.report` — and its over-budget episodes must respect the
-//! same reaction bound the fault campaign enforces. The matrix crosses
-//! fault plans with checkpoint cadences, so the seams are soaked under
-//! every plan preset.
+//! Every cell is one [`hcapp::campaign::soak`]: the scenario runs once
+//! uninterrupted (the reference) and once as a checkpointing run that is
+//! killed at seeded quanta and resumed from its latest `hcapp.ckpt`. The
+//! stitched run must reproduce the reference **bit-exactly** — outcome
+//! encoding, JSONL trace stream (which must also validate) and replayed
+//! `hcapp.report` — and its over-budget episodes must respect the same
+//! reaction bound the fault campaign enforces. The matrix crosses fault
+//! plans with checkpoint cadences, so the seams are soaked under every plan
+//! preset.
 
-use std::collections::BTreeSet;
 use std::fs;
-use std::path::PathBuf;
-use std::sync::{Arc, Mutex};
 
-use hcapp::cache::encode_outcome;
-use hcapp::coordinator::{RunConfig, Simulation};
+use hcapp::campaign::{self, Excursion};
+use hcapp::coordinator::RunConfig;
 use hcapp::limits::PowerLimit;
-use hcapp::resume::{outcome_digest, run_resumable, total_quanta, ResumeEnd, ResumeOptions};
+use hcapp::resume::{outcome_digest, ResumeOptions};
 use hcapp::scheme::ControlScheme;
 use hcapp::system::SystemConfig;
-use hcapp::DegradedConfig;
-use hcapp_analyze::StreamAnalyzer;
 use hcapp_faults::FaultPlan;
-use hcapp_metrics::over_cap;
 use hcapp_sim_core::report::Table;
-use hcapp_sim_core::rng::DeterministicRng;
-use hcapp_sim_core::time::SimDuration;
-use hcapp_telemetry::{jsonl, RingTracer, SharedTracer};
 use hcapp_workloads::combos::combo_by_name;
 
 use crate::config::ExperimentConfig;
-
-/// RNG stream id for kill-quantum selection, decorrelated per cell.
-const KILL_STREAM: u64 = 0x5041_6b69_6c6c; // "PAkill"
 
 /// One cell's soak verdict.
 #[derive(Debug, Clone)]
@@ -49,19 +38,11 @@ pub struct SoakRow {
     pub checkpoints: u64,
     /// 32-hex digest of the stitched outcome.
     pub digest: String,
-    /// Outcome + trace + report all byte-identical to the oracle.
+    /// Outcome + trace (validated) + report all byte-identical to the
+    /// reference.
     pub identical: bool,
-    /// Longest over-budget excursion of the stitched run.
-    pub longest_over: SimDuration,
-    /// The reaction bound the excursion must respect.
-    pub bound: SimDuration,
-}
-
-impl SoakRow {
-    /// Whether the stitched run respects the reaction bound.
-    pub fn within_bound(&self) -> bool {
-        self.longest_over <= self.bound
-    }
+    /// The stitched run's over-budget episodes against the reaction bound.
+    pub excursion: Excursion,
 }
 
 /// The scenario matrix: plans × checkpoint cadences, two kills per cell.
@@ -78,7 +59,8 @@ pub fn compute(cfg: &ExperimentConfig) -> Vec<SoakRow> {
         .collect()
 }
 
-/// Run one cell: oracle, kill chain, bit-identity checks.
+/// Run one cell through [`campaign::soak`], with kill points decorrelated
+/// per cell.
 fn soak_cell(cfg: &ExperimentConfig, plan: &str, every: u64, kills: u64) -> SoakRow {
     let limit = PowerLimit::package_pin();
     let combo = combo_by_name("Hi-Hi").expect("known combo");
@@ -87,90 +69,30 @@ fn soak_cell(cfg: &ExperimentConfig, plan: &str, every: u64, kills: u64) -> Soak
         cfg.duration,
         ControlScheme::Hcapp,
         limit.guardbanded_target(),
-    )
-    .with_trace();
+    );
     if plan != "none" {
         run = run.with_faults(FaultPlan::preset(plan, cfg.seed).expect("matrix presets are valid"));
     }
 
-    // Injector-chosen kill quanta, decorrelated per cell.
-    let total = total_quanta(&sys, &run);
-    let mut rng = DeterministicRng::derive(cfg.seed ^ every, KILL_STREAM);
-    let mut kill_quanta = BTreeSet::new();
-    while (kill_quanta.len() as u64) < kills.min(total - 1) {
-        kill_quanta.insert(1 + rng.below(total - 1));
-    }
-
-    // Oracle.
-    let ring = Arc::new(Mutex::new(RingTracer::new(1 << 20)));
-    let mut oracle_run = run.clone();
-    oracle_run.tracer = Some(ring.clone() as SharedTracer);
-    let want = Simulation::new(sys.clone(), oracle_run).run();
-    let events = ring
-        .lock()
-        .expect("invariant: tracer mutex never poisoned")
-        .drain();
-    let want_trace = jsonl::export(&events, &[("case", "soak"), ("plan", plan)]);
-
-    // Kill chain in a per-cell scratch directory.
-    let dir = scratch_dir(cfg, plan, every);
+    let dir = cfg.out_dir.join(format!("soak-scratch/{plan}-{every}"));
+    let _ = fs::remove_dir_all(&dir);
     let opts = ResumeOptions::new(dir.join("hcapp.ckpt"))
         .with_checkpoint_every(every)
         .with_trace_sink(dir.join("hcapp.trace"))
         .with_trace_extra("case", "soak")
         .with_trace_extra("plan", plan);
-    let mut checkpoints = 0u64;
-    for &q in &kill_quanta {
-        let link = run_resumable(sys.clone(), run.clone(), &opts.clone().with_stop_at(q))
-            .expect("kill link failed");
-        checkpoints += link.checkpoints_written;
-        assert!(
-            matches!(link.end, ResumeEnd::Stopped { .. }),
-            "kill at {q} was never reached"
-        );
-    }
-    let fin = run_resumable(sys, run, &opts).expect("final link failed");
-    checkpoints += fin.checkpoints_written;
-    let got = match fin.end {
-        ResumeEnd::Completed(out) => out,
-        ResumeEnd::Stopped { quantum } => panic!("final link stopped at {quantum}"),
-    };
-    let got_trace = fs::read_to_string(dir.join("hcapp.trace")).expect("stitched trace readable");
+    let r = campaign::soak(&sys, &run, &opts, cfg.seed ^ every, kills, limit.budget)
+        .unwrap_or_else(|e| panic!("soak cell {plan}-{every}: {e}"));
     let _ = fs::remove_dir_all(&dir);
-
-    let identical = encode_outcome(&got) == encode_outcome(&want)
-        && got_trace == want_trace
-        && replay_report(&got_trace) == replay_report(&want_trace);
-    let over = over_cap(
-        got.trace.as_ref().expect("soak cells always record a trace"),
-        limit.budget.value(),
-    );
-    let period = ControlScheme::Hcapp
-        .control_period()
-        .expect("HCAPP is dynamic");
     SoakRow {
         plan: plan.to_string(),
         every,
-        kills: kill_quanta.into_iter().collect(),
-        checkpoints,
-        digest: outcome_digest(&got),
-        identical,
-        longest_over: over.longest,
-        bound: DegradedConfig::default().reaction_bound(period),
+        kills: r.kills,
+        checkpoints: r.chain.checkpoints,
+        digest: outcome_digest(&r.chain.outcome),
+        identical: r.divergence.is_none(),
+        excursion: r.excursion,
     }
-}
-
-fn replay_report(text: &str) -> String {
-    let mut a = StreamAnalyzer::new();
-    a.consume_jsonl(text).expect("stitched trace replays");
-    a.report().to_json()
-}
-
-fn scratch_dir(cfg: &ExperimentConfig, plan: &str, every: u64) -> PathBuf {
-    let dir = cfg.out_dir.join(format!("soak-scratch/{plan}-{every}"));
-    let _ = fs::remove_dir_all(&dir);
-    fs::create_dir_all(&dir).expect("create soak scratch dir");
-    dir
 }
 
 /// Execute, render and write CSV.
@@ -205,9 +127,9 @@ pub fn run(cfg: &ExperimentConfig) -> Table {
             r.checkpoints.to_string(),
             r.digest.clone(),
             if r.identical { "yes" } else { "NO" }.into(),
-            format!("{}", r.longest_over),
-            format!("{}", r.bound),
-            if r.within_bound() { "yes" } else { "NO" }.into(),
+            format!("{}", r.excursion.over.longest),
+            r.excursion.bound_label(),
+            r.excursion.verdict_label().into(),
         ]);
     }
     t.write_csv(cfg.csv_path("soak")).expect("write csv");
@@ -230,13 +152,7 @@ mod tests {
                 "{} (cadence {}): stitched run diverged from the oracle",
                 r.plan, r.every
             );
-            assert!(
-                r.within_bound(),
-                "{}: longest over-budget {} exceeds bound {}",
-                r.plan,
-                r.longest_over,
-                r.bound
-            );
+            assert!(r.excursion.within_bound(), "{}: {:?}", r.plan, r.excursion.check());
         }
         // Distinct plans must actually change the run.
         assert_ne!(rows[0].digest, rows[2].digest);

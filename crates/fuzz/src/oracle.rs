@@ -31,16 +31,12 @@
 
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
 
 use hcapp::cache::{decode_outcome, encode_outcome, job_key};
-use hcapp::{
-    run_resumable, total_quanta, DomainController, ResumeEnd, ResumeOptions, RunCache,
-    RunOutcome, Simulation,
-};
+use hcapp::campaign::{kill_chain, reference_trace};
+use hcapp::{total_quanta, DomainController, ResumeOptions, RunCache, RunOutcome, Simulation};
 use hcapp_analyze::StreamAnalyzer;
 use hcapp_sim_core::units::{Volt, Watt};
-use hcapp_telemetry::{jsonl, RingTracer, SharedTracer};
 
 use crate::case::{FuzzCase, Plant};
 use crate::rng::SplitMix64;
@@ -70,7 +66,17 @@ pub fn check_case(case: &FuzzCase) -> Vec<Failure> {
     // Leg 1: the traced serial reference, whose trace must replay, and
     // which the same run untraced must reproduce (tracing observes, it
     // never steers).
-    let (out_s, trace_s) = run_traced(case);
+    let (sys, run) = case.build();
+    let (out_s, trace_s) = match reference_trace(&sys, &run, &[]) {
+        Ok(r) => r,
+        Err(e) => {
+            fails.push(Failure {
+                leg: "serial",
+                detail: e.to_string(),
+            });
+            return fails;
+        }
+    };
     let enc_s = encode_outcome(&out_s);
     let mut analyzer = StreamAnalyzer::new();
     if let Err(e) = analyzer.consume_jsonl(&trace_s) {
@@ -79,7 +85,6 @@ pub fn check_case(case: &FuzzCase) -> Vec<Failure> {
             detail: format!("trace replay rejected the serial trace: {e}"),
         });
     }
-    let (sys, run) = case.build();
     let enc_u = encode_outcome(&Simulation::new(sys, run).run());
     if enc_u != enc_s {
         fails.push(Failure {
@@ -105,17 +110,6 @@ pub fn check_case(case: &FuzzCase) -> Vec<Failure> {
     fails
 }
 
-/// Run the case with a ring tracer attached and export the trace through
-/// the stock JSONL path (same bytes a `--trace` CLI run would write).
-fn run_traced(case: &FuzzCase) -> (RunOutcome, String) {
-    let (sys, run) = case.build();
-    let ring = Arc::new(Mutex::new(RingTracer::new(1 << 20)));
-    let handle: SharedTracer = ring.clone();
-    let out = Simulation::new(sys, run.with_tracer(handle)).run();
-    let events = ring.lock().expect("ring tracer lock").drain();
-    (out, jsonl::export(events.iter(), &[]))
-}
-
 /// Kill the run at the case's quantum, resume it from the checkpoint, and
 /// compare both the final outcome and the stitched trace-sink bytes.
 fn check_resume(case: &FuzzCase, enc_s: &str, trace_s: &str, fails: &mut Vec<Failure>) {
@@ -123,76 +117,39 @@ fn check_resume(case: &FuzzCase, enc_s: &str, trace_s: &str, fails: &mut Vec<Fai
     let total = total_quanta(&sys, &run);
     let kill = case.kill_at.min(total.saturating_sub(1));
     let dir = tmp_dir("resume", case.seed);
-    if std::fs::create_dir_all(&dir).is_err() {
-        fails.push(Failure {
-            leg: "resume",
-            detail: "could not create the scratch directory".into(),
-        });
-        return;
-    }
-    let base = ResumeOptions::new(dir.join("hcapp.ckpt"))
+    let opts = ResumeOptions::new(dir.join("hcapp.ckpt"))
         .with_checkpoint_every(case.checkpoint_every)
         .with_trace_sink(dir.join("hcapp.trace"));
-    if kill >= 1 {
-        let opts = base.clone().with_stop_at(kill);
-        match run_resumable(sys.clone(), run.clone(), &opts) {
-            Ok(s) => {
-                if let ResumeEnd::Completed(_) = s.end {
-                    fails.push(Failure {
-                        leg: "resume",
-                        detail: format!("link completed despite stop_at {kill} (total {total})"),
-                    });
-                }
+    let kills: &[u64] = if kill >= 1 { &[kill] } else { &[] };
+    match kill_chain(&sys, &run, &opts, kills) {
+        Ok(mut chain) => {
+            if case.plant == Plant::ResumeBitflip {
+                let bits = chain.outcome.avg_power.value().to_bits();
+                chain.outcome.avg_power = Watt::new(f64::from_bits(bits ^ 1));
             }
-            Err(e) => fails.push(Failure {
-                leg: "resume",
-                detail: format!("killed link failed: {}", e.kind()),
-            }),
+            let enc = encode_outcome(&chain.outcome);
+            if enc != enc_s {
+                fails.push(Failure {
+                    leg: "resume",
+                    detail: format!(
+                        "resumed outcome diverges from the serial reference ({})",
+                        first_divergence(enc_s, &enc)
+                    ),
+                });
+            }
+            if chain.trace != trace_s {
+                fails.push(Failure {
+                    leg: "resume",
+                    detail: format!(
+                        "stitched trace sink diverges from the serial trace ({})",
+                        first_divergence(trace_s, &chain.trace)
+                    ),
+                });
+            }
         }
-    }
-    match run_resumable(sys, run, &base) {
-        Ok(s) => match s.end {
-            ResumeEnd::Completed(mut out) => {
-                if case.plant == Plant::ResumeBitflip {
-                    let bits = out.avg_power.value().to_bits();
-                    out.avg_power = Watt::new(f64::from_bits(bits ^ 1));
-                }
-                let enc = encode_outcome(&out);
-                if enc != enc_s {
-                    fails.push(Failure {
-                        leg: "resume",
-                        detail: format!(
-                            "resumed outcome diverges from the serial reference ({})",
-                            first_divergence(enc_s, &enc)
-                        ),
-                    });
-                }
-                match std::fs::read_to_string(dir.join("hcapp.trace")) {
-                    Ok(sink) => {
-                        if sink != trace_s {
-                            fails.push(Failure {
-                                leg: "resume",
-                                detail: format!(
-                                    "stitched trace sink diverges from the serial trace ({})",
-                                    first_divergence(trace_s, &sink)
-                                ),
-                            });
-                        }
-                    }
-                    Err(e) => fails.push(Failure {
-                        leg: "resume",
-                        detail: format!("trace sink unreadable: {}", e.kind()),
-                    }),
-                }
-            }
-            ResumeEnd::Stopped { quantum } => fails.push(Failure {
-                leg: "resume",
-                detail: format!("final link stopped at quantum {quantum} with no stop_at"),
-            }),
-        },
         Err(e) => fails.push(Failure {
             leg: "resume",
-            detail: format!("resume link failed: {}", e.kind()),
+            detail: e.to_string(),
         }),
     }
     let _ = std::fs::remove_dir_all(&dir);

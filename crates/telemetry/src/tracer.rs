@@ -81,6 +81,12 @@ impl RingTracer {
         }
     }
 
+    /// Create a ring that never drops an event: it grows with what it is
+    /// given, so its memory is bounded only by the events between drains.
+    pub fn unbounded() -> Self {
+        RingTracer::new(usize::MAX)
+    }
+
     /// The configured capacity.
     pub fn capacity(&self) -> usize {
         self.capacity
